@@ -22,7 +22,6 @@ from .evaluation import (
     mean_average_precision,
 )
 from .kernels import (
-    KernelSpec,
     SigmaTable,
     bi_dakr_rank,
     bi_dakr_score,
@@ -54,7 +53,6 @@ __all__ = [
     "EvalReport",
     "FeatureSet",
     "GroundTruth",
-    "KernelSpec",
     "MethodEval",
     "NeighborSet",
     "RankedList",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .core import DistanceMetric, FeatureSet
-from .errors import DakrError, FormatError, MissingTruth, StaleSigmaTable
+from .errors import DakrError, FormatError, InvalidParams, MissingTruth, StaleSigmaTable
 from .evaluation import (
     DEFAULT_RANKS,
     SCENARIO_KINDS,
@@ -42,20 +42,9 @@ from .fileio import (
     write_sigma_sidecar,
     write_truth_csv,
 )
-from .kernels import (
-    bi_dakr_rank,
-    compute_sigma_table,
-    default_k_sigma,
-    inv_dakr_rank,
-)
-from .neighbors import (
-    GALLERY_ONLY,
-    WITH_PROBES,
-    rank_by_distance,
-    rank_by_inn,
-    rank_by_rnn,
-)
-from .rerank import DAKR_METHODS, parse_method_token, rerank, resolve_policy
+from .kernels import compute_sigma_table, default_k_sigma
+from .neighbors import GALLERY_ONLY, WITH_PROBES
+from .rerank import DAKR_METHODS, parse_method_token, rank_probe, rerank, resolve_policy
 
 log = logging.getLogger("dakr")
 
@@ -73,6 +62,26 @@ def _configure_logging() -> None:
 
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _method_tokens(parser: argparse.ArgumentParser, text: str, k: int | None = 1) -> list[str]:
+    """The comma-separated method tokens of ``text``; an unknown method, or
+    k-INN/k-RNN without a k, is a usage error."""
+    tokens = [m.strip() for m in text.split(",") if m.strip()]
+    for token in tokens:
+        try:
+            method, _ = parse_method_token(token)
+        except InvalidParams as exc:
+            parser.error(str(exc))
+        if method in ("inn", "rnn") and k is None:
+            parser.error(f"--method {token} requires --k")
+    return tokens
 
 
 def _existing(parser: argparse.ArgumentParser, path: str, what: str) -> Path:
@@ -94,18 +103,16 @@ def _build_metric(parser: argparse.ArgumentParser, args) -> DistanceMetric:
         delimiter=",",
         ndmin=2,
     )
-    if args.metric == "mahalanobis":
-        return DistanceMetric.mahalanobis(matrix)
-    return DistanceMetric.precomputed(matrix)
+    return DistanceMetric.mahalanobis(matrix)
 
 
 def _add_metric_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--metric",
         default="euclidean",
-        choices=["euclidean", "squared_euclidean", "mahalanobis", "precomputed"],
+        choices=["euclidean", "squared_euclidean", "mahalanobis"],
     )
-    sub.add_argument("--metric-matrix", help="CSV matrix for mahalanobis/precomputed")
+    sub.add_argument("--metric-matrix", help="CSV matrix for mahalanobis")
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
@@ -188,7 +195,10 @@ def cmd_rerank(parser, args) -> int:
     gallery = read_features(_existing(parser, args.gallery, "gallery"))
     probes = read_features(_existing(parser, args.probes, "probes"))
     metric = _build_metric(parser, args)
-    method, mode = parse_method_token(args.method)
+    tokens = _method_tokens(parser, args.method, args.k)
+    if len(tokens) != 1:
+        parser.error("rerank takes exactly one --method")
+    method, mode = parse_method_token(tokens[0])
     if args.with_probes:
         mode = WITH_PROBES
     policy = resolve_policy(mode, probes)
@@ -196,8 +206,6 @@ def cmd_rerank(parser, args) -> int:
 
     table = None
     if method in DAKR_METHODS:
-        if k_sigma is None:
-            k_sigma = default_k_sigma(len(gallery))
         if args.sigma_table:
             record = read_sigma_sidecar(_existing(parser, args.sigma_table, "sigma table"))
             try:
@@ -215,7 +223,6 @@ def cmd_rerank(parser, args) -> int:
                     RuntimeWarning,
                     stacklevel=1,
                 )
-                table = None
 
     rankings = rerank(
         method,
@@ -237,7 +244,7 @@ def cmd_rerank(parser, args) -> int:
 def cmd_eval(parser, args) -> int:
     gallery, probes, truth = _load_eval_data(parser, args)
     metric = _build_metric(parser, args)
-    methods = [m.strip() for m in args.method.split(",") if m.strip()]
+    methods = _method_tokens(parser, args.method, args.k)
     if args.with_probes:
         methods = [m if m.endswith("+") else m + "+" for m in methods]
     report = evaluate_methods(
@@ -269,7 +276,7 @@ def cmd_eval(parser, args) -> int:
 
 def cmd_sweep(parser, args) -> int:
     metric = _build_metric(parser, args)
-    methods = [m.strip() for m in args.method.split(",") if m.strip()]
+    methods = _method_tokens(parser, args.method)
     k_values = _int_list(args.k_values)
     ranks = tuple(_int_list(args.ranks))
     if args.scenario:
@@ -311,37 +318,30 @@ def cmd_sweep(parser, args) -> int:
     return 0
 
 
-def _bench_one(method, gallery, probe_vectors, metric, k, k_sigma):
+def _bench_one(token, gallery, probes, metric, k, k_sigma):
     """Offline cost plus per-probe online wall-clock (median).
 
-    Every probe call goes through the library's per-probe API, so inverse
-    neighbor scans pay their full online cost on each probe.
+    The method token goes through the same parse, policy and bandwidth
+    steps as ``eval``; every probe is then ranked by the library's
+    per-probe API, so inverse neighbor scans pay their full online cost
+    on each probe.
     """
-    offset = int(gallery.ids.max()) + 1
+    method, mode = parse_method_token(token)
+    policy = resolve_policy(mode, probes)
     table = None
     offline_ms = 0.0
     if method in DAKR_METHODS:
         started = time.perf_counter()
-        table = compute_sigma_table(gallery, metric, k_sigma)
+        table = compute_sigma_table(gallery, metric, k_sigma, policy)
         offline_ms = (time.perf_counter() - started) * 1e3
 
     def run(row):
-        pid = offset + row
-        vec = probe_vectors[row]
-        if method == "knn":
-            rank_by_distance(pid, vec, gallery, metric)
-        elif method == "inn":
-            rank_by_inn(pid, vec, gallery, metric, k)
-        elif method == "rnn":
-            rank_by_rnn(pid, vec, gallery, metric, k)
-        elif method == "inv_dakr":
-            inv_dakr_rank(pid, vec, gallery, metric, table)
-        else:
-            bi_dakr_rank(pid, vec, gallery, metric, table)
+        pid, vec = int(probes.ids[row]), probes.vectors[row]
+        rank_probe(method, pid, vec, gallery, metric, k, table, policy)
 
     run(0)  # warmup, excluded from timing
     samples = []
-    for row in range(len(probe_vectors)):
+    for row in range(len(probes)):
         started = time.perf_counter()
         run(row)
         samples.append((time.perf_counter() - started) * 1e3)
@@ -350,20 +350,21 @@ def _bench_one(method, gallery, probe_vectors, metric, k, k_sigma):
 
 def cmd_bench(parser, args) -> int:
     sizes = _int_list(args.sizes)
-    methods = [m.strip() for m in args.method.split(",") if m.strip()]
-    for method in methods:
-        parse_method_token(method)
+    methods = _method_tokens(parser, args.method)
     rng = np.random.default_rng(args.seed)
     rows = []
     for n in sizes:
         gallery = FeatureSet(np.arange(n), rng.standard_normal((n, args.dim)))
-        probe_vectors = rng.standard_normal((args.bench_probes, args.dim))
+        probes = FeatureSet(
+            n + np.arange(args.bench_probes),
+            rng.standard_normal((args.bench_probes, args.dim)),
+        )
         metric = DistanceMetric.euclidean()
         k = args.k or max(1, round(0.01 * n))
         k_sigma = args.k_sigma or default_k_sigma(n)
         for method in methods:
             offline_ms, online_ms = _bench_one(
-                method, gallery, probe_vectors, metric, k, k_sigma
+                method, gallery, probes, metric, k, k_sigma
             )
             rows.append(
                 {
@@ -405,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sigma.add_argument("--gallery", required=True)
     sigma.add_argument("--probes")
     sigma.add_argument("--with-probes", action="store_true")
-    sigma.add_argument("--k-sigma", type=int)
+    sigma.add_argument("--k-sigma", type=_positive_int)
     sigma.add_argument("--threads", type=int, default=os.cpu_count())
     _add_metric_flags(sigma)
     sigma.add_argument("--out", required=True)
@@ -414,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     rrk.add_argument("--gallery", required=True)
     rrk.add_argument("--probes", required=True)
     rrk.add_argument("--method", default="knn")
-    rrk.add_argument("--k", type=int)
-    rrk.add_argument("--k-sigma", type=int)
+    rrk.add_argument("--k", type=_positive_int)
+    rrk.add_argument("--k-sigma", type=_positive_int)
     rrk.add_argument("--with-probes", action="store_true")
     rrk.add_argument("--sigma-table")
     rrk.add_argument("--recompute", action="store_true",
@@ -430,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--truth")
     _add_scenario_flags(ev)
     ev.add_argument("--method", default="knn")
-    ev.add_argument("--k", type=int)
-    ev.add_argument("--k-sigma", type=int)
+    ev.add_argument("--k", type=_positive_int)
+    ev.add_argument("--k-sigma", type=_positive_int)
     ev.add_argument("--with-probes", action="store_true")
     ev.add_argument("--ranks", default=",".join(str(r) for r in DEFAULT_RANKS))
     ev.add_argument("--threads", type=int, default=os.cpu_count())
@@ -455,9 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", default="1000,2000,4000,8000")
     bench.add_argument("--dim", type=int, default=64)
     bench.add_argument("--method", default=",".join(_BENCH_METHODS))
-    bench.add_argument("--k", type=int)
-    bench.add_argument("--k-sigma", type=int)
-    bench.add_argument("--bench-probes", type=int, default=5)
+    bench.add_argument("--k", type=_positive_int)
+    bench.add_argument("--k-sigma", type=_positive_int)
+    bench.add_argument("--bench-probes", type=_positive_int, default=5)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", required=True)
 

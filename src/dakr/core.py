@@ -5,33 +5,28 @@ threads.  Distances are computed and stored as float64 regardless of the
 precision of the input files: re-ranking is sort-sensitive and 32-bit
 accumulation can flip near-ties.
 
-Ties are broken by ascending id everywhere.  Self-distance exclusion is
-not handled here; it is the responsibility of the neighbor/kernel layers.
+Ties are broken by ascending id everywhere.  Only the self-distance scan
+excludes each sample from its own row; a probe's own gallery copy is
+excluded by the neighbor/kernel layers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import (
-    DimensionMismatch,
-    InvalidMetric,
-    InvalidParams,
-    NonFiniteValue,
-    ShapeMismatch,
-)
+from .errors import DimensionMismatch, InvalidMetric, InvalidParams, NonFiniteValue
 
 # Metric kinds
 EUCLIDEAN = "euclidean"
 SQUARED_EUCLIDEAN = "squared_euclidean"
 MAHALANOBIS = "mahalanobis"
-PRECOMPUTED = "precomputed"
-METRIC_KINDS = (EUCLIDEAN, SQUARED_EUCLIDEAN, MAHALANOBIS, PRECOMPUTED)
+METRIC_KINDS = (EUCLIDEAN, SQUARED_EUCLIDEAN, MAHALANOBIS)
 
 # Sort orders
 ASCENDING = "ascending"
@@ -41,17 +36,12 @@ DESCENDING = "descending"
 ASCENDING_DISTANCE = "ascending_distance"
 DESCENDING_SCORE = "descending_score"
 
-# Relative tolerance for accepting slightly indefinite learned matrices.
+# Relative tolerance for learned matrices: asymmetry and negative
+# eigenvalues up to this fraction of the matrix's norm are accepted.
 PSD_TOLERANCE = 1e-9
 
-
-def _as_float_matrix(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InvalidParams(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"{name} contains non-finite entries")
-    return arr
+# Row block size cap for quadratic scans, keeps peak memory bounded.
+_BLOCK_ELEMENTS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -123,13 +113,15 @@ class FeatureSet:
 
 @dataclass(frozen=True)
 class DistanceMetric:
-    """Distance strategy: euclidean, squared euclidean, Mahalanobis with a
-    supplied PSD matrix, or a verbatim precomputed matrix.
+    """Distance strategy: euclidean, squared euclidean, or Mahalanobis with
+    a supplied PSD matrix.
 
     Use the classmethod constructors; they validate their inputs.  Learned
     matrices (e.g. from metric-learning pipelines) are often numerically
-    indefinite, so eigenvalues down to ``-PSD_TOLERANCE * spectral_norm``
-    are accepted; anything worse is rejected loudly.
+    indefinite and slightly asymmetric, so asymmetry up to
+    ``PSD_TOLERANCE * norm`` and eigenvalues down to
+    ``-PSD_TOLERANCE * spectral_norm`` are accepted; anything worse is
+    rejected loudly.
     """
 
     kind: str
@@ -139,11 +131,17 @@ class DistanceMetric:
         if self.kind not in METRIC_KINDS:
             raise InvalidMetric(f"unknown metric kind {self.kind!r}")
         if self.kind == MAHALANOBIS:
-            m = _as_float_matrix(self.matrix, "mahalanobis matrix")
+            m = np.asarray(self.matrix, dtype=np.float64)
+            if m.ndim != 2:
+                raise InvalidParams(f"mahalanobis matrix must be 2-D, got ndim={m.ndim}")
+            if not np.all(np.isfinite(m)):
+                raise NonFiniteValue("mahalanobis matrix contains non-finite entries")
             if m.shape[0] != m.shape[1]:
                 raise InvalidMetric(f"mahalanobis matrix must be square, got {m.shape}")
-            if np.max(np.abs(m - m.T)) > 1e-9:
-                raise InvalidMetric("mahalanobis matrix is not symmetric within 1e-9")
+            if np.max(np.abs(m - m.T)) > PSD_TOLERANCE * np.linalg.norm(m):
+                raise InvalidMetric(
+                    f"mahalanobis matrix is not symmetric within {PSD_TOLERANCE:g} * its norm"
+                )
             eigs = np.linalg.eigvalsh(m)
             scale = float(np.max(np.abs(eigs))) if m.size else 0.0
             if scale > 0.0 and float(eigs.min()) < -PSD_TOLERANCE * scale:
@@ -151,13 +149,6 @@ class DistanceMetric:
                     f"mahalanobis matrix is not PSD: min eigenvalue {eigs.min():.3e} "
                     f"below -{PSD_TOLERANCE:g} * spectral norm {scale:.3e}"
                 )
-            m = m.copy()
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
-        elif self.kind == PRECOMPUTED:
-            m = _as_float_matrix(self.matrix, "precomputed distances")
-            if np.any(m < 0):
-                raise InvalidMetric("precomputed distances must be nonnegative")
             m = m.copy()
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
@@ -176,10 +167,6 @@ class DistanceMetric:
     def mahalanobis(cls, matrix) -> "DistanceMetric":
         return cls(MAHALANOBIS, matrix)
 
-    @classmethod
-    def precomputed(cls, matrix) -> "DistanceMetric":
-        return cls(PRECOMPUTED, matrix)
-
     def content_digest(self) -> bytes:
         h = hashlib.sha256()
         h.update(b"METR")
@@ -194,13 +181,10 @@ def pairwise(metric: DistanceMetric, queries: np.ndarray, refs: np.ndarray) -> n
     """Distance rows between raw query vectors and raw reference vectors.
 
     Works on plain (q, d) and (r, d) arrays so the neighbor layers can
-    build augmented candidate pools.  The precomputed kind has no access
-    to vectors and is rejected here.
+    build augmented candidate pools.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     refs = np.atleast_2d(np.asarray(refs, dtype=np.float64))
-    if metric.kind == PRECOMPUTED:
-        raise InvalidMetric("precomputed metric cannot score raw vectors")
     if queries.shape[1] != refs.shape[1]:
         raise DimensionMismatch(
             f"query dim {queries.shape[1]} != reference dim {refs.shape[1]}"
@@ -225,11 +209,32 @@ def pairwise(metric: DistanceMetric, queries: np.ndarray, refs: np.ndarray) -> n
     return out
 
 
-def distance(metric: DistanceMetric, a, b) -> float:
-    """Distance between two vectors under ``metric``.
+def scan_self_distances(metric: DistanceMetric, vectors, per_block, n_threads=None) -> list:
+    """Walk the (n, n) self-distance matrix of ``vectors`` in row blocks
+    of about ``_BLOCK_ELEMENTS`` entries, on a thread pool if n_threads > 1.
 
-    The precomputed kind is index-based and not allowed here.
+    Each block, with every sample's distance to itself set to inf, goes to
+    ``per_block(start, rows)``; the results come back in block order.
+    They must not be views of ``rows``, or every block stays alive.
     """
+    n = len(vectors)
+    block = max(1, min(n, _BLOCK_ELEMENTS // n))
+
+    def scan(start: int):
+        stop = min(start + block, n)
+        rows = pairwise(metric, vectors[start:stop], vectors)
+        rows[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        return per_block(start, rows)
+
+    starts = range(0, n, block)
+    if n_threads is not None and n_threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            return list(pool.map(scan, starts))
+    return [scan(start) for start in starts]
+
+
+def distance(metric: DistanceMetric, a, b) -> float:
+    """Distance between two vectors under ``metric``."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
@@ -242,19 +247,7 @@ def distance(metric: DistanceMetric, a, b) -> float:
 def distance_matrix(
     metric: DistanceMetric, queries: FeatureSet, refs: FeatureSet
 ) -> np.ndarray:
-    """All query-to-reference distances as a (|queries|, |refs|) matrix.
-
-    For the precomputed kind the stored matrix is returned verbatim after
-    a shape check.
-    """
-    if metric.kind == PRECOMPUTED:
-        expected = (len(queries), len(refs))
-        if metric.matrix.shape != expected:
-            raise ShapeMismatch(
-                f"precomputed matrix has shape {metric.matrix.shape}, "
-                f"expected {expected}"
-            )
-        return metric.matrix
+    """All query-to-reference distances as a (|queries|, |refs|) matrix."""
     return pairwise(metric, queries.vectors, refs.vectors)
 
 
@@ -289,7 +282,6 @@ class RankedList:
     gallery_ids: np.ndarray
     values: np.ndarray
     order: str
-    tie_break: str = field(default="ascending_gallery_id")
 
     def __post_init__(self):
         gallery_ids = np.asarray(self.gallery_ids, dtype=np.int64)

@@ -14,10 +14,6 @@ class DimensionMismatch(DakrError, ValueError):
     """Vector or matrix dimensions are incompatible."""
 
 
-class ShapeMismatch(DakrError, ValueError):
-    """A precomputed distance matrix has the wrong shape."""
-
-
 class InvalidMetric(DakrError, ValueError):
     """The distance metric is malformed or unusable in this context."""
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DistanceMetric, FeatureSet, RankedList
-from .errors import FormatError, StaleSigmaTable
+from .errors import DakrError, FormatError, StaleSigmaTable
 from .evaluation import GroundTruth
 from .kernels import SigmaTable, reference_digest
 from .neighbors import GALLERY_ONLY, WITH_PROBES, AugmentationPolicy
@@ -31,6 +31,15 @@ def _fmt(x: float) -> str:
 
 
 # --- feature matrices -------------------------------------------------------
+
+def _feature_set(path: Path, ids, vectors) -> FeatureSet:
+    """Validate parsed columns: duplicate or negative ids and non-finite
+    values are faults of the file, reported with its path."""
+    try:
+        return FeatureSet(ids, vectors)
+    except (DakrError, OverflowError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
 
 def write_features_csv(features: FeatureSet, path) -> None:
     path = Path(path)
@@ -66,7 +75,7 @@ def read_features_csv(path) -> FeatureSet:
         raise FormatError(f"{path}: {exc}") from exc
     if not rows:
         raise FormatError(f"{path}: no feature rows")
-    return FeatureSet(np.asarray(ids), np.asarray(rows))
+    return _feature_set(path, ids, np.asarray(rows))
 
 
 def write_features_binary(features: FeatureSet, path) -> None:
@@ -89,10 +98,12 @@ def read_features_binary(path) -> FeatureSet:
     expected = 12 + 8 * n + 4 * n * d
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    ids = np.frombuffer(blob, dtype="<u8", count=n, offset=12).astype(np.int64)
+    ids = np.frombuffer(blob, dtype="<u8", count=n, offset=12)
+    if np.any(ids > np.iinfo(np.int64).max):
+        raise FormatError(f"{path}: ids must be below 2**63")
     vectors = np.frombuffer(blob, dtype="<f4", count=n * d, offset=12 + 8 * n)
     # Stored as float32; promote once so every downstream sort sees float64.
-    return FeatureSet(ids, vectors.astype(np.float64).reshape(n, d))
+    return _feature_set(path, ids.astype(np.int64), vectors.astype(np.float64).reshape(n, d))
 
 
 def read_features(path) -> FeatureSet:

@@ -11,8 +11,8 @@ sorting kernel responses:
 * bidirectional rule:  phi(d(x, y_j)^2 / (sigma_i * sigma_j)), a smoothed
   reciprocal-NN, where sigma_i is the probe's own bandwidth.
 
-Both rules sort on the kernel argument rather than on phi itself, which
-gives the identical order for any strictly decreasing basis while being
+The basis is phi(t) = exp(-t).  Both rules sort on the kernel argument t
+rather than on phi itself, which gives the identical order while being
 immune to floating-point underflow at large arguments; reported scores
 still apply phi.
 """
@@ -22,60 +22,23 @@ from __future__ import annotations
 import hashlib
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     DESCENDING_SCORE,
-    PRECOMPUTED,
     DistanceMetric,
     FeatureSet,
     RankedList,
-    distance_matrix,
     pairwise,
+    scan_self_distances,
 )
-from .errors import (
-    EmptyGallery,
-    InvalidMetric,
-    InvalidParams,
-    NonPositiveSigma,
-    StaleSigmaTable,
-)
+from .errors import EmptyGallery, InvalidParams, NonPositiveSigma, StaleSigmaTable
 from .neighbors import GALLERY_ONLY, WITH_PROBES, AugmentationPolicy
-
-_BLOCK_ELEMENTS = 4_000_000
 
 # Relative floor for degenerate (duplicate-point) bandwidths.
 _SIGMA_FLOOR_SCALE = 1e-12
-
-_BASES = {"exp_neg": lambda t: np.exp(-t)}
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel basis plus the k used for bandwidths.
-
-    Only the exponential basis ships; the slot exists so heavier-tailed
-    bases can be registered later without changing call sites.
-    """
-
-    basis: str = "exp_neg"
-    k_sigma: int = 1
-
-    def __post_init__(self):
-        if self.basis not in _BASES:
-            raise InvalidParams(f"unknown kernel basis {self.basis!r}")
-        if self.k_sigma < 1:
-            raise InvalidParams("k_sigma must be >= 1")
-
-    def phi(self, t) -> np.ndarray:
-        return _BASES[self.basis](np.asarray(t, dtype=np.float64))
-
-
-def _phi(t) -> np.ndarray:
-    return _BASES["exp_neg"](np.asarray(t, dtype=np.float64))
 
 
 def reference_digest(
@@ -137,12 +100,6 @@ class SigmaTable:
             object.__setattr__(self, "probe_ids", probe_ids)
             object.__setattr__(self, "probe_sigmas", probe_sigmas)
 
-    def sigma_of(self, gallery_id: int) -> float:
-        rows = np.nonzero(self.gallery_ids == int(gallery_id))[0]
-        if len(rows) == 0:
-            raise KeyError(gallery_id)
-        return float(self.gallery_sigmas[rows[0]])
-
     def cached_probe_sigma(self, probe_id: int) -> float | None:
         if self.probe_sigmas is None:
             return None
@@ -150,10 +107,6 @@ class SigmaTable:
         if len(rows) == 0:
             return None
         return float(self.probe_sigmas[rows[0]])
-
-
-def _kth_smallest_rows(rows: np.ndarray, k: int) -> np.ndarray:
-    return np.partition(rows, k - 1, axis=1)[:, k - 1]
 
 
 def compute_sigma_table(
@@ -177,10 +130,6 @@ def compute_sigma_table(
 
     probes_digest = b""
     if policy.mode == WITH_PROBES:
-        if metric.kind == PRECOMPUTED:
-            raise InvalidMetric(
-                "precomputed distances cannot cover probe-augmented references"
-            )
         probes = policy.probes
         if probes.dim != gallery.dim:
             raise InvalidParams(
@@ -189,10 +138,8 @@ def compute_sigma_table(
         probes_digest = probes.content_digest()
         fresh = ~np.isin(probes.ids, gallery.ids)
         ref_vectors = np.vstack([gallery.vectors, probes.vectors[fresh]])
-        extra_probe_ids = probes.ids[fresh]
     else:
         ref_vectors = gallery.vectors
-        extra_probe_ids = None
 
     n_ref = len(ref_vectors)
     pool = n_ref - 1
@@ -207,48 +154,17 @@ def compute_sigma_table(
         )
         k_eff = pool
 
-    if metric.kind == PRECOMPUTED:
-        full = distance_matrix(metric, gallery, gallery)
+    def kth_and_max(start: int, rows: np.ndarray):
+        # Copy the k-th column: a view would pin the whole partitioned block.
+        kth = np.partition(rows, k_eff - 1, axis=1)[:, k_eff - 1].copy()
+        # Put the zero self-distances back, so the max needs no mask.
+        rows[np.arange(len(rows)), np.arange(start, start + len(rows))] = 0.0
+        return kth, float(rows.max())
 
-    sigmas = np.empty(n_ref, dtype=np.float64)
-    max_dist = np.zeros(1, dtype=np.float64)
-    block = max(1, min(n_ref, _BLOCK_ELEMENTS // n_ref))
-
-    def fill(start: int) -> None:
-        stop = min(start + block, n_ref)
-        if metric.kind == PRECOMPUTED:
-            rows = full[start:stop].copy()
-        else:
-            rows = pairwise(metric, ref_vectors[start:stop], ref_vectors)
-        max_dist[0] = max(max_dist[0], float(rows.max()))
-        rows[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        sigmas[start:stop] = _kth_smallest_rows(rows, k_eff)
-
-    starts = list(range(0, n_ref, block))
-    if n_threads is not None and n_threads > 1 and len(starts) > 1:
-        # max_dist updates race benignly only if serialized; compute maxima
-        # per block instead and reduce after the pool finishes.
-        maxima = np.zeros(len(starts), dtype=np.float64)
-
-        def fill_tracked(idx_start):
-            idx, start = idx_start
-            stop = min(start + block, n_ref)
-            if metric.kind == PRECOMPUTED:
-                rows = full[start:stop].copy()
-            else:
-                rows = pairwise(metric, ref_vectors[start:stop], ref_vectors)
-            maxima[idx] = float(rows.max())
-            rows[np.arange(stop - start), np.arange(start, stop)] = np.inf
-            sigmas[start:stop] = _kth_smallest_rows(rows, k_eff)
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool_exec:
-            list(pool_exec.map(fill_tracked, enumerate(starts)))
-        max_dist[0] = float(maxima.max())
-    else:
-        for start in starts:
-            fill(start)
-
-    floor = _SIGMA_FLOOR_SCALE * (max_dist[0] if max_dist[0] > 0 else 1.0)
+    blocks = scan_self_distances(metric, ref_vectors, kth_and_max, n_threads)
+    sigmas = np.concatenate([kth for kth, _ in blocks])
+    max_dist = max(top for _, top in blocks)
+    floor = _SIGMA_FLOOR_SCALE * (max_dist if max_dist > 0 else 1.0)
     sigmas = np.maximum(sigmas, floor)
 
     n_gallery = len(gallery)
@@ -256,14 +172,11 @@ def compute_sigma_table(
     probe_ids = None
     probe_sigmas = None
     if policy.mode == WITH_PROBES:
-        probes = policy.probes
         probe_sigmas = np.empty(len(probes), dtype=np.float64)
-        fresh_sigma = {int(i): float(s) for i, s in zip(extra_probe_ids, sigmas[n_gallery:])}
-        gallery_sigma = {int(i): float(s) for i, s in zip(gallery.ids, gallery_sigmas)}
-        for row, pid in enumerate(probes.ids):
-            pid = int(pid)
-            # A probe that duplicates a gallery sample shares its bandwidth.
-            probe_sigmas[row] = fresh_sigma.get(pid, gallery_sigma.get(pid, np.nan))
+        probe_sigmas[fresh] = sigmas[n_gallery:]
+        # A probe that duplicates a gallery sample shares its bandwidth.
+        shared_rows = [gallery.row_of(pid) for pid in probes.ids[~fresh]]
+        probe_sigmas[~fresh] = gallery_sigmas[shared_rows]
         probe_ids = probes.ids.copy()
 
     return SigmaTable(
@@ -290,20 +203,42 @@ def _check_table(table: SigmaTable, gallery: FeatureSet, metric: DistanceMetric)
         )
 
 
+def _probe_distances(probe_vector, gallery: FeatureSet, metric, table) -> np.ndarray:
+    """Distance row from the probe to every gallery sample, once the table
+    is confirmed to match this gallery and metric."""
+    _check_table(table, gallery, metric)
+    probe_vector = np.asarray(probe_vector, dtype=np.float64)
+    return pairwise(metric, probe_vector[None, :], gallery.vectors)[0]
+
+
+def _rank_by_kernel_argument(probe_id: int, t: np.ndarray, gallery: FeatureSet) -> RankedList:
+    """Descending-score ranking from kernel arguments t (one per gallery
+    sample): ascending t, ties by ascending gallery id, the probe's own
+    gallery copy excluded, scores exp(-t)."""
+    keep = gallery.ids != int(probe_id)
+    ids = gallery.ids[keep]
+    if len(ids) == 0:
+        raise EmptyGallery("no gallery candidates for this probe")
+    t = t[keep]
+    order = np.lexsort((ids, t))
+    return RankedList(
+        probe_id=int(probe_id),
+        gallery_ids=ids[order],
+        values=np.exp(-t[order]),
+        order=DESCENDING_SCORE,
+    )
+
+
 def inv_dakr_score(
     probe_vector,
     gallery: FeatureSet,
     metric: DistanceMetric,
     table: SigmaTable,
-    kernel: KernelSpec | None = None,
 ) -> np.ndarray:
     """Kernel response of every gallery sample evaluated inversely at the
     probe: phi(d(x, y_j) / sigma_j), length |gallery|."""
-    _check_table(table, gallery, metric)
-    probe_vector = np.asarray(probe_vector, dtype=np.float64)
-    d = pairwise(metric, probe_vector[None, :], gallery.vectors)[0]
-    phi = kernel.phi if kernel is not None else _phi
-    return phi(d / table.gallery_sigmas)
+    d = _probe_distances(probe_vector, gallery, metric, table)
+    return np.exp(-(d / table.gallery_sigmas))
 
 
 def inv_dakr_rank(
@@ -312,7 +247,6 @@ def inv_dakr_rank(
     gallery: FeatureSet,
     metric: DistanceMetric,
     table: SigmaTable,
-    kernel: KernelSpec | None = None,
 ) -> RankedList:
     """Descending-score ranking under the inverse rule.
 
@@ -320,23 +254,8 @@ def inv_dakr_rank(
     ascending gallery id; the probe's own gallery copy, if any, is
     excluded from the candidates.
     """
-    _check_table(table, gallery, metric)
-    probe_vector = np.asarray(probe_vector, dtype=np.float64)
-    d = pairwise(metric, probe_vector[None, :], gallery.vectors)[0]
-    t = d / table.gallery_sigmas
-    keep = gallery.ids != int(probe_id)
-    ids = gallery.ids[keep]
-    if len(ids) == 0:
-        raise EmptyGallery("no gallery candidates for this probe")
-    t = t[keep]
-    order = np.lexsort((ids, t))
-    phi = kernel.phi if kernel is not None else _phi
-    return RankedList(
-        probe_id=int(probe_id),
-        gallery_ids=ids[order],
-        values=phi(t[order]),
-        order=DESCENDING_SCORE,
-    )
+    d = _probe_distances(probe_vector, gallery, metric, table)
+    return _rank_by_kernel_argument(probe_id, d / table.gallery_sigmas, gallery)
 
 
 def probe_sigma(
@@ -387,7 +306,6 @@ def bi_dakr_score(
     gallery: FeatureSet,
     metric: DistanceMetric,
     table: SigmaTable,
-    kernel: KernelSpec | None = None,
 ) -> np.ndarray:
     """Bidirectional belief for every gallery sample:
     phi(d(x, y_j)^2 / (sigma_i * sigma_j)), length |gallery|.
@@ -397,11 +315,8 @@ def bi_dakr_score(
     """
     if not np.isfinite(sigma_i) or sigma_i <= 0:
         raise NonPositiveSigma(f"sigma_i must be positive, got {sigma_i!r}")
-    _check_table(table, gallery, metric)
-    probe_vector = np.asarray(probe_vector, dtype=np.float64)
-    d = pairwise(metric, probe_vector[None, :], gallery.vectors)[0]
-    phi = kernel.phi if kernel is not None else _phi
-    return phi(d * d / (sigma_i * table.gallery_sigmas))
+    d = _probe_distances(probe_vector, gallery, metric, table)
+    return np.exp(-(d * d / (sigma_i * table.gallery_sigmas)))
 
 
 def bi_dakr_rank(
@@ -411,7 +326,6 @@ def bi_dakr_rank(
     metric: DistanceMetric,
     table: SigmaTable,
     policy: AugmentationPolicy = AugmentationPolicy(),
-    kernel: KernelSpec | None = None,
 ) -> RankedList:
     """Descending-score ranking under the bidirectional rule.
 
@@ -419,27 +333,14 @@ def bi_dakr_rank(
     policy the table was built with; the table's gallery bandwidths are
     reused untouched (the offline/online split).
     """
-    _check_table(table, gallery, metric)
+    d = _probe_distances(probe_vector, gallery, metric, table)
     if policy.mode != table.policy_mode:
         raise StaleSigmaTable(
             f"table was built {table.policy_mode}, ranking requested {policy.mode}"
         )
     sigma_i = probe_sigma(probe_id, probe_vector, gallery, metric, table, policy)
-    probe_vector = np.asarray(probe_vector, dtype=np.float64)
-    d = pairwise(metric, probe_vector[None, :], gallery.vectors)[0]
-    t = d * d / (sigma_i * table.gallery_sigmas)
-    keep = gallery.ids != int(probe_id)
-    ids = gallery.ids[keep]
-    if len(ids) == 0:
-        raise EmptyGallery("no gallery candidates for this probe")
-    t = t[keep]
-    order = np.lexsort((ids, t))
-    phi = kernel.phi if kernel is not None else _phi
-    return RankedList(
-        probe_id=int(probe_id),
-        gallery_ids=ids[order],
-        values=phi(t[order]),
-        order=DESCENDING_SCORE,
+    return _rank_by_kernel_argument(
+        probe_id, d * d / (sigma_i * table.gallery_sigmas), gallery
     )
 
 

@@ -30,14 +30,12 @@ from .core import (
     FeatureSet,
     RankedList,
     pairwise,
+    scan_self_distances,
 )
 from .errors import EmptyGallery, InvalidParams, KTooLarge
 
 GALLERY_ONLY = "gallery_only"
 WITH_PROBES = "with_probes"
-
-# Row block size cap for quadratic scans, keeps peak memory bounded.
-_BLOCK_ELEMENTS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -161,19 +159,15 @@ def _inn_member_mask(
     ids precede the probe's offset id.
     """
     gal_vectors, gal_ids = _effective_gallery(probe_id, gallery)
-    n = len(gal_ids)
-    if n == 0:
+    if len(gal_ids) == 0:
         return gal_ids, np.zeros(0, dtype=bool)
     probe_vector = np.asarray(probe_vector, dtype=np.float64)
     d_x = pairwise(metric, probe_vector[None, :], gal_vectors)[0]
-    counts = np.zeros(n, dtype=np.int64)
 
-    block = max(1, min(n, _BLOCK_ELEMENTS // n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rows = pairwise(metric, gal_vectors[start:stop], gal_vectors)
-        rows[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        counts[start:stop] = np.sum(rows <= d_x[start:stop, None], axis=1)
+    def closer_than_probe(start: int, rows: np.ndarray) -> np.ndarray:
+        return np.sum(rows <= d_x[start:start + len(rows), None], axis=1)
+
+    counts = np.concatenate(scan_self_distances(metric, gal_vectors, closer_than_probe))
 
     aug_vectors, aug_ids = _augmentation_rows(probe_id, gallery, policy)
     if aug_vectors is not None:

@@ -61,6 +61,32 @@ def resolve_policy(mode: str, probes: FeatureSet) -> AugmentationPolicy:
     return AugmentationPolicy.with_probes(probes)
 
 
+def rank_probe(
+    method: str,
+    probe_id: int,
+    vector,
+    gallery: FeatureSet,
+    metric: DistanceMetric,
+    k: int | None,
+    table: SigmaTable | None,
+    policy: AugmentationPolicy,
+) -> RankedList:
+    """Rank the gallery for one probe with the named method: the one place
+    a method name picks its ranking function.  ``k`` drives the neighbor
+    methods, ``table`` the kernel methods."""
+    if method == "knn":
+        return rank_by_distance(probe_id, vector, gallery, metric)
+    if method == "inn":
+        return rank_by_inn(probe_id, vector, gallery, metric, k, policy)
+    if method == "rnn":
+        return rank_by_rnn(probe_id, vector, gallery, metric, k, policy)
+    if method == "inv_dakr":
+        return inv_dakr_rank(probe_id, vector, gallery, metric, table)
+    if method == "bi_dakr":
+        return bi_dakr_rank(probe_id, vector, gallery, metric, table, policy)
+    raise InvalidParams(f"unknown method {method!r}; expected one of {METHODS}")
+
+
 def rerank(
     method: str,
     probes: FeatureSet,
@@ -80,8 +106,6 @@ def rerank(
     drives the neighbor methods, ``k_sigma`` the kernel methods (defaulting
     to 5% of the gallery); a prebuilt ``table`` is verified and reused.
     """
-    if method not in METHODS:
-        raise InvalidParams(f"unknown method {method!r}; expected one of {METHODS}")
     if isinstance(policy, str):
         policy = resolve_policy(policy, probes)
 
@@ -99,17 +123,10 @@ def rerank(
             )
 
     def rank_one(row: int) -> RankedList:
-        pid = int(probes.ids[row])
-        vec = probes.vectors[row]
-        if method == "knn":
-            return rank_by_distance(pid, vec, gallery, metric)
-        if method == "inn":
-            return rank_by_inn(pid, vec, gallery, metric, k, policy)
-        if method == "rnn":
-            return rank_by_rnn(pid, vec, gallery, metric, k, policy)
-        if method == "inv_dakr":
-            return inv_dakr_rank(pid, vec, gallery, metric, table)
-        return bi_dakr_rank(pid, vec, gallery, metric, table, policy)
+        return rank_probe(
+            method, int(probes.ids[row]), probes.vectors[row],
+            gallery, metric, k, table, policy,
+        )
 
     rows = range(len(probes))
     if n_threads is not None and n_threads > 1 and len(probes) > 1:

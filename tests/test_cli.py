@@ -230,7 +230,84 @@ class TestSweep:
         assert set(payload["gains"]) == {"knn", "bi_dakr"}
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("command", ["rerank", "eval", "sweep", "bench"])
+    def test_unknown_method_is_usage_error(self, line_fixture, tmp_path, command):
+        _, _, gpath, ppath = line_fixture
+        inputs = {
+            "rerank": ["--gallery", gpath, "--probes", ppath],
+            "eval": ["--scenario", "perfect_single_shot", "--n-identities", "4"],
+            "sweep": ["--scenario", "perfect_single_shot", "--n-identities", "4"],
+            "bench": ["--sizes", "20", "--dim", "2"],
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            run(command, *inputs, "--method", "foo", "--out", tmp_path / "out")
+        assert err.value.code == 2
+
+    def test_rerank_takes_one_method(self, line_fixture, tmp_path):
+        _, _, gpath, ppath = line_fixture
+        with pytest.raises(SystemExit) as err:
+            run(
+                "rerank", "--gallery", gpath, "--probes", ppath,
+                "--method", "knn,inv_dakr", "--out", tmp_path / "r.csv",
+            )
+        assert err.value.code == 2
+
+    def test_eval_inn_without_k_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run(
+                "eval", "--scenario", "perfect_single_shot", "--n-identities", "4",
+                "--method", "knn,inn", "--out", tmp_path / "r",
+            )
+        assert err.value.code == 2
+
+    def test_rerank_rnn_without_k_is_usage_error(self, line_fixture, tmp_path):
+        _, _, gpath, ppath = line_fixture
+        with pytest.raises(SystemExit) as err:
+            run(
+                "rerank", "--gallery", gpath, "--probes", ppath,
+                "--method", "rnn", "--out", tmp_path / "r.csv",
+            )
+        assert err.value.code == 2
+
+    def test_rerank_zero_k_sigma_is_usage_error(self, line_fixture, tmp_path):
+        _, _, gpath, ppath = line_fixture
+        with pytest.raises(SystemExit) as err:
+            run(
+                "rerank", "--gallery", gpath, "--probes", ppath,
+                "--method", "inv_dakr", "--k-sigma", "0", "--out", tmp_path / "r.csv",
+            )
+        assert err.value.code == 2
+
+    def test_sigma_zero_k_sigma_is_usage_error(self, line_fixture, tmp_path):
+        _, _, gpath, _ = line_fixture
+        with pytest.raises(SystemExit) as err:
+            run("sigma", "--gallery", gpath, "--k-sigma", "0", "--out", tmp_path / "t.sgt")
+        assert err.value.code == 2
+
+    def test_duplicate_ids_in_features_is_data_error(self, line_fixture, tmp_path, capsys):
+        _, _, gpath, ppath = line_fixture
+        bad = tmp_path / "dup.csv"
+        bad.write_text("id,f0\n0,0.0\n0,1.0\n")
+        code = run(
+            "rerank", "--gallery", bad, "--probes", ppath,
+            "--method", "knn", "--out", tmp_path / "r.csv",
+        )
+        assert code == 3
+        assert "dup.csv" in capsys.readouterr().err
+
+
 class TestBench:
+    def test_augmented_kernel_methods_run(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        code = run(
+            "bench", "--sizes", "50", "--dim", "4",
+            "--method", "inv_dakr+,bi_dakr+", "--bench-probes", "3", "--out", out,
+        )
+        assert code == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["inv_dakr+", "bi_dakr+"]
+
     def test_tiny_bench_runs(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = run(

@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dakr.core
 from dakr import DistanceMetric, FeatureSet, RankedList, distance, distance_matrix, sort_indices
-from dakr.core import ASCENDING_DISTANCE, DESCENDING, DESCENDING_SCORE
-from dakr.errors import (
-    DimensionMismatch,
-    InvalidMetric,
-    InvalidParams,
-    NonFiniteValue,
-    ShapeMismatch,
-)
+from dakr.core import ASCENDING_DISTANCE, DESCENDING, DESCENDING_SCORE, scan_self_distances
+from dakr.errors import DimensionMismatch, InvalidMetric, InvalidParams, NonFiniteValue
 
 
 class TestFeatureSet:
@@ -79,11 +74,6 @@ class TestDistance:
         with pytest.raises(DimensionMismatch):
             distance(DistanceMetric.euclidean(), (0, 0), (1, 1, 1))
 
-    def test_precomputed_not_allowed(self):
-        m = DistanceMetric.precomputed([[0.5]])
-        with pytest.raises(InvalidMetric):
-            distance(m, (0.0,), (1.0,))
-
     def test_non_psd_matrix_rejected(self):
         with pytest.raises(InvalidMetric):
             DistanceMetric.mahalanobis([[1.0, 0.0], [0.0, -1.0]])
@@ -91,6 +81,9 @@ class TestDistance:
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(InvalidMetric):
             DistanceMetric.mahalanobis([[1.0, 0.5], [0.0, 1.0]])
+        # the tolerance scales with the norm: an asymmetry of 1e-5 is
+        # rounding noise on entries of order 1e6
+        DistanceMetric.mahalanobis([[2e6, 1e6], [1e6 + 1e-5, 3e6]])
 
     def test_slightly_indefinite_matrix_accepted(self):
         # learned metrics are often numerically indefinite; tiny negative
@@ -123,18 +116,6 @@ class TestDistanceMatrix:
         out = distance_matrix(DistanceMetric.euclidean(), q, r)
         assert out.tolist() == [[0.0, 1.0, 3.0]]
 
-    def test_precomputed_passthrough(self):
-        q = FeatureSet([0], [[0.0]])
-        r = FeatureSet([0, 1], [[0.0], [1.0]])
-        out = distance_matrix(DistanceMetric.precomputed([[0.5, 0.2]]), q, r)
-        assert out.tolist() == [[0.5, 0.2]]
-
-    def test_precomputed_shape_mismatch(self):
-        q = FeatureSet([0], [[0.0]])
-        r = FeatureSet([0, 1], [[0.0], [1.0]])
-        with pytest.raises(ShapeMismatch):
-            distance_matrix(DistanceMetric.precomputed([[0.5]]), q, r)
-
     def test_squared_euclidean_hand_expansion(self):
         fs = FeatureSet([0, 1], [[0.0, 0.0], [1.0, 1.0]])
         out = distance_matrix(DistanceMetric.squared_euclidean(), fs, fs)
@@ -160,6 +141,23 @@ class TestDistanceMatrix:
         ds = distance_matrix(DistanceMetric.squared_euclidean(), q, r)[0]
         np.testing.assert_allclose(ds, de**2, rtol=1e-9)
         assert sort_indices(de).tolist() == sort_indices(ds).tolist()
+
+
+class TestScanSelfDistances:
+    def test_blocks_cover_the_matrix_in_order(self, monkeypatch):
+        # 600 entries per block over 60 samples: six blocks of ten rows
+        monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 600)
+        rng = np.random.default_rng(17)
+        features = FeatureSet(np.arange(60), rng.normal(size=(60, 3)))
+        metric = DistanceMetric.euclidean()
+        expected = distance_matrix(metric, features, features)
+        np.fill_diagonal(expected, np.inf)
+        for n_threads in (None, 1, 4):
+            blocks = scan_self_distances(
+                metric, features.vectors, lambda start, rows: (start, rows.copy()), n_threads
+            )
+            assert [start for start, _ in blocks] == list(range(0, 60, 10))
+            np.testing.assert_array_equal(np.vstack([rows for _, rows in blocks]), expected)
 
 
 class TestSortIndices:

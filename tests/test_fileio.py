@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,26 @@ class TestFeatureFiles:
         write_features_binary(features, path)
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError, match="expected"):
+            read_features_binary(path)
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["0,1.0\n0,2.0\n", "-1,1.0\n0,2.0\n", "0,1.0\n1,nan\n"],
+        ids=["duplicate_ids", "negative_id", "nan_value"],
+    )
+    def test_csv_invalid_content_names_file(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,f0\n" + rows)
+        with pytest.raises(FormatError, match="bad.csv"):
+            read_features_csv(path)
+
+    def test_binary_id_beyond_signed_range_names_file(self, tmp_path):
+        # u64 id 2**63 would wrap to a negative int64
+        path = tmp_path / "big.fst"
+        path.write_bytes(
+            b"FST1" + struct.pack("<II", 1, 1) + struct.pack("<Q", 2**63) + struct.pack("<f", 1.0)
+        )
+        with pytest.raises(FormatError, match="big.fst"):
             read_features_binary(path)
 
     def test_writes_are_byte_stable(self, features, tmp_path):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import dakr.core
 from dakr import (
     AugmentationPolicy,
     DistanceMetric,
     FeatureSet,
-    KernelSpec,
     bi_dakr_rank,
     bi_dakr_score,
     compute_sigma_table,
@@ -18,11 +18,11 @@ from dakr import (
     probe_sigma,
     rank_by_distance,
 )
-from dakr.errors import InvalidParams, NonPositiveSigma, StaleSigmaTable
+from dakr.errors import NonPositiveSigma, StaleSigmaTable
 from dakr.kernels import SigmaTable, reference_digest
 
 from conftest import random_instance
-from oracles import brute_bi_ranking, brute_inv_ranking, brute_sigmas
+from oracles import brute_bi_ranking, brute_inv_ranking, brute_sigmas, euclid, offset_for
 
 
 @pytest.fixture
@@ -128,6 +128,46 @@ class TestSigmaTable:
                 gallery_ids=line_gallery.ids.copy(),
                 gallery_sigmas=np.array([1.0, 0.0, 1.0]),
             )
+
+
+class TestBlockedSigmaTable:
+    """Reference sets spanning several row blocks of the self-distance
+    scan, serial and threaded, against the brute-force oracle."""
+
+    @pytest.mark.parametrize("n_threads", [None, 1, 4])
+    @pytest.mark.parametrize("with_probes", [False, True])
+    def test_matches_bruteforce_across_blocks(self, euclidean, monkeypatch, n_threads, with_probes):
+        # 600 entries per block: 10 rows for 60 gallery samples, 8 rows
+        # once 8 probes join the reference set
+        monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 600)
+        rng = np.random.default_rng(61)
+        gvecs = rng.normal(size=(60, 3))
+        # three coincident samples in different blocks: their 2nd-nearest
+        # distance is 0, so the sigma floor applies
+        gvecs[47] = gvecs[3]
+        gvecs[58] = gvecs[3]
+        # the farthest pair, which scales the floor, sits in middle blocks
+        gvecs[15] = 10.0
+        gvecs[45] = -10.0
+        pvecs = rng.normal(size=(8, 3))
+        gallery = FeatureSet(np.arange(60), gvecs)
+        probes = FeatureSet(np.arange(100, 108), pvecs)
+        gdict = {i: list(v) for i, v in enumerate(gvecs)}
+        pdict = {100 + i: list(v) for i, v in enumerate(pvecs)} if with_probes else None
+        policy = AugmentationPolicy.with_probes(probes) if with_probes else AugmentationPolicy()
+
+        table = compute_sigma_table(gallery, euclidean, 2, policy, n_threads=n_threads)
+        expected = brute_sigmas(gdict, 2, probes=pdict)
+        refs = list(gdict.values()) + (list(pdict.values()) if pdict else [])
+        floor = 1e-12 * max(euclid(a, b) for a in refs for b in refs)
+        got = dict(zip(table.gallery_ids.tolist(), table.gallery_sigmas))
+        if with_probes:
+            offset = offset_for(gdict)
+            got.update({offset + int(p): s for p, s in zip(table.probe_ids, table.probe_sigmas)})
+        assert set(got) == set(expected)
+        for sid, sigma in got.items():
+            assert sigma == pytest.approx(max(expected[sid], floor), rel=1e-12), sid
+        assert [got[i] for i in (3, 47, 58)] == pytest.approx([floor] * 3, rel=1e-12)
 
 
 class TestInvDakr:
@@ -339,21 +379,16 @@ class TestScaleCovariance:
             np.testing.assert_allclose(bi.values, base_bi.values, rtol=1e-9)
 
 
-class TestKernelSpec:
-    def test_basis_positive_and_monotone_by_sampling(self):
-        spec = KernelSpec()
+class TestKernelBasis:
+    def test_basis_positive_and_monotone_by_sampling(self, euclidean):
+        # with unit bandwidths the inverse score of a gallery sample at
+        # distance t from the probe is the basis itself, phi(t)
         grid = np.linspace(0.0, 50.0, 400)
-        values = spec.phi(grid)
+        gallery = FeatureSet(np.arange(len(grid)), grid[:, None])
+        table = uniform_table(gallery, euclidean, sigma_value=1.0)
+        values = inv_dakr_score([0.0], gallery, euclidean, table)
         assert np.all(values > 0)
         assert np.all(np.diff(values) <= 0)
-
-    def test_unknown_basis_rejected(self):
-        with pytest.raises(InvalidParams):
-            KernelSpec(basis="rational")
-
-    def test_k_sigma_validated(self):
-        with pytest.raises(InvalidParams):
-            KernelSpec(k_sigma=0)
 
 
 class TestDefaultKSigma:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dakr.core
 from dakr import (
     AugmentationPolicy,
     DistanceMetric,
@@ -28,6 +29,28 @@ from conftest import (
     two_probe_set,
 )
 from oracles import brute_inn, brute_knn, brute_rnn
+
+
+class TestBlockedInnScan:
+    def test_inn_matches_bruteforce_across_blocks(self, euclidean, monkeypatch):
+        # 600 entries per block: the 60-sample gallery's scan spans six
+        # blocks, so members sit on both sides of every block boundary
+        monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 600)
+        rng = np.random.default_rng(62)
+        gvecs = rng.normal(size=(60, 3))
+        pvecs = rng.normal(size=(4, 3))
+        gallery = FeatureSet(np.arange(60), gvecs)
+        probes = FeatureSet(np.arange(100, 104), pvecs)
+        gdict = {i: list(v) for i, v in enumerate(gvecs)}
+        pdict = {100 + i: list(v) for i, v in enumerate(pvecs)}
+        for policy, pool_probes in (
+            (AugmentationPolicy.gallery_only(), None),
+            (AugmentationPolicy.with_probes(probes), pdict),
+        ):
+            for row, pid in enumerate(probes.ids.tolist()):
+                for k in (1, 3, 8):
+                    got = inn(pid, pvecs[row], gallery, euclidean, k, policy)
+                    assert got == brute_inn(pid, list(pvecs[row]), gdict, k, probes=pool_probes)
 
 
 class TestKnn:

@@ -1,0 +1,22 @@
+"""The traced benchmark run replaces names that dakr's modules look up in
+one another (``perfbench/tracing.py``, ``WRAPPED``).  A refactor that
+drops one of those names breaks the traced run; this keeps it visible in
+the test suite."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_every_traced_name_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, *_ in tracing.WRAPPED
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []
