@@ -60,14 +60,17 @@ def _configure_logging() -> None:
     )
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
 def _positive_int(text: str) -> int:
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _positive_int_list(text: str) -> list[int]:
+    values = [_positive_int(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
+    return values
 
 
 def _method_tokens(parser: argparse.ArgumentParser, text: str, k: int | None = 1) -> list[str]:
@@ -125,16 +128,19 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _scenario_from_args(args):
-    return generate_scenario(
-        args.scenario,
-        n_identities=args.n_identities,
-        shots_per_id=args.shots_per_id,
-        n_distractors=args.n_distractors,
-        dim=args.dim,
-        cluster_spread=args.cluster_spread,
-        seed=args.seed,
-    )
+def _scenario_from_args(parser: argparse.ArgumentParser, args):
+    try:
+        return generate_scenario(
+            args.scenario,
+            n_identities=args.n_identities,
+            shots_per_id=args.shots_per_id,
+            n_distractors=args.n_distractors,
+            dim=args.dim,
+            cluster_spread=args.cluster_spread,
+            seed=args.seed,
+        )
+    except InvalidParams as exc:
+        parser.error(str(exc))
 
 
 def _load_eval_data(parser, args):
@@ -143,7 +149,7 @@ def _load_eval_data(parser, args):
     if args.scenario and have_files:
         parser.error("give either input files or --scenario, not both")
     if args.scenario:
-        return _scenario_from_args(args)
+        return _scenario_from_args(parser, args)
     if not (args.gallery and args.probes and args.truth):
         parser.error("need --gallery, --probes and --truth (or --scenario)")
     gallery = read_features(_existing(parser, args.gallery, "gallery"))
@@ -155,7 +161,7 @@ def _load_eval_data(parser, args):
 def cmd_gen(parser, args) -> int:
     if not args.scenario:
         parser.error("gen requires --scenario")
-    gallery, probes, truth = _scenario_from_args(args)
+    gallery, probes, truth = _scenario_from_args(parser, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "bin":
@@ -199,8 +205,6 @@ def cmd_rerank(parser, args) -> int:
     if len(tokens) != 1:
         parser.error("rerank takes exactly one --method")
     method, mode = parse_method_token(tokens[0])
-    if args.with_probes:
-        mode = WITH_PROBES
     policy = resolve_policy(mode, probes)
     k_sigma = args.k_sigma
 
@@ -245,8 +249,6 @@ def cmd_eval(parser, args) -> int:
     gallery, probes, truth = _load_eval_data(parser, args)
     metric = _build_metric(parser, args)
     methods = _method_tokens(parser, args.method, args.k)
-    if args.with_probes:
-        methods = [m if m.endswith("+") else m + "+" for m in methods]
     report = evaluate_methods(
         gallery,
         probes,
@@ -255,7 +257,7 @@ def cmd_eval(parser, args) -> int:
         metric=metric,
         k=args.k,
         k_sigma=args.k_sigma,
-        ranks=_int_list(args.ranks),
+        ranks=args.ranks,
         n_threads=args.threads,
     )
     base = Path(args.out)
@@ -277,19 +279,18 @@ def cmd_eval(parser, args) -> int:
 def cmd_sweep(parser, args) -> int:
     metric = _build_metric(parser, args)
     methods = _method_tokens(parser, args.method)
-    k_values = _int_list(args.k_values)
-    ranks = tuple(_int_list(args.ranks))
+    k_values = args.k_values
     if args.scenario:
         trials = []
         for trial in range(args.trials):
             scenario_args = argparse.Namespace(**vars(args))
             scenario_args.seed = args.seed + trial
-            trials.append(_scenario_from_args(scenario_args))
+            trials.append(_scenario_from_args(parser, scenario_args))
     else:
         gallery, probes, truth = _load_eval_data(parser, args)
         trials = [(gallery, probes, truth)]
     ranks, curves = k_sweep(
-        methods, trials, k_values, metric=metric, ranks=ranks, n_threads=args.threads
+        methods, trials, k_values, metric=metric, ranks=args.ranks, n_threads=args.threads
     )
     payload = {
         "ranks": list(ranks),
@@ -349,11 +350,10 @@ def _bench_one(token, gallery, probes, metric, k, k_sigma):
 
 
 def cmd_bench(parser, args) -> int:
-    sizes = _int_list(args.sizes)
     methods = _method_tokens(parser, args.method)
     rng = np.random.default_rng(args.seed)
     rows = []
-    for n in sizes:
+    for n in args.sizes:
         gallery = FeatureSet(np.arange(n), rng.standard_normal((n, args.dim)))
         probes = FeatureSet(
             n + np.arange(args.bench_probes),
@@ -385,7 +385,7 @@ def cmd_bench(parser, args) -> int:
     write_csv_rows(
         rows, ["method", "n", "dim", "offline_ms", "online_ms_per_probe"], args.out
     )
-    print(f"benchmarked {len(methods)} methods at sizes {sizes}")
+    print(f"benchmarked {len(methods)} methods at sizes {args.sizes}")
     return 0
 
 
@@ -417,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     rrk.add_argument("--method", default="knn")
     rrk.add_argument("--k", type=_positive_int)
     rrk.add_argument("--k-sigma", type=_positive_int)
-    rrk.add_argument("--with-probes", action="store_true")
     rrk.add_argument("--sigma-table")
     rrk.add_argument("--recompute", action="store_true",
                      help="recompute a stale sigma table instead of failing")
@@ -433,8 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--method", default="knn")
     ev.add_argument("--k", type=_positive_int)
     ev.add_argument("--k-sigma", type=_positive_int)
-    ev.add_argument("--with-probes", action="store_true")
-    ev.add_argument("--ranks", default=",".join(str(r) for r in DEFAULT_RANKS))
+    ev.add_argument("--ranks", type=_positive_int_list, default=list(DEFAULT_RANKS))
     ev.add_argument("--threads", type=int, default=os.cpu_count())
     _add_metric_flags(ev)
     ev.add_argument("--out", required=True, help="report base path")
@@ -444,16 +442,16 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--probes")
     sw.add_argument("--truth")
     _add_scenario_flags(sw)
-    sw.add_argument("--trials", type=int, default=10)
+    sw.add_argument("--trials", type=_positive_int, default=10)
     sw.add_argument("--method", default="inv_dakr,bi_dakr")
-    sw.add_argument("--k-values", default="1,2,5,10,20")
-    sw.add_argument("--ranks", default=",".join(str(r) for r in DEFAULT_RANKS))
+    sw.add_argument("--k-values", type=_positive_int_list, default=[1, 2, 5, 10, 20])
+    sw.add_argument("--ranks", type=_positive_int_list, default=list(DEFAULT_RANKS))
     sw.add_argument("--threads", type=int, default=os.cpu_count())
     _add_metric_flags(sw)
     sw.add_argument("--out", required=True, help="report base path")
 
     bench = sub.add_parser("bench", help="offline/online wall-clock table")
-    bench.add_argument("--sizes", default="1000,2000,4000,8000")
+    bench.add_argument("--sizes", type=_positive_int_list, default=[1000, 2000, 4000, 8000])
     bench.add_argument("--dim", type=int, default=64)
     bench.add_argument("--method", default=",".join(_BENCH_METHODS))
     bench.add_argument("--k", type=_positive_int)

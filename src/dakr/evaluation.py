@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,11 +212,9 @@ class EvalReport:
 
     ranks: tuple
     results: list
-    gain_curves: dict | None = None
-    baseline: str = "knn"
 
-    def to_json_dict(self, include_timings: bool = False) -> dict:
-        payload = {
+    def to_json_dict(self) -> dict:
+        return {
             "ranks": list(self.ranks),
             "results": [
                 {
@@ -225,25 +223,10 @@ class EvalReport:
                     "k_sigma": r.k_sigma,
                     "cmc": [float(v) for v in r.cmc],
                     "map": float(r.mean_ap),
-                    **(
-                        {
-                            "offline_ms": float(r.offline_ms),
-                            "online_ms_per_probe": float(r.online_ms_per_probe),
-                        }
-                        if include_timings
-                        else {}
-                    ),
                 }
                 for r in self.results
             ],
         }
-        if self.gain_curves is not None:
-            payload["baseline"] = self.baseline
-            payload["gain_curves"] = {
-                method: {str(k): [float(g) for g in gains] for k, gains in curve.items()}
-                for method, curve in self.gain_curves.items()
-            }
-        return payload
 
     def timings_dict(self) -> dict:
         return {
@@ -349,7 +332,6 @@ def k_sweep(
     methods,
     trials,
     k_values,
-    k_sigma_rule=None,
     metric: DistanceMetric | None = None,
     ranks=DEFAULT_RANKS,
     n_threads: int | None = None,
@@ -357,15 +339,12 @@ def k_sweep(
     """Per-rank CMC gain over the nearest-neighbor baseline as a function
     of k, averaged over scenario trials.
 
-    ``trials`` is a list of (gallery, probes, truth) triples;
-    ``k_sigma_rule`` maps (k, gallery size) to the bandwidth k and
-    defaults to using k itself.  Ranks beyond the smallest gallery are
-    clipped once, up front.  Returns (effective ranks,
+    ``trials`` is a list of (gallery, probes, truth) triples; the kernel
+    methods use k itself as k_sigma.  Ranks beyond the smallest gallery
+    are clipped once, up front.  Returns (effective ranks,
     {method: {k: gains aligned with those ranks}}).
     """
     metric = metric or DistanceMetric.euclidean()
-    if k_sigma_rule is None:
-        k_sigma_rule = lambda k, n: k  # noqa: E731
     k_values = [int(k) for k in k_values]
     if any(k < 1 for k in k_values):
         raise InvalidParams("k values must be >= 1")
@@ -391,7 +370,7 @@ def k_sweep(
                     gallery,
                     metric,
                     k=k,
-                    k_sigma=k_sigma_rule(k, len(gallery)),
+                    k_sigma=k,
                     policy=mode,
                     n_threads=n_threads,
                 )

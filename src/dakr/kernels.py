@@ -2,7 +2,7 @@
 bidirectional re-ranking rules.
 
 A bandwidth sigma_j is the distance from sample j to its k-th nearest
-neighbor inside the reference set (gallery only, or gallery plus probes),
+neighbor inside the reference set (:func:`dakr.neighbors.reference_set`),
 so it encodes local density: small in crowded regions, large in sparse
 ones.  Bandwidths are the offline phase; a probe is then ranked online by
 sorting kernel responses:
@@ -35,7 +35,14 @@ from .core import (
     scan_self_distances,
 )
 from .errors import EmptyGallery, InvalidParams, NonPositiveSigma, StaleSigmaTable
-from .neighbors import GALLERY_ONLY, WITH_PROBES, AugmentationPolicy
+from .neighbors import (
+    GALLERY_ONLY,
+    WITH_PROBES,
+    AugmentationPolicy,
+    candidate_pool,
+    probe_id_offset,
+    reference_set,
+)
 
 # Relative floor for degenerate (duplicate-point) bandwidths.
 _SIGMA_FLOOR_SCALE = 1e-12
@@ -119,30 +126,16 @@ def compute_sigma_table(
     """Offline bandwidth computation for every reference sample.
 
     sigma_j is the k_sigma-th nearest-neighbor distance of sample j inside
-    the reference set (self excluded); with_probes augments the reference
-    set with the probe collection.  k_sigma larger than the pool clamps to
-    the pool size with a warning.  Duplicate points would give sigma = 0,
+    the reference set (self excluded).  k_sigma larger than the pool clamps
+    to the pool size with a warning.  Duplicate points would give sigma = 0,
     which is floored at a tiny fraction of the largest pairwise distance
     so kernels stay finite and coincident samples still win.
     """
     if k_sigma < 1:
         raise InvalidParams("k_sigma must be >= 1")
 
-    probes_digest = b""
-    if policy.mode == WITH_PROBES:
-        probes = policy.probes
-        if probes.dim != gallery.dim:
-            raise InvalidParams(
-                f"probe dim {probes.dim} != gallery dim {gallery.dim}"
-            )
-        probes_digest = probes.content_digest()
-        fresh = ~np.isin(probes.ids, gallery.ids)
-        ref_vectors = np.vstack([gallery.vectors, probes.vectors[fresh]])
-    else:
-        ref_vectors = gallery.vectors
-
-    n_ref = len(ref_vectors)
-    pool = n_ref - 1
+    ref_vectors, ref_ids = reference_set(gallery, policy)
+    pool = len(ref_ids) - 1
     if pool < 1:
         raise EmptyGallery("need at least two reference samples for bandwidths")
     k_eff = k_sigma
@@ -167,17 +160,19 @@ def compute_sigma_table(
     floor = _SIGMA_FLOOR_SCALE * (max_dist if max_dist > 0 else 1.0)
     sigmas = np.maximum(sigmas, floor)
 
-    n_gallery = len(gallery)
-    gallery_sigmas = sigmas[:n_gallery]
+    probes_digest = b""
     probe_ids = None
     probe_sigmas = None
     if policy.mode == WITH_PROBES:
-        probe_sigmas = np.empty(len(probes), dtype=np.float64)
-        probe_sigmas[fresh] = sigmas[n_gallery:]
-        # A probe that duplicates a gallery sample shares its bandwidth.
-        shared_rows = [gallery.row_of(pid) for pid in probes.ids[~fresh]]
-        probe_sigmas[~fresh] = gallery_sigmas[shared_rows]
-        probe_ids = probes.ids.copy()
+        probes_digest = policy.probes.content_digest()
+        probe_ids = policy.probes.ids.copy()
+        # A probe that is a gallery sample has that sample's bandwidth.
+        sigma_of = dict(zip(ref_ids.tolist(), sigmas.tolist()))
+        offset = probe_id_offset(gallery)
+        probe_sigmas = np.array(
+            [sigma_of[p] if p in gallery else sigma_of[p + offset] for p in probe_ids.tolist()],
+            dtype=np.float64,
+        )
 
     return SigmaTable(
         k_sigma=k_sigma,
@@ -186,7 +181,7 @@ def compute_sigma_table(
             gallery, metric, k_sigma, policy.mode, probes_digest
         ),
         gallery_ids=gallery.ids.copy(),
-        gallery_sigmas=gallery_sigmas,
+        gallery_sigmas=sigmas[: len(gallery)],
         probes_digest=probes_digest,
         probe_ids=probe_ids,
         probe_sigmas=probe_sigmas,
@@ -266,12 +261,9 @@ def probe_sigma(
     table: SigmaTable,
     policy: AugmentationPolicy = AugmentationPolicy(),
 ) -> float:
-    """The probe's own bandwidth.
-
-    Gallery-only: its k_sigma-th nearest-neighbor distance within the
-    gallery (own copy excluded).  With probes: served from the table's
-    cache when possible, otherwise computed over gallery plus probes minus
-    the probe itself.
+    """The probe's own bandwidth: its k_sigma-th nearest-neighbor distance
+    within its candidate pool (:func:`dakr.neighbors.candidate_pool`).
+    Under with_probes it is served from the table's cache when possible.
     """
     if policy.mode == WITH_PROBES or table.policy_mode == WITH_PROBES:
         cached = table.cached_probe_sigma(probe_id)
@@ -282,14 +274,7 @@ def probe_sigma(
                 "probe sigma not cached; pass the with_probes policy to compute it"
             )
     probe_vector = np.asarray(probe_vector, dtype=np.float64)
-    keep = gallery.ids != int(probe_id)
-    cand_vectors = [gallery.vectors[keep]]
-    if policy.mode == WITH_PROBES:
-        probes = policy.probes
-        fresh = (probes.ids != int(probe_id)) & ~np.isin(probes.ids, gallery.ids)
-        if np.any(fresh):
-            cand_vectors.append(probes.vectors[fresh])
-    cands = np.vstack(cand_vectors) if len(cand_vectors) > 1 else cand_vectors[0]
+    cands, _, _ = candidate_pool(probe_id, gallery, policy)
     if len(cands) == 0:
         raise EmptyGallery("no reference samples to derive the probe bandwidth")
     d = pairwise(metric, probe_vector[None, :], cands)[0]

@@ -1,16 +1,13 @@
 """Classical neighbor-set machinery: k-NN, k-INN, k-RNN, Jaccard
 dissimilarity, and their probe-augmented variants.
 
-Conventions shared by every operation here:
+:func:`reference_set` and :func:`candidate_pool` are the one place that
+decides what a candidate pool holds; every neighbor set here, and the
+kernel bandwidths in :mod:`dakr.kernels`, take their samples from them.
+Other conventions shared by every operation here:
 
-* Probe and gallery ids live in one namespace.  A gallery sample whose id
-  equals the probe's id is treated as the probe's own gallery copy (the
-  multiple-shot protocol, where probes are drawn from the gallery) and is
-  excluded from that probe's candidate pools.
-* When extra probes augment a pool, their ids are offset by
-  ``probe_id_offset(gallery)`` into a disjoint integer range, so neighbor
-  sets can mix gallery and probe members without ambiguity.  Ranked
-  outputs only ever emit true gallery ids.
+* Ranked outputs only ever emit true gallery ids; neighbor sets may also
+  hold offset probe ids.
 * Ties are broken by ascending (effective) id.
 * k larger than the candidate pool truncates silently to the pool size;
   only an empty pool raises.
@@ -62,6 +59,9 @@ class AugmentationPolicy:
         return cls(WITH_PROBES, probes)
 
 
+_GALLERY_ONLY = AugmentationPolicy()
+
+
 @dataclass(frozen=True)
 class NeighborSet:
     """Top-k neighborhood of one anchor sample.
@@ -87,27 +87,58 @@ def probe_id_offset(gallery: FeatureSet) -> int:
     return int(gallery.ids.max()) + 1
 
 
-def _effective_gallery(probe_id: int, gallery: FeatureSet):
-    """Gallery rows eligible as candidates for this probe.
+def reference_set(gallery: FeatureSet, policy: AugmentationPolicy):
+    """The samples pools and bandwidths are taken over, as (vectors, ids):
+    the gallery, then under with_probes every probe that is not a gallery
+    sample, at its id plus :func:`probe_id_offset`.
 
-    Drops the probe's own gallery copy (id match) if present.
+    Probe and gallery ids share one namespace: a probe whose id is a
+    gallery id is that gallery sample (the multiple-shot protocol draws
+    probes from the gallery), so it adds no row of its own.
     """
-    keep = gallery.ids != int(probe_id)
-    return gallery.vectors[keep], gallery.ids[keep]
-
-
-def _augmentation_rows(probe_id: int, gallery: FeatureSet, policy: AugmentationPolicy):
-    """Extra probe candidates: X minus the probe itself, minus probes that
-    duplicate a gallery sample by id.  Returns (vectors, effective_ids)."""
     if policy.mode != WITH_PROBES:
-        return None, None
+        return gallery.vectors, gallery.ids
     probes = policy.probes
-    offset = probe_id_offset(gallery)
-    keep = probes.ids != int(probe_id)
-    keep &= ~np.isin(probes.ids, gallery.ids)
-    if not np.any(keep):
-        return None, None
-    return probes.vectors[keep], probes.ids[keep] + offset
+    if probes.dim != gallery.dim:
+        raise InvalidParams(f"probe dim {probes.dim} != gallery dim {gallery.dim}")
+    fresh = ~np.isin(probes.ids, gallery.ids)
+    return (
+        np.vstack([gallery.vectors, probes.vectors[fresh]]),
+        np.concatenate([gallery.ids, probes.ids[fresh] + probe_id_offset(gallery)]),
+    )
+
+
+def candidate_pool(probe_id: int, gallery: FeatureSet, policy: AugmentationPolicy):
+    """The reference set minus the probe itself, as fresh arrays
+    (vectors, ids, n_gallery) whose first n_gallery rows are gallery
+    samples.
+
+    The probe is dropped in each block's own namespace: its own gallery
+    copy by raw id, its probe row by offset id.  A raw probe id can equal
+    another probe's offset id, so one id test over all rows would drop
+    the wrong sample.
+    """
+    vectors, ids = reference_set(gallery, policy)
+    n = len(gallery)
+    keep = gallery.ids != int(probe_id)
+    if len(ids) > n:
+        keep = np.concatenate([keep, ids[n:] != probe_id_offset(gallery) + int(probe_id)])
+    return vectors[keep], ids[keep], n - (int(probe_id) in gallery)
+
+
+def _pool_row(probe_id: int, probe_vector, gallery, metric, policy):
+    """The probe's candidate pool and its one distance row over it."""
+    vectors, ids, n_gallery = candidate_pool(probe_id, gallery, policy)
+    probe_vector = np.asarray(probe_vector, dtype=np.float64)
+    return vectors, ids, n_gallery, pairwise(metric, probe_vector[None, :], vectors)[0]
+
+
+def _nearest(ids: np.ndarray, dists: np.ndarray, k: int) -> frozenset:
+    """The k ids nearest by (distance, id)."""
+    if k < 1:
+        raise InvalidParams("k must be >= 1")
+    order = np.lexsort((ids, dists))
+    return frozenset(int(i) for i in ids[order[:k]])
 
 
 def knn(
@@ -118,67 +149,48 @@ def knn(
     k: int,
     policy: AugmentationPolicy = AugmentationPolicy(),
 ) -> NeighborSet:
-    """The k candidates nearest to the probe, ties by ascending id.
-
-    Under with_probes the pool is the other probes plus the gallery, and
-    members may carry offset probe ids.
-    """
-    if k < 1:
-        raise InvalidParams("k must be >= 1")
-    gal_vectors, gal_ids = _effective_gallery(probe_id, gallery)
-    aug_vectors, aug_ids = _augmentation_rows(probe_id, gallery, policy)
-    if aug_vectors is not None:
-        pool_vectors = np.vstack([gal_vectors, aug_vectors])
-        pool_ids = np.concatenate([gal_ids, aug_ids])
-    else:
-        pool_vectors, pool_ids = gal_vectors, gal_ids
-    if len(pool_ids) == 0:
+    """The k candidates nearest to the probe, ties by ascending id."""
+    _, ids, _, dists = _pool_row(probe_id, probe_vector, gallery, metric, policy)
+    if len(ids) == 0:
         raise KTooLarge("candidate pool is empty")
-    dists = pairwise(metric, np.asarray(probe_vector, dtype=np.float64)[None, :], pool_vectors)[0]
-    order = np.lexsort((pool_ids, dists))
-    take = min(k, len(pool_ids))
-    return NeighborSet(
-        anchor_id=int(probe_id), k=k, members=frozenset(int(i) for i in pool_ids[order[:take]])
-    )
+    return NeighborSet(anchor_id=int(probe_id), k=k, members=_nearest(ids, dists, k))
 
 
 def _inn_member_mask(
     probe_id: int,
-    probe_vector,
     gallery: FeatureSet,
     metric: DistanceMetric,
     k: int,
-    policy: AugmentationPolicy,
-):
-    """Boolean mask over the effective gallery: does each sample take the
-    probe as one of its k nearest neighbors?
+    pool_row,
+) -> np.ndarray:
+    """Boolean mask over the pool's gallery rows: does each sample take
+    the probe as one of its k nearest neighbors?
 
-    The probe's 0-based position in sample j's pool equals the number of
-    candidates ranked strictly before it under (distance, id); gallery
-    candidates always win distance ties against the probe because their
-    ids precede the probe's offset id.
+    ``pool_row`` is what :func:`_pool_row` returned.  The probe's 0-based
+    position in sample j's pool equals the number of candidates ranked
+    strictly before it under (distance, id); gallery candidates always
+    win distance ties against the probe because their ids precede the
+    probe's offset id.
     """
-    gal_vectors, gal_ids = _effective_gallery(probe_id, gallery)
-    if len(gal_ids) == 0:
-        return gal_ids, np.zeros(0, dtype=bool)
-    probe_vector = np.asarray(probe_vector, dtype=np.float64)
-    d_x = pairwise(metric, probe_vector[None, :], gal_vectors)[0]
+    vectors, ids, n_gallery, dists = pool_row
+    if n_gallery == 0:
+        return np.zeros(0, dtype=bool)
+    gal_vectors, d_x = vectors[:n_gallery], dists[:n_gallery]
 
     def closer_than_probe(start: int, rows: np.ndarray) -> np.ndarray:
         return np.sum(rows <= d_x[start:start + len(rows), None], axis=1)
 
     counts = np.concatenate(scan_self_distances(metric, gal_vectors, closer_than_probe))
 
-    aug_vectors, aug_ids = _augmentation_rows(probe_id, gallery, policy)
-    if aug_vectors is not None:
+    if len(ids) > n_gallery:
         eff_x = probe_id_offset(gallery) + int(probe_id)
-        d_aug = pairwise(metric, aug_vectors, gal_vectors)
+        d_aug = pairwise(metric, vectors[n_gallery:], gal_vectors)
         counts += np.sum(d_aug < d_x[None, :], axis=0)
         ties = d_aug == d_x[None, :]
         if np.any(ties):
-            counts += np.sum(ties & (aug_ids < eff_x)[:, None], axis=0)
+            counts += np.sum(ties & (ids[n_gallery:] < eff_x)[:, None], axis=0)
 
-    return gal_ids, counts < k
+    return counts < k
 
 
 def inn(
@@ -193,8 +205,10 @@ def inn(
     the probe.  Always a full scan over the gallery."""
     if k < 1:
         raise InvalidParams("k must be >= 1")
-    gal_ids, mask = _inn_member_mask(probe_id, probe_vector, gallery, metric, k, policy)
-    return frozenset(int(i) for i in gal_ids[mask])
+    row = _pool_row(probe_id, probe_vector, gallery, metric, policy)
+    _, ids, n_gallery, _ = row
+    mask = _inn_member_mask(probe_id, gallery, metric, k, row)
+    return frozenset(int(i) for i in ids[:n_gallery][mask])
 
 
 def rnn(
@@ -205,13 +219,15 @@ def rnn(
     k: int,
     policy: AugmentationPolicy = AugmentationPolicy(),
 ) -> frozenset:
-    """Reciprocal nearest neighbors: intersection of the probe's k-NN
-    (restricted to gallery ids) with its k-INN."""
-    forward = knn(probe_id, probe_vector, gallery, metric, k, policy)
-    gallery_members = frozenset(
-        m for m in forward.members if m < probe_id_offset(gallery)
-    )
-    return gallery_members & inn(probe_id, probe_vector, gallery, metric, k, policy)
+    """Reciprocal nearest neighbors: the probe's k-NN that are also in its
+    k-INN (so gallery samples only)."""
+    row = _pool_row(probe_id, probe_vector, gallery, metric, policy)
+    _, ids, n_gallery, dists = row
+    if len(ids) == 0:
+        raise KTooLarge("candidate pool is empty")
+    forward = _nearest(ids, dists, k)
+    inverse = ids[:n_gallery][_inn_member_mask(probe_id, gallery, metric, k, row)]
+    return forward & frozenset(int(i) for i in inverse)
 
 
 def jaccard_distance(a, b) -> float:
@@ -234,39 +250,19 @@ def gallery_neighbor_set(
     k: int,
     policy: AugmentationPolicy = AugmentationPolicy(),
 ) -> NeighborSet:
-    """k-NN of one gallery sample over the same pool convention used by
-    k-INN ({probe} ∪ gallery minus self, or all probes ∪ gallery minus
-    self), so Jaccard overlaps compare like with like."""
-    if k < 1:
-        raise InvalidParams("k must be >= 1")
-    gal_vectors, gal_ids = _effective_gallery(probe_id, gallery)
-    anchor_rows = np.nonzero(gal_ids == int(gallery_id))[0]
+    """k-NN of one gallery sample over the probe's candidate pool with
+    that sample swapped for the probe (at its offset id), the pool k-INN
+    searches, so Jaccard overlaps compare like with like."""
+    vectors, ids, n_gallery = candidate_pool(probe_id, gallery, policy)
+    anchor_rows = np.flatnonzero(ids[:n_gallery] == int(gallery_id))
     if len(anchor_rows) == 0:
         raise InvalidParams(f"gallery id {gallery_id} not in candidate pool")
     anchor = int(anchor_rows[0])
-    anchor_vector = gal_vectors[anchor]
-
-    offset = probe_id_offset(gallery)
-    cand_vectors = [np.delete(gal_vectors, anchor, axis=0)]
-    cand_ids = [np.delete(gal_ids, anchor)]
-    aug_vectors, aug_ids = _augmentation_rows(probe_id, gallery, policy)
-    if aug_vectors is not None:
-        cand_vectors.append(aug_vectors)
-        cand_ids.append(aug_ids)
-    # The probe itself is in the pool under both conventions.
-    cand_vectors.append(np.asarray(probe_vector, dtype=np.float64)[None, :])
-    cand_ids.append(np.asarray([offset + int(probe_id)], dtype=np.int64))
-
-    pool_vectors = np.vstack(cand_vectors)
-    pool_ids = np.concatenate(cand_ids)
-    dists = pairwise(metric, anchor_vector[None, :], pool_vectors)[0]
-    order = np.lexsort((pool_ids, dists))
-    take = min(k, len(pool_ids))
-    return NeighborSet(
-        anchor_id=int(gallery_id),
-        k=k,
-        members=frozenset(int(i) for i in pool_ids[order[:take]]),
-    )
+    anchor_vector = vectors[anchor].copy()
+    vectors[anchor] = np.asarray(probe_vector, dtype=np.float64)
+    ids[anchor] = probe_id_offset(gallery) + int(probe_id)
+    dists = pairwise(metric, anchor_vector[None, :], vectors)[0]
+    return NeighborSet(anchor_id=int(gallery_id), k=k, members=_nearest(ids, dists, k))
 
 
 def rank_by_distance(
@@ -277,14 +273,13 @@ def rank_by_distance(
 ) -> RankedList:
     """Plain ascending-distance ranking of the whole gallery (the k-NN
     baseline as a total order)."""
-    gal_vectors, gal_ids = _effective_gallery(probe_id, gallery)
-    if len(gal_ids) == 0:
+    _, ids, _, dists = _pool_row(probe_id, probe_vector, gallery, metric, _GALLERY_ONLY)
+    if len(ids) == 0:
         raise EmptyGallery("no gallery candidates for this probe")
-    dists = pairwise(metric, np.asarray(probe_vector, dtype=np.float64)[None, :], gal_vectors)[0]
-    order = np.lexsort((gal_ids, dists))
+    order = np.lexsort((ids, dists))
     return RankedList(
         probe_id=int(probe_id),
-        gallery_ids=gal_ids[order],
+        gallery_ids=ids[order],
         values=dists[order],
         order=ASCENDING_DISTANCE,
     )
@@ -310,18 +305,17 @@ def rank_by_inn(
     Values are composite sort keys: members in [0, 1), the appended block
     in [2, 3).  Orderings, not magnitudes, are the comparable quantity.
     """
-    gal_vectors, gal_ids = _effective_gallery(probe_id, gallery)
-    if len(gal_ids) == 0:
+    row = _pool_row(probe_id, probe_vector, gallery, metric, policy)
+    _, ids, n_gallery, dists = row
+    if n_gallery == 0:
         raise EmptyGallery("no gallery candidates for this probe")
-    ids_mask, member_mask = _inn_member_mask(
-        probe_id, probe_vector, gallery, metric, k, policy
-    )
-    dists = pairwise(metric, np.asarray(probe_vector, dtype=np.float64)[None, :], gal_vectors)[0]
+    member_mask = _inn_member_mask(probe_id, gallery, metric, k, row)
+    gal_ids, dists = ids[:n_gallery], dists[:n_gallery]
     keys = np.where(member_mask, _bounded(dists), 2.0 + _bounded(dists))
-    order = np.lexsort((ids_mask, dists, ~member_mask))
+    order = np.lexsort((gal_ids, dists, ~member_mask))
     return RankedList(
         probe_id=int(probe_id),
-        gallery_ids=ids_mask[order],
+        gallery_ids=gal_ids[order],
         values=keys[order],
         order=ASCENDING_DISTANCE,
     )
@@ -343,22 +337,25 @@ def rank_by_rnn(
     composite sort keys: members carry their Jaccard distance in [0, 1],
     the appended block lives in [2, 3).
     """
-    gal_vectors, gal_ids = _effective_gallery(probe_id, gallery)
-    if len(gal_ids) == 0:
+    row = _pool_row(probe_id, probe_vector, gallery, metric, policy)
+    _, ids, n_gallery, dists = row
+    if n_gallery == 0:
         raise EmptyGallery("no gallery candidates for this probe")
-    members = rnn(probe_id, probe_vector, gallery, metric, k, policy)
-    dists = pairwise(metric, np.asarray(probe_vector, dtype=np.float64)[None, :], gal_vectors)[0]
-
-    probe_nn = knn(probe_id, probe_vector, gallery, metric, k, policy)
-    jaccard = np.zeros(len(gal_ids), dtype=np.float64)
-    member_mask = np.zeros(len(gal_ids), dtype=bool)
-    for row, gid in enumerate(gal_ids):
-        if int(gid) in members:
-            member_mask[row] = True
-            neighborhood = gallery_neighbor_set(
-                int(gid), probe_id, probe_vector, gallery, metric, k, policy
-            )
-            jaccard[row] = jaccard_distance(neighborhood, probe_nn)
+    probe_nn = _nearest(ids, dists, k)
+    member_mask = _inn_member_mask(probe_id, gallery, metric, k, row)
+    gal_ids, dists = ids[:n_gallery], dists[:n_gallery]
+    jaccard = np.zeros(n_gallery, dtype=np.float64)
+    for member in np.flatnonzero(member_mask):
+        gid = int(gal_ids[member])
+        if gid not in probe_nn:
+            member_mask[member] = False
+            continue
+        # Looked up as a module global on every call: the traced benchmark
+        # counts these calls.
+        neighborhood = gallery_neighbor_set(
+            gid, probe_id, probe_vector, gallery, metric, k, policy
+        )
+        jaccard[member] = jaccard_distance(neighborhood, probe_nn)
 
     keys = np.where(member_mask, jaccard, 2.0 + _bounded(dists))
     order = np.lexsort((gal_ids, dists, keys, ~member_mask))

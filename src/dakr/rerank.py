@@ -101,8 +101,7 @@ def rerank(
     """Rank the gallery for every probe with the chosen method.
 
     ``policy`` may be an :class:`AugmentationPolicy` or one of the mode
-    strings; the string form augments with the batch's own probe set,
-    where each probe's pool contains the others but never itself.  ``k``
+    strings; the string form augments with the batch's own probe set.  ``k``
     drives the neighbor methods, ``k_sigma`` the kernel methods (defaulting
     to 5% of the gallery); a prebuilt ``table`` is verified and reused.
     """

@@ -30,6 +30,9 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+SCENARIO = ["--scenario", "perfect_single_shot", "--n-identities", "4"]
+
+
 class TestGen:
     def test_writes_scenario_files(self, tmp_path):
         out = tmp_path / "data"
@@ -283,6 +286,29 @@ class TestExitCodes:
         _, _, gpath, _ = line_fixture
         with pytest.raises(SystemExit) as err:
             run("sigma", "--gallery", gpath, "--k-sigma", "0", "--out", tmp_path / "t.sgt")
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", *SCENARIO, "--ranks", "x"],
+            ["eval", *SCENARIO, "--ranks", "0,5"],
+            ["eval", *SCENARIO, "--ranks", ","],
+            ["eval", "--scenario", "perfect_single_shot", "--n-identities", "1"],
+            ["eval", *SCENARIO, "--method", "knn", "--with-probes"],
+            ["rerank", "--gallery", "g.csv", "--probes", "p.csv", "--with-probes"],
+            ["sweep", *SCENARIO, "--k-values", "x"],
+            ["sweep", *SCENARIO, "--k-values", "0"],
+            ["sweep", *SCENARIO, "--ranks", "-1"],
+            ["sweep", *SCENARIO, "--trials", "0"],
+            ["sweep", "--scenario", "multi_shot", "--n-identities", "4", "--dim", "0"],
+            ["bench", "--sizes", "x"],
+            ["bench", "--sizes", "0"],
+        ],
+    )
+    def test_bad_list_count_or_scenario_is_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as err:
+            run(*argv, "--out", tmp_path / "out")
         assert err.value.code == 2
 
     def test_duplicate_ids_in_features_is_data_error(self, line_fixture, tmp_path, capsys):

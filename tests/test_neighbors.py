@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dakr.core
+import dakr.neighbors
 from dakr import (
     AugmentationPolicy,
     DistanceMetric,
@@ -51,6 +52,79 @@ class TestBlockedInnScan:
                 for k in (1, 3, 8):
                     got = inn(pid, pvecs[row], gallery, euclidean, k, policy)
                     assert got == brute_inn(pid, list(pvecs[row]), gdict, k, probes=pool_probes)
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call is recorded; returns the calls."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSinglePoolRow:
+    """Each neighbor ranking computes the probe's distance row over its
+    pool once; only the neighborhoods of reciprocal members add rows."""
+
+    def test_rank_by_inn_and_rnn_compute_one_row(self, euclidean, monkeypatch):
+        rng = np.random.default_rng(71)
+        gallery = FeatureSet(np.arange(30), rng.normal(size=(30, 3)))
+        probe = rng.normal(size=3)
+        for fn in (rank_by_inn, rnn):
+            calls = _counting(monkeypatch, dakr.neighbors, "pairwise")
+            fn(99, probe, gallery, euclidean, 4)
+            assert len(calls) == 1, fn.__name__
+            monkeypatch.undo()
+
+    def test_rank_by_rnn_adds_one_row_per_member(self, euclidean, monkeypatch):
+        rng = np.random.default_rng(72)
+        gallery = FeatureSet(np.arange(30), rng.normal(size=(30, 3)))
+        seen = 0
+        for _ in range(5):
+            probe = rng.normal(size=3)
+            members = rnn(99, probe, gallery, euclidean, 4)
+            calls = _counting(monkeypatch, dakr.neighbors, "pairwise")
+            rank_by_rnn(99, probe, gallery, euclidean, 4)
+            monkeypatch.undo()
+            assert len(calls) == 1 + len(members)
+            seen += len(members)
+        assert seen > 0
+
+
+class TestPoolRuleOracle:
+    def test_gallery_probes_and_extra_probes_match_bruteforce(self, euclidean):
+        # Probes that are gallery samples (the multiple-shot protocol) next
+        # to extra probes, one of whose raw ids equals another's offset id.
+        rng = np.random.default_rng(73)
+        for _ in range(6):
+            n = int(rng.integers(6, 14))
+            gvecs = rng.normal(size=(n, 2))
+            gallery = FeatureSet(np.arange(n), gvecs)
+            offset = probe_id_offset(gallery)
+            shots = rng.choice(n, size=2, replace=False)
+            extra = [n + 3, 2 * n + 3, int(rng.integers(3 * n, 5 * n))]
+            assert extra[0] + offset == extra[1]
+            ids = [int(i) for i in shots] + extra
+            pvecs = np.vstack([gvecs[shots], rng.normal(size=(len(extra), 2))])
+            probes = FeatureSet(ids, pvecs)
+            gdict = {i: list(v) for i, v in enumerate(gvecs)}
+            pdict = {pid: list(v) for pid, v in zip(ids, pvecs)}
+            for policy, pool_probes in (
+                (AugmentationPolicy.gallery_only(), None),
+                (AugmentationPolicy.with_probes(probes), pdict),
+            ):
+                for pid, pvec in zip(ids, pvecs):
+                    for k in (1, 3, 6):
+                        args = (pid, pvec, gallery, euclidean, k, policy)
+                        oracle = (pid, list(pvec), gdict, k)
+                        assert knn(*args).members == brute_knn(*oracle, probes=pool_probes)
+                        assert inn(*args) == brute_inn(*oracle, probes=pool_probes)
+                        assert rnn(*args) == brute_rnn(*oracle, probes=pool_probes)
 
 
 class TestKnn:
