@@ -94,19 +94,31 @@ def _existing(parser: argparse.ArgumentParser, path: str, what: str) -> Path:
     return p
 
 
-def _build_metric(parser: argparse.ArgumentParser, args) -> DistanceMetric:
+def _read_probes(parser: argparse.ArgumentParser, path: str, gallery: FeatureSet) -> FeatureSet:
+    probes_path = _existing(parser, path, "probes")
+    probes = read_features(probes_path)
+    if probes.dim != gallery.dim:
+        raise FormatError(f"{probes_path}: probe dim {probes.dim} != gallery dim {gallery.dim}")
+    return probes
+
+
+def _build_metric(parser: argparse.ArgumentParser, args, dim: int) -> DistanceMetric:
+    """The metric for features of dimension ``dim``; a matrix file that
+    is not a numeric PSD ``dim`` x ``dim`` matrix is a data error."""
     if args.metric in ("euclidean", "squared_euclidean"):
         if args.metric_matrix:
             parser.error(f"--metric-matrix is not used with {args.metric}")
         return DistanceMetric(args.metric)
     if not args.metric_matrix:
         parser.error(f"--metric {args.metric} requires --metric-matrix")
-    matrix = np.loadtxt(
-        _existing(parser, args.metric_matrix, "metric matrix"),
-        delimiter=",",
-        ndmin=2,
-    )
-    return DistanceMetric.mahalanobis(matrix)
+    path = _existing(parser, args.metric_matrix, "metric matrix")
+    try:
+        metric = DistanceMetric.mahalanobis(np.loadtxt(path, delimiter=",", ndmin=2))
+    except (ValueError, DakrError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if len(metric.matrix) != dim:
+        raise FormatError(f"{path}: matrix size {len(metric.matrix)} != feature dim {dim}")
+    return metric
 
 
 def _add_metric_flags(sub: argparse.ArgumentParser) -> None:
@@ -153,7 +165,7 @@ def _load_eval_data(parser, args):
     if not (args.gallery and args.probes and args.truth):
         parser.error("need --gallery, --probes and --truth (or --scenario)")
     gallery = read_features(_existing(parser, args.gallery, "gallery"))
-    probes = read_features(_existing(parser, args.probes, "probes"))
+    probes = _read_probes(parser, args.probes, gallery)
     truth = read_truth_csv(_existing(parser, args.truth, "truth"))
     return gallery, probes, truth
 
@@ -180,12 +192,12 @@ def cmd_gen(parser, args) -> int:
 
 def cmd_sigma(parser, args) -> int:
     gallery = read_features(_existing(parser, args.gallery, "gallery"))
-    metric = _build_metric(parser, args)
+    metric = _build_metric(parser, args, gallery.dim)
     probes = None
     if args.with_probes:
         if not args.probes:
             parser.error("--with-probes requires --probes")
-        probes = read_features(_existing(parser, args.probes, "probes"))
+        probes = _read_probes(parser, args.probes, gallery)
     k_sigma = args.k_sigma or default_k_sigma(len(gallery))
     policy = resolve_policy(WITH_PROBES if args.with_probes else GALLERY_ONLY, probes)
     started = time.perf_counter()
@@ -199,8 +211,8 @@ def cmd_sigma(parser, args) -> int:
 
 def cmd_rerank(parser, args) -> int:
     gallery = read_features(_existing(parser, args.gallery, "gallery"))
-    probes = read_features(_existing(parser, args.probes, "probes"))
-    metric = _build_metric(parser, args)
+    probes = _read_probes(parser, args.probes, gallery)
+    metric = _build_metric(parser, args, gallery.dim)
     tokens = _method_tokens(parser, args.method, args.k)
     if len(tokens) != 1:
         parser.error("rerank takes exactly one --method")
@@ -247,7 +259,7 @@ def cmd_rerank(parser, args) -> int:
 
 def cmd_eval(parser, args) -> int:
     gallery, probes, truth = _load_eval_data(parser, args)
-    metric = _build_metric(parser, args)
+    metric = _build_metric(parser, args, gallery.dim)
     methods = _method_tokens(parser, args.method, args.k)
     report = evaluate_methods(
         gallery,
@@ -277,7 +289,6 @@ def cmd_eval(parser, args) -> int:
 
 
 def cmd_sweep(parser, args) -> int:
-    metric = _build_metric(parser, args)
     methods = _method_tokens(parser, args.method)
     k_values = args.k_values
     if args.scenario:
@@ -287,8 +298,8 @@ def cmd_sweep(parser, args) -> int:
             scenario_args.seed = args.seed + trial
             trials.append(_scenario_from_args(parser, scenario_args))
     else:
-        gallery, probes, truth = _load_eval_data(parser, args)
-        trials = [(gallery, probes, truth)]
+        trials = [_load_eval_data(parser, args)]
+    metric = _build_metric(parser, args, trials[0][0].dim)
     ranks, curves = k_sweep(
         methods, trials, k_values, metric=metric, ranks=args.ranks, n_threads=args.threads
     )
@@ -407,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sigma.add_argument("--probes")
     sigma.add_argument("--with-probes", action="store_true")
     sigma.add_argument("--k-sigma", type=_positive_int)
-    sigma.add_argument("--threads", type=int, default=os.cpu_count())
+    sigma.add_argument("--threads", type=_positive_int, default=os.cpu_count())
     _add_metric_flags(sigma)
     sigma.add_argument("--out", required=True)
 
@@ -420,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     rrk.add_argument("--sigma-table")
     rrk.add_argument("--recompute", action="store_true",
                      help="recompute a stale sigma table instead of failing")
-    rrk.add_argument("--threads", type=int, default=os.cpu_count())
+    rrk.add_argument("--threads", type=_positive_int, default=os.cpu_count())
     _add_metric_flags(rrk)
     rrk.add_argument("--out", required=True)
 
@@ -433,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--k", type=_positive_int)
     ev.add_argument("--k-sigma", type=_positive_int)
     ev.add_argument("--ranks", type=_positive_int_list, default=list(DEFAULT_RANKS))
-    ev.add_argument("--threads", type=int, default=os.cpu_count())
+    ev.add_argument("--threads", type=_positive_int, default=os.cpu_count())
     _add_metric_flags(ev)
     ev.add_argument("--out", required=True, help="report base path")
 
@@ -446,13 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--method", default="inv_dakr,bi_dakr")
     sw.add_argument("--k-values", type=_positive_int_list, default=[1, 2, 5, 10, 20])
     sw.add_argument("--ranks", type=_positive_int_list, default=list(DEFAULT_RANKS))
-    sw.add_argument("--threads", type=int, default=os.cpu_count())
+    sw.add_argument("--threads", type=_positive_int, default=os.cpu_count())
     _add_metric_flags(sw)
     sw.add_argument("--out", required=True, help="report base path")
 
     bench = sub.add_parser("bench", help="offline/online wall-clock table")
     bench.add_argument("--sizes", type=_positive_int_list, default=[1000, 2000, 4000, 8000])
-    bench.add_argument("--dim", type=int, default=64)
+    bench.add_argument("--dim", type=_positive_int, default=64)
     bench.add_argument("--method", default=",".join(_BENCH_METHODS))
     bench.add_argument("--k", type=_positive_int)
     bench.add_argument("--k-sigma", type=_positive_int)

@@ -5,9 +5,10 @@ threads.  Distances are computed and stored as float64 regardless of the
 precision of the input files: re-ranking is sort-sensitive and 32-bit
 accumulation can flip near-ties.
 
-Ties are broken by ascending id everywhere.  Only the self-distance scan
-excludes each sample from its own row; a probe's own gallery copy is
-excluded by the neighbor/kernel layers.
+Ties are broken by ascending id everywhere.  The self-distance scan
+excludes each sample from its own row; a probe's own copy is dropped by
+:func:`dakr.neighbors.candidate_pool` alone, and every ranking is built
+by :func:`dakr.neighbors.ranking`.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ import numpy as np
 from .core import DistanceMetric, FeatureSet, RankedList
 from .errors import DakrError, FormatError, StaleSigmaTable
 from .evaluation import GroundTruth
-from .kernels import SigmaTable, reference_digest
+# reference_digest is not called here; it stays importable because
+# perfbench/tracing.py wraps dakr.fileio.reference_digest.
+from .kernels import SigmaTable, bind_sigma_table, reference_digest
 from .neighbors import GALLERY_ONLY, WITH_PROBES, AugmentationPolicy
 
 FEATURE_MAGIC = b"FST1"
@@ -190,7 +192,11 @@ def read_sigma_sidecar(path) -> dict:
     expected = 45 + 8 * count
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
+    if k_sigma < 1:
+        raise FormatError(f"{path}: k_sigma must be >= 1, got {k_sigma}")
     sigmas = np.frombuffer(blob, dtype="<f8", count=count, offset=45).copy()
+    if np.any(sigmas <= 0) or not np.all(np.isfinite(sigmas)):
+        raise FormatError(f"{path}: bandwidths must be positive and finite")
     return {
         "count": count,
         "k_sigma": k_sigma,
@@ -212,36 +218,15 @@ def sigma_table_from_sidecar(
         raise StaleSigmaTable(
             f"sidecar was built {record['policy_mode']}, requested {policy.mode}"
         )
-    probes_digest = b""
-    probe_ids = None
-    probe_sigmas = None
-    expected_count = len(gallery)
-    if policy.mode == WITH_PROBES:
-        probes_digest = policy.probes.content_digest()
-        expected_count += len(policy.probes)
+    expected_count = len(gallery) + (len(policy.probes) if policy.mode == WITH_PROBES else 0)
     if record["count"] != expected_count:
         raise StaleSigmaTable(
             f"sidecar holds {record['count']} bandwidths, reference data has {expected_count}"
         )
-    expected = reference_digest(
-        gallery, metric, record["k_sigma"], record["policy_mode"], probes_digest
-    )
-    if expected != record["reference_digest"]:
+    table = bind_sigma_table(gallery, metric, record["k_sigma"], policy, record["sigmas"])
+    if table.reference_digest != record["reference_digest"]:
         raise StaleSigmaTable("sidecar digest does not match the reference data")
-    sigmas = record["sigmas"]
-    if policy.mode == WITH_PROBES:
-        probe_ids = policy.probes.ids.copy()
-        probe_sigmas = sigmas[len(gallery):]
-    return SigmaTable(
-        k_sigma=record["k_sigma"],
-        policy_mode=record["policy_mode"],
-        reference_digest=record["reference_digest"],
-        gallery_ids=gallery.ids.copy(),
-        gallery_sigmas=sigmas[: len(gallery)],
-        probes_digest=probes_digest,
-        probe_ids=probe_ids,
-        probe_sigmas=probe_sigmas,
-    )
+    return table
 
 
 # --- rankings and reports -----------------------------------------------------

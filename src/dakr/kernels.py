@@ -14,7 +14,8 @@ sorting kernel responses:
 The basis is phi(t) = exp(-t).  Both rules sort on the kernel argument t
 rather than on phi itself, which gives the identical order while being
 immune to floating-point underflow at large arguments; reported scores
-still apply phi.
+still apply phi.  Rankings take the probe's gallery-only pool from
+:func:`dakr.neighbors.candidate_pool` and are built by :func:`dakr.neighbors.ranking`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .neighbors import (
     AugmentationPolicy,
     candidate_pool,
     probe_id_offset,
+    ranking,
     reference_set,
 )
 
@@ -160,20 +162,30 @@ def compute_sigma_table(
     floor = _SIGMA_FLOOR_SCALE * (max_dist if max_dist > 0 else 1.0)
     sigmas = np.maximum(sigmas, floor)
 
-    probes_digest = b""
-    probe_ids = None
-    probe_sigmas = None
     if policy.mode == WITH_PROBES:
-        probes_digest = policy.probes.content_digest()
-        probe_ids = policy.probes.ids.copy()
         # A probe that is a gallery sample has that sample's bandwidth.
         sigma_of = dict(zip(ref_ids.tolist(), sigmas.tolist()))
         offset = probe_id_offset(gallery)
-        probe_sigmas = np.array(
-            [sigma_of[p] if p in gallery else sigma_of[p + offset] for p in probe_ids.tolist()],
-            dtype=np.float64,
-        )
+        probe_sigmas = [
+            sigma_of[p] if p in gallery else sigma_of[p + offset]
+            for p in policy.probes.ids.tolist()
+        ]
+        sigmas = np.concatenate([sigmas[: len(gallery)], probe_sigmas])
+    return bind_sigma_table(gallery, metric, k_sigma, policy, sigmas)
 
+
+def bind_sigma_table(
+    gallery: FeatureSet,
+    metric: DistanceMetric,
+    k_sigma: int,
+    policy: AugmentationPolicy,
+    sigmas: np.ndarray,
+) -> SigmaTable:
+    """A table over ``sigmas`` (one per gallery sample, then under
+    with_probes one per probe), bound by digest to the data they describe."""
+    n = len(gallery)
+    probes = policy.probes if policy.mode == WITH_PROBES else None
+    probes_digest = b"" if probes is None else probes.content_digest()
     return SigmaTable(
         k_sigma=k_sigma,
         policy_mode=policy.mode,
@@ -181,10 +193,10 @@ def compute_sigma_table(
             gallery, metric, k_sigma, policy.mode, probes_digest
         ),
         gallery_ids=gallery.ids.copy(),
-        gallery_sigmas=sigmas[: len(gallery)],
+        gallery_sigmas=sigmas[:n],
         probes_digest=probes_digest,
-        probe_ids=probe_ids,
-        probe_sigmas=probe_sigmas,
+        probe_ids=None if probes is None else probes.ids.copy(),
+        probe_sigmas=None if probes is None else sigmas[n:],
     )
 
 
@@ -207,21 +219,11 @@ def _probe_distances(probe_vector, gallery: FeatureSet, metric, table) -> np.nda
 
 
 def _rank_by_kernel_argument(probe_id: int, t: np.ndarray, gallery: FeatureSet) -> RankedList:
-    """Descending-score ranking from kernel arguments t (one per gallery
-    sample): ascending t, ties by ascending gallery id, the probe's own
-    gallery copy excluded, scores exp(-t)."""
-    keep = gallery.ids != int(probe_id)
-    ids = gallery.ids[keep]
-    if len(ids) == 0:
-        raise EmptyGallery("no gallery candidates for this probe")
+    """Descending-score ranking of the probe's gallery-only pool from
+    kernel arguments t (one per gallery sample): ascending t, scores exp(-t)."""
+    _, ids, keep = candidate_pool(probe_id, gallery)
     t = t[keep]
-    order = np.lexsort((ids, t))
-    return RankedList(
-        probe_id=int(probe_id),
-        gallery_ids=ids[order],
-        values=np.exp(-t[order]),
-        order=DESCENDING_SCORE,
-    )
+    return ranking(probe_id, ids[keep], np.exp(-t), DESCENDING_SCORE, t)
 
 
 def inv_dakr_score(
@@ -243,12 +245,8 @@ def inv_dakr_rank(
     metric: DistanceMetric,
     table: SigmaTable,
 ) -> RankedList:
-    """Descending-score ranking under the inverse rule.
-
-    Sorting happens on the kernel argument d/sigma (ascending), ties by
-    ascending gallery id; the probe's own gallery copy, if any, is
-    excluded from the candidates.
-    """
+    """Descending-score ranking under the inverse rule, sorted on the
+    kernel argument d/sigma."""
     d = _probe_distances(probe_vector, gallery, metric, table)
     return _rank_by_kernel_argument(probe_id, d / table.gallery_sigmas, gallery)
 
@@ -274,10 +272,10 @@ def probe_sigma(
                 "probe sigma not cached; pass the with_probes policy to compute it"
             )
     probe_vector = np.asarray(probe_vector, dtype=np.float64)
-    cands, _, _ = candidate_pool(probe_id, gallery, policy)
-    if len(cands) == 0:
+    vectors, _, keep = candidate_pool(probe_id, gallery, policy)
+    if not keep.any():
         raise EmptyGallery("no reference samples to derive the probe bandwidth")
-    d = pairwise(metric, probe_vector[None, :], cands)[0]
+    d = pairwise(metric, probe_vector[None, :], vectors)[0][keep]
     k_eff = min(table.k_sigma, len(d))
     sigma = float(np.partition(d, k_eff - 1)[k_eff - 1])
     top = float(d.max())

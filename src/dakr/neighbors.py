@@ -1,10 +1,11 @@
 """Classical neighbor-set machinery: k-NN, k-INN, k-RNN, Jaccard
 dissimilarity, and their probe-augmented variants.
 
-:func:`reference_set` and :func:`candidate_pool` are the one place that
-decides what a candidate pool holds; every neighbor set here, and the
-kernel bandwidths in :mod:`dakr.kernels`, take their samples from them.
-Other conventions shared by every operation here:
+:func:`reference_set` and :func:`candidate_pool` decide what a pool
+holds, for every neighbor set here and for the bandwidths and rankings in
+:mod:`dakr.kernels`; :func:`candidate_pool` is the one place that drops
+the probe's own copy, and :func:`ranking` the one place rankings are
+built.  Other conventions shared by every operation here:
 
 * Ranked outputs only ever emit true gallery ids; neighbor sets may also
   hold offset probe ids.
@@ -67,10 +68,8 @@ class NeighborSet:
     """Top-k neighborhood of one anchor sample.
 
     ``members`` may contain offset probe ids when the pool was augmented.
-    The anchor sample itself is never a member; constructors guarantee
-    this by excluding it from the candidate pool (a plain id comparison
-    cannot express it, since anchor and members may sit in different id
-    namespaces).
+    The anchor sample itself is never a member: :func:`candidate_pool`
+    drops it.
     """
 
     anchor_id: int
@@ -108,10 +107,12 @@ def reference_set(gallery: FeatureSet, policy: AugmentationPolicy):
     )
 
 
-def candidate_pool(probe_id: int, gallery: FeatureSet, policy: AugmentationPolicy):
-    """The reference set minus the probe itself, as fresh arrays
-    (vectors, ids, n_gallery) whose first n_gallery rows are gallery
-    samples.
+def candidate_pool(
+    probe_id: int, gallery: FeatureSet, policy: AugmentationPolicy = _GALLERY_ONLY
+):
+    """The reference set (vectors, ids), uncopied under gallery_only, and
+    a keep mask over its rows that drops the probe itself; the first
+    ``len(gallery)`` rows are the gallery.
 
     The probe is dropped in each block's own namespace: its own gallery
     copy by raw id, its probe row by offset id.  A raw probe id can equal
@@ -123,22 +124,32 @@ def candidate_pool(probe_id: int, gallery: FeatureSet, policy: AugmentationPolic
     keep = gallery.ids != int(probe_id)
     if len(ids) > n:
         keep = np.concatenate([keep, ids[n:] != probe_id_offset(gallery) + int(probe_id)])
-    return vectors[keep], ids[keep], n - (int(probe_id) in gallery)
+    return vectors, ids, keep
 
 
 def _pool_row(probe_id: int, probe_vector, gallery, metric, policy):
-    """The probe's candidate pool and its one distance row over it."""
-    vectors, ids, n_gallery = candidate_pool(probe_id, gallery, policy)
+    """The probe's candidate pool and its one distance row over the
+    whole reference set: (vectors, ids, keep, dists)."""
+    vectors, ids, keep = candidate_pool(probe_id, gallery, policy)
     probe_vector = np.asarray(probe_vector, dtype=np.float64)
-    return vectors, ids, n_gallery, pairwise(metric, probe_vector[None, :], vectors)[0]
+    return vectors, ids, keep, pairwise(metric, probe_vector[None, :], vectors)[0]
 
 
 def _nearest(ids: np.ndarray, dists: np.ndarray, k: int) -> frozenset:
     """The k ids nearest by (distance, id)."""
-    if k < 1:
-        raise InvalidParams("k must be >= 1")
     order = np.lexsort((ids, dists))
     return frozenset(int(i) for i in ids[order[:k]])
+
+
+def ranking(probe_id: int, ids, values, order: str, *sort_keys) -> RankedList:
+    """The one place rankings are built: ``ids`` with their ``values``,
+    sorted by ``sort_keys`` (the last one primary), ties by ascending id."""
+    if len(ids) == 0:
+        raise EmptyGallery("no gallery candidates for this probe")
+    rows = np.lexsort((ids, *sort_keys))
+    return RankedList(
+        probe_id=int(probe_id), gallery_ids=ids[rows], values=values[rows], order=order
+    )
 
 
 def knn(
@@ -150,47 +161,53 @@ def knn(
     policy: AugmentationPolicy = AugmentationPolicy(),
 ) -> NeighborSet:
     """The k candidates nearest to the probe, ties by ascending id."""
-    _, ids, _, dists = _pool_row(probe_id, probe_vector, gallery, metric, policy)
-    if len(ids) == 0:
+    _, ids, keep, dists = _pool_row(probe_id, probe_vector, gallery, metric, policy)
+    if not keep.any():
         raise KTooLarge("candidate pool is empty")
-    return NeighborSet(anchor_id=int(probe_id), k=k, members=_nearest(ids, dists, k))
+    return NeighborSet(anchor_id=int(probe_id), k=k, members=_nearest(ids[keep], dists[keep], k))
 
 
-def _inn_member_mask(
+def _inn_members(
     probe_id: int,
     gallery: FeatureSet,
     metric: DistanceMetric,
     k: int,
     pool_row,
-) -> np.ndarray:
-    """Boolean mask over the pool's gallery rows: does each sample take
-    the probe as one of its k nearest neighbors?
+):
+    """The pool's gallery samples as (ids, distances to the probe, mask),
+    where the mask tells whether each takes the probe as one of its k
+    nearest neighbors.
 
-    ``pool_row`` is what :func:`_pool_row` returned.  The probe's 0-based
-    position in sample j's pool equals the number of candidates ranked
-    strictly before it under (distance, id); gallery candidates always
-    win distance ties against the probe because their ids precede the
-    probe's offset id.
+    ``pool_row`` is what :func:`_pool_row` returned; the scan copies the
+    pool's vectors out of it.  The probe's 0-based position in sample j's
+    pool equals the number of candidates ranked strictly before it under
+    (distance, id); gallery candidates always win distance ties against
+    the probe because their ids precede the probe's offset id.
     """
-    vectors, ids, n_gallery, dists = pool_row
-    if n_gallery == 0:
-        return np.zeros(0, dtype=bool)
-    gal_vectors, d_x = vectors[:n_gallery], dists[:n_gallery]
+    if k < 1:
+        raise InvalidParams("k must be >= 1")
+    vectors, ids, keep, dists = pool_row
+    n = len(gallery)
+    own = keep[:n]
+    gal_ids, gal_vectors, d_x = gallery.ids[own], vectors[:n][own], dists[:n][own]
+    if len(d_x) == 0:
+        return gal_ids, d_x, np.zeros(0, dtype=bool)
 
     def closer_than_probe(start: int, rows: np.ndarray) -> np.ndarray:
         return np.sum(rows <= d_x[start:start + len(rows), None], axis=1)
 
     counts = np.concatenate(scan_self_distances(metric, gal_vectors, closer_than_probe))
 
-    if len(ids) > n_gallery:
+    extra = keep[n:]
+    if extra.any():
         eff_x = probe_id_offset(gallery) + int(probe_id)
-        d_aug = pairwise(metric, vectors[n_gallery:], gal_vectors)
+        d_aug = pairwise(metric, vectors[n:][extra], gal_vectors)
         counts += np.sum(d_aug < d_x[None, :], axis=0)
         ties = d_aug == d_x[None, :]
         if np.any(ties):
-            counts += np.sum(ties & (ids[n_gallery:] < eff_x)[:, None], axis=0)
+            counts += np.sum(ties & (ids[n:][extra] < eff_x)[:, None], axis=0)
 
-    return counts < k
+    return gal_ids, d_x, counts < k
 
 
 def inn(
@@ -203,12 +220,9 @@ def inn(
 ) -> frozenset:
     """Inverse nearest neighbors: gallery samples whose own k-NN include
     the probe.  Always a full scan over the gallery."""
-    if k < 1:
-        raise InvalidParams("k must be >= 1")
     row = _pool_row(probe_id, probe_vector, gallery, metric, policy)
-    _, ids, n_gallery, _ = row
-    mask = _inn_member_mask(probe_id, gallery, metric, k, row)
-    return frozenset(int(i) for i in ids[:n_gallery][mask])
+    ids, _, members = _inn_members(probe_id, gallery, metric, k, row)
+    return frozenset(int(i) for i in ids[members])
 
 
 def rnn(
@@ -222,12 +236,11 @@ def rnn(
     """Reciprocal nearest neighbors: the probe's k-NN that are also in its
     k-INN (so gallery samples only)."""
     row = _pool_row(probe_id, probe_vector, gallery, metric, policy)
-    _, ids, n_gallery, dists = row
-    if len(ids) == 0:
+    _, ids, keep, dists = row
+    if not keep.any():
         raise KTooLarge("candidate pool is empty")
-    forward = _nearest(ids, dists, k)
-    inverse = ids[:n_gallery][_inn_member_mask(probe_id, gallery, metric, k, row)]
-    return forward & frozenset(int(i) for i in inverse)
+    gal_ids, _, members = _inn_members(probe_id, gallery, metric, k, row)
+    return _nearest(ids[keep], dists[keep], k) & frozenset(int(i) for i in gal_ids[members])
 
 
 def jaccard_distance(a, b) -> float:
@@ -253,7 +266,9 @@ def gallery_neighbor_set(
     """k-NN of one gallery sample over the probe's candidate pool with
     that sample swapped for the probe (at its offset id), the pool k-INN
     searches, so Jaccard overlaps compare like with like."""
-    vectors, ids, n_gallery = candidate_pool(probe_id, gallery, policy)
+    vectors, ids, keep = candidate_pool(probe_id, gallery, policy)
+    vectors, ids = vectors[keep], ids[keep]
+    n_gallery = np.count_nonzero(keep[: len(gallery)])
     anchor_rows = np.flatnonzero(ids[:n_gallery] == int(gallery_id))
     if len(anchor_rows) == 0:
         raise InvalidParams(f"gallery id {gallery_id} not in candidate pool")
@@ -273,16 +288,9 @@ def rank_by_distance(
 ) -> RankedList:
     """Plain ascending-distance ranking of the whole gallery (the k-NN
     baseline as a total order)."""
-    _, ids, _, dists = _pool_row(probe_id, probe_vector, gallery, metric, _GALLERY_ONLY)
-    if len(ids) == 0:
-        raise EmptyGallery("no gallery candidates for this probe")
-    order = np.lexsort((ids, dists))
-    return RankedList(
-        probe_id=int(probe_id),
-        gallery_ids=ids[order],
-        values=dists[order],
-        order=ASCENDING_DISTANCE,
-    )
+    _, ids, keep, dists = _pool_row(probe_id, probe_vector, gallery, metric, _GALLERY_ONLY)
+    dists = dists[keep]
+    return ranking(probe_id, ids[keep], dists, ASCENDING_DISTANCE, dists)
 
 
 def _bounded(dists: np.ndarray) -> np.ndarray:
@@ -306,19 +314,9 @@ def rank_by_inn(
     in [2, 3).  Orderings, not magnitudes, are the comparable quantity.
     """
     row = _pool_row(probe_id, probe_vector, gallery, metric, policy)
-    _, ids, n_gallery, dists = row
-    if n_gallery == 0:
-        raise EmptyGallery("no gallery candidates for this probe")
-    member_mask = _inn_member_mask(probe_id, gallery, metric, k, row)
-    gal_ids, dists = ids[:n_gallery], dists[:n_gallery]
-    keys = np.where(member_mask, _bounded(dists), 2.0 + _bounded(dists))
-    order = np.lexsort((gal_ids, dists, ~member_mask))
-    return RankedList(
-        probe_id=int(probe_id),
-        gallery_ids=gal_ids[order],
-        values=keys[order],
-        order=ASCENDING_DISTANCE,
-    )
+    ids, dists, members = _inn_members(probe_id, gallery, metric, k, row)
+    keys = np.where(members, _bounded(dists), 2.0 + _bounded(dists))
+    return ranking(probe_id, ids, keys, ASCENDING_DISTANCE, dists, ~members)
 
 
 def rank_by_rnn(
@@ -338,13 +336,10 @@ def rank_by_rnn(
     the appended block lives in [2, 3).
     """
     row = _pool_row(probe_id, probe_vector, gallery, metric, policy)
-    _, ids, n_gallery, dists = row
-    if n_gallery == 0:
-        raise EmptyGallery("no gallery candidates for this probe")
-    probe_nn = _nearest(ids, dists, k)
-    member_mask = _inn_member_mask(probe_id, gallery, metric, k, row)
-    gal_ids, dists = ids[:n_gallery], dists[:n_gallery]
-    jaccard = np.zeros(n_gallery, dtype=np.float64)
+    _, ids, keep, dists = row
+    probe_nn = _nearest(ids[keep], dists[keep], k)
+    gal_ids, dists, member_mask = _inn_members(probe_id, gallery, metric, k, row)
+    jaccard = np.zeros(len(gal_ids), dtype=np.float64)
     for member in np.flatnonzero(member_mask):
         gid = int(gal_ids[member])
         if gid not in probe_nn:
@@ -358,10 +353,4 @@ def rank_by_rnn(
         jaccard[member] = jaccard_distance(neighborhood, probe_nn)
 
     keys = np.where(member_mask, jaccard, 2.0 + _bounded(dists))
-    order = np.lexsort((gal_ids, dists, keys, ~member_mask))
-    return RankedList(
-        probe_id=int(probe_id),
-        gallery_ids=gal_ids[order],
-        values=keys[order],
-        order=ASCENDING_DISTANCE,
-    )
+    return ranking(probe_id, gal_ids, keys, ASCENDING_DISTANCE, dists, keys, ~member_mask)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -304,11 +305,24 @@ class TestExitCodes:
             ["sweep", "--scenario", "multi_shot", "--n-identities", "4", "--dim", "0"],
             ["bench", "--sizes", "x"],
             ["bench", "--sizes", "0"],
+            ["bench", "--dim", "0"],
+            ["bench", "--dim", "-1"],
+            ["eval", *SCENARIO, "--threads", "0"],
+            ["sweep", *SCENARIO, "--threads", "-2"],
         ],
     )
     def test_bad_list_count_or_scenario_is_usage_error(self, tmp_path, argv):
         with pytest.raises(SystemExit) as err:
             run(*argv, "--out", tmp_path / "out")
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["sigma", "rerank"])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_nonpositive_threads_is_usage_error(self, line_fixture, tmp_path, command, threads):
+        _, _, gpath, ppath = line_fixture
+        inputs = {"sigma": ["--gallery", gpath], "rerank": ["--gallery", gpath, "--probes", ppath]}
+        with pytest.raises(SystemExit) as err:
+            run(command, *inputs[command], "--threads", threads, "--out", tmp_path / "out")
         assert err.value.code == 2
 
     def test_duplicate_ids_in_features_is_data_error(self, line_fixture, tmp_path, capsys):
@@ -321,6 +335,46 @@ class TestExitCodes:
         )
         assert code == 3
         assert "dup.csv" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "sidecar_sigma_zero",
+            "sidecar_sigma_nan",
+            "sidecar_k_sigma_zero",
+            "matrix_not_psd",
+            "matrix_wrong_size",
+            "matrix_not_numeric",
+            "probe_dim_rerank",
+            "probe_dim_sigma",
+        ],
+    )
+    def test_data_fault_names_the_file(self, line_fixture, tmp_path, capsys, fault):
+        gallery, _, gpath, ppath = line_fixture
+        bad = tmp_path / "faulty.dat"
+        rerank = ["rerank", "--gallery", gpath, "--probes", ppath, "--method", "inv_dakr"]
+        if fault.startswith("sidecar"):
+            write_sigma_sidecar(compute_sigma_table(gallery, DistanceMetric.euclidean(), 1), bad)
+            blob = bytearray(bad.read_bytes())
+            if fault == "sidecar_k_sigma_zero":
+                blob[8:12] = struct.pack("<I", 0)
+            else:
+                blob[45:53] = struct.pack("<d", 0.0 if fault == "sidecar_sigma_zero" else np.nan)
+            bad.write_bytes(bytes(blob))
+            argv = [*rerank, "--sigma-table", bad]
+        elif fault.startswith("matrix"):
+            text = {"matrix_not_psd": "-1\n", "matrix_wrong_size": "1,0\n0,1\n"}
+            bad.write_text(text.get(fault, "x\n"))
+            argv = [*rerank, "--metric", "mahalanobis", "--metric-matrix", bad]
+        else:
+            write_features_csv(FeatureSet([9], [[2.1, 0.0]]), bad)
+            argv = {
+                "probe_dim_rerank": ["rerank", "--gallery", gpath, "--probes", bad],
+                "probe_dim_sigma": ["sigma", "--gallery", gpath, "--probes", bad, "--with-probes"],
+            }[fault]
+        assert run(*argv, "--out", tmp_path / "out") == 3
+        assert "faulty.dat" in capsys.readouterr().err
 
 
 class TestBench:

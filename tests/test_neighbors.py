@@ -6,14 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dakr.core
+import dakr.kernels
 import dakr.neighbors
 from dakr import (
     AugmentationPolicy,
     DistanceMetric,
     FeatureSet,
+    bi_dakr_rank,
+    compute_sigma_table,
     inn,
+    inv_dakr_rank,
     jaccard_distance,
     knn,
+    probe_sigma,
     rank_by_distance,
     rank_by_inn,
     rank_by_rnn,
@@ -54,9 +59,10 @@ class TestBlockedInnScan:
                     assert got == brute_inn(pid, list(pvecs[row]), gdict, k, probes=pool_probes)
 
 
-def _counting(monkeypatch, module, name):
-    """Wrap ``module.name`` so each call is recorded; returns the calls."""
-    calls = []
+def _counting(monkeypatch, module, name, calls=None):
+    """Wrap ``module.name`` so each call is recorded in ``calls`` (a new
+    list if not given); returns the calls."""
+    calls = [] if calls is None else calls
     inner = getattr(module, name)
 
     def wrapper(*args, **kwargs):
@@ -94,6 +100,52 @@ class TestSinglePoolRow:
             assert len(calls) == 1 + len(members)
             seen += len(members)
         assert seen > 0
+
+
+class TestUncopiedReferenceSet:
+    """Under gallery_only every ranking takes its one distance row over
+    ``gallery.vectors`` itself and builds exactly one RankedList."""
+
+    @pytest.fixture
+    def multi_shot(self):
+        rng = np.random.default_rng(74)
+        gallery = FeatureSet(np.arange(24), rng.normal(size=(24, 3)))
+        # The probe is gallery sample 5, as in the multiple-shot protocol.
+        return gallery, 5, gallery.vector(5).copy()
+
+    def test_distance_rows_take_the_gallery_uncopied(self, euclidean, monkeypatch, multi_shot):
+        gallery, pid, pvec = multi_shot
+        table = compute_sigma_table(gallery, euclidean, 3)
+        calls = _counting(monkeypatch, dakr.neighbors, "pairwise")
+        _counting(monkeypatch, dakr.kernels, "pairwise", calls)
+        for fn, args in (
+            (rank_by_distance, (pid, pvec, gallery, euclidean)),
+            (inv_dakr_rank, (pid, pvec, gallery, euclidean, table)),
+            (bi_dakr_rank, (pid, pvec, gallery, euclidean, table)),
+            (probe_sigma, (pid, pvec, gallery, euclidean, table)),
+        ):
+            calls.clear()
+            fn(*args)
+            assert calls, fn.__name__
+            for _, _, refs in calls:
+                assert np.shares_memory(refs, gallery.vectors), fn.__name__
+
+    def test_one_ranked_list_per_call(self, euclidean, monkeypatch, multi_shot):
+        gallery, pid, pvec = multi_shot
+        table = compute_sigma_table(gallery, euclidean, 3)
+        built = _counting(monkeypatch, dakr.neighbors, "RankedList")
+        _counting(monkeypatch, dakr.kernels, "RankedList", built)
+        for fn, args in (
+            (rank_by_distance, (pid, pvec, gallery, euclidean)),
+            (rank_by_inn, (pid, pvec, gallery, euclidean, 3)),
+            (rank_by_rnn, (pid, pvec, gallery, euclidean, 3)),
+            (inv_dakr_rank, (pid, pvec, gallery, euclidean, table)),
+            (bi_dakr_rank, (pid, pvec, gallery, euclidean, table)),
+        ):
+            built.clear()
+            ranked = fn(*args)
+            assert len(built) == 1, fn.__name__
+            assert pid not in ranked.gallery_ids and len(ranked) == len(gallery) - 1
 
 
 class TestPoolRuleOracle:
@@ -416,6 +468,14 @@ class TestRankByRnn:
         expected = [g for _, _, g in scored] + [g for _, g in rest]
         ranked = rank_by_rnn(77, probe, gallery, euclidean, k)
         assert ranked.gallery_ids.tolist() == expected
+
+
+@pytest.mark.parametrize("fn", [inn, rnn, rank_by_inn, rank_by_rnn])
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_rejected(euclidean, fn, k):
+    gallery = FeatureSet(np.arange(5), [[0.0], [0.1], [0.3], [0.6], [1.0]])
+    with pytest.raises(InvalidParams):
+        fn(9, [0.2], gallery, euclidean, k)
 
 
 class TestRankByInn:
