@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .core import DistanceMetric, FeatureSet
-from .errors import DakrError, FormatError, InvalidParams, MissingTruth, StaleSigmaTable
+from .errors import DakrError, EmptyGallery, FormatError, InvalidParams, MissingTruth, StaleSigmaTable
 from .evaluation import (
     DEFAULT_RANKS,
     SCENARIO_KINDS,
@@ -44,7 +44,9 @@ from .fileio import (
 )
 from .kernels import compute_sigma_table, default_k_sigma
 from .neighbors import GALLERY_ONLY, WITH_PROBES
-from .rerank import DAKR_METHODS, parse_method_token, rank_probe, rerank, resolve_policy
+from .rerank import (
+    DAKR_METHODS, offline_phase, parse_method_token, rank_probe, rerank, resolve_policy
+)
 
 log = logging.getLogger("dakr")
 
@@ -193,11 +195,9 @@ def cmd_gen(parser, args) -> int:
 def cmd_sigma(parser, args) -> int:
     gallery = read_features(_existing(parser, args.gallery, "gallery"))
     metric = _build_metric(parser, args, gallery.dim)
-    probes = None
-    if args.with_probes:
-        if not args.probes:
-            parser.error("--with-probes requires --probes")
-        probes = _read_probes(parser, args.probes, gallery)
+    if bool(args.probes) != args.with_probes:
+        parser.error("--probes and --with-probes go together")
+    probes = _read_probes(parser, args.probes, gallery) if args.probes else None
     k_sigma = args.k_sigma or default_k_sigma(len(gallery))
     policy = resolve_policy(WITH_PROBES if args.with_probes else GALLERY_ONLY, probes)
     started = time.perf_counter()
@@ -217,28 +217,31 @@ def cmd_rerank(parser, args) -> int:
     if len(tokens) != 1:
         parser.error("rerank takes exactly one --method")
     method, mode = parse_method_token(tokens[0])
+    if args.sigma_table and method not in DAKR_METHODS:
+        parser.error(f"--sigma-table is not used with --method {method}")
+    if args.recompute and not args.sigma_table:
+        parser.error("--recompute requires --sigma-table")
     policy = resolve_policy(mode, probes)
     k_sigma = args.k_sigma
 
     table = None
-    if method in DAKR_METHODS:
-        if args.sigma_table:
-            record = read_sigma_sidecar(_existing(parser, args.sigma_table, "sigma table"))
-            try:
-                if args.k_sigma is not None and record["k_sigma"] != args.k_sigma:
-                    raise StaleSigmaTable(
-                        f"sidecar k_sigma={record['k_sigma']} != requested {args.k_sigma}"
-                    )
-                table = sigma_table_from_sidecar(record, gallery, metric, policy)
-                k_sigma = table.k_sigma
-            except StaleSigmaTable:
-                if not args.recompute:
-                    raise
-                warnings.warn(
-                    "sigma table is stale; recomputing (--recompute)",
-                    RuntimeWarning,
-                    stacklevel=1,
+    if args.sigma_table:
+        record = read_sigma_sidecar(_existing(parser, args.sigma_table, "sigma table"))
+        try:
+            if args.k_sigma is not None and record["k_sigma"] != args.k_sigma:
+                raise StaleSigmaTable(
+                    f"sidecar k_sigma={record['k_sigma']} != requested {args.k_sigma}"
                 )
+            table = sigma_table_from_sidecar(record, gallery, metric, policy)
+            k_sigma = table.k_sigma
+        except StaleSigmaTable:
+            if not args.recompute:
+                raise
+            warnings.warn(
+                "sigma table is stale; recomputing (--recompute)",
+                RuntimeWarning,
+                stacklevel=1,
+            )
 
     rankings = rerank(
         method,
@@ -333,19 +336,11 @@ def cmd_sweep(parser, args) -> int:
 def _bench_one(token, gallery, probes, metric, k, k_sigma):
     """Offline cost plus per-probe online wall-clock (median).
 
-    The method token goes through the same parse, policy and bandwidth
-    steps as ``eval``; every probe is then ranked by the library's
-    per-probe API, so inverse neighbor scans pay their full online cost
-    on each probe.
+    The method token goes through the same offline phase as ``eval``;
+    every probe is then ranked by the library's per-probe API, so inverse
+    neighbor scans pay their full online cost on each probe.
     """
-    method, mode = parse_method_token(token)
-    policy = resolve_policy(mode, probes)
-    table = None
-    offline_ms = 0.0
-    if method in DAKR_METHODS:
-        started = time.perf_counter()
-        table = compute_sigma_table(gallery, metric, k_sigma, policy)
-        offline_ms = (time.perf_counter() - started) * 1e3
+    method, policy, table, offline_ms = offline_phase(token, probes, gallery, metric, k_sigma)
 
     def run(row):
         pid, vec = int(probes.ids[row]), probes.vectors[row]
@@ -362,6 +357,8 @@ def _bench_one(token, gallery, probes, metric, k, k_sigma):
 
 def cmd_bench(parser, args) -> int:
     methods = _method_tokens(parser, args.method)
+    if min(args.sizes) < 2:
+        parser.error("--sizes must be at least 2: a bandwidth needs two reference samples")
     rng = np.random.default_rng(args.seed)
     rows = []
     for n in args.sizes:
@@ -488,7 +485,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](parser, args)
-    except (FormatError, StaleSigmaTable, MissingTruth, OSError) as exc:
+    except (FormatError, StaleSigmaTable, MissingTruth, EmptyGallery, OSError) as exc:
         print(f"dakr: error: {exc}", file=sys.stderr)
         return 3
     except DakrError as exc:

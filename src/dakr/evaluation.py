@@ -1,6 +1,8 @@
 """Evaluation harness: CMC curves, mean average precision, parameter
 sweeps against the plain nearest-neighbor baseline, and a synthetic
-scenario generator for desk-scale verification.
+scenario generator for desk-scale verification.  CMC and mAP judge the
+probes that :func:`_judged_probes` picks; every method run, sweeps
+included, goes through :func:`evaluate_methods`.
 
 The generator covers the three matching regimes seen in re-identification
 benchmarks: perfect single-shot (every gallery sample has a probe),
@@ -20,7 +22,7 @@ import numpy as np
 from .core import DistanceMetric, FeatureSet, RankedList
 from .errors import InvalidParams, MissingTruth
 from .kernels import default_k_sigma
-from .rerank import parse_method_token, rerank
+from .rerank import offline_phase, rerank
 
 PERFECT_SINGLE_SHOT = "perfect_single_shot"
 IMPERFECT_SINGLE_SHOT = "imperfect_single_shot"
@@ -58,11 +60,25 @@ class GroundTruth:
         return float(np.mean(sizes)) if sizes else 0.0
 
 
-def _first_match_position(ranking: RankedList, match_ids: frozenset) -> int | None:
-    hits = np.nonzero(np.isin(ranking.gallery_ids, list(match_ids)))[0]
-    if len(hits) == 0:
-        return None
-    return int(hits[0]) + 1
+def _judged_probes(rankings: list[RankedList], truth: GroundTruth, score: str) -> list:
+    """(match ids, 1-based hit positions) for every probe that ``score``
+    judges: the one place that excludes a probe with an empty match set
+    (with a warning) and refuses rankings with no probe left to judge."""
+    judged = []
+    for ranking in rankings:
+        match_ids = truth.matches_of(ranking.probe_id)
+        if not match_ids:
+            warnings.warn(
+                f"probe {ranking.probe_id} has an empty match set; excluded from {score}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            continue
+        hits = np.isin(ranking.gallery_ids, list(match_ids))
+        judged.append((match_ids, np.nonzero(hits)[0] + 1))
+    if not judged:
+        raise InvalidParams("no probes with non-empty match sets")
+    return judged
 
 
 def cmc(rankings: list[RankedList], truth: GroundTruth, max_rank: int) -> np.ndarray:
@@ -70,24 +86,12 @@ def cmc(rankings: list[RankedList], truth: GroundTruth, max_rank: int) -> np.nda
     probes whose first true match appears at position <= r."""
     if max_rank < 1:
         raise InvalidParams("max_rank must be >= 1")
-    first_positions = []
-    for ranking in rankings:
-        match_ids = truth.matches_of(ranking.probe_id)
-        if not match_ids:
-            warnings.warn(
-                f"probe {ranking.probe_id} has an empty match set; excluded from CMC",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        first_positions.append(_first_match_position(ranking, match_ids))
-    if not first_positions:
-        raise InvalidParams("no probes with non-empty match sets")
+    judged = _judged_probes(rankings, truth, "CMC")
     curve = np.zeros(max_rank, dtype=np.float64)
-    for pos in first_positions:
-        if pos is not None and pos <= max_rank:
-            curve[pos - 1] += 1.0
-    return np.cumsum(curve) / len(first_positions)
+    for _, positions in judged:
+        if len(positions) and positions[0] <= max_rank:
+            curve[positions[0] - 1] += 1.0
+    return np.cumsum(curve) / len(judged)
 
 
 def mean_average_precision(rankings: list[RankedList], truth: GroundTruth) -> float:
@@ -95,22 +99,10 @@ def mean_average_precision(rankings: list[RankedList], truth: GroundTruth) -> fl
     match's rank position, averaged over the probe's true matches (no
     interpolation)."""
     aps = []
-    for ranking in rankings:
-        match_ids = truth.matches_of(ranking.probe_id)
-        if not match_ids:
-            warnings.warn(
-                f"probe {ranking.probe_id} has an empty match set; excluded from mAP",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        hits = np.isin(ranking.gallery_ids, list(match_ids))
-        positions = np.nonzero(hits)[0] + 1
+    for match_ids, positions in _judged_probes(rankings, truth, "mAP"):
         precisions = np.arange(1, len(positions) + 1, dtype=np.float64) / positions
         # Matches absent from the ranking contribute zero precision.
         aps.append(float(precisions.sum()) / len(match_ids))
-    if not aps:
-        raise InvalidParams("no probes with non-empty match sets")
     return float(np.mean(aps))
 
 
@@ -281,9 +273,6 @@ def evaluate_methods(
 ) -> EvalReport:
     """Run each method token (e.g. ``knn``, ``bi_dakr+``) and report CMC,
     mAP and the offline/online wall-clock split."""
-    from .kernels import compute_sigma_table  # local import to time it explicitly
-    from .rerank import DAKR_METHODS, resolve_policy
-
     metric = metric or DistanceMetric.euclidean()
     ranks = _clip_ranks(tuple(ranks), len(gallery))
     max_rank = max(ranks)
@@ -293,14 +282,7 @@ def evaluate_methods(
 
     results = []
     for token in methods:
-        method, mode = parse_method_token(token)
-        policy = resolve_policy(mode, probes)
-        table = None
-        offline_ms = 0.0
-        if method in DAKR_METHODS:
-            t0 = time.perf_counter()
-            table = compute_sigma_table(gallery, metric, k_sigma, policy)
-            offline_ms = (time.perf_counter() - t0) * 1e3
+        method, policy, table, offline_ms = offline_phase(token, probes, gallery, metric, k_sigma)
         t0 = time.perf_counter()
         rankings = rerank(
             method,
@@ -318,7 +300,7 @@ def evaluate_methods(
             MethodEval(
                 method=token,
                 k=k,
-                k_sigma=k_sigma if method in DAKR_METHODS else None,
+                k_sigma=None if table is None else k_sigma,
                 cmc=cmc(rankings, truth, max_rank),
                 mean_ap=mean_average_precision(rankings, truth),
                 offline_ms=offline_ms,
@@ -344,7 +326,6 @@ def k_sweep(
     are clipped once, up front.  Returns (effective ranks,
     {method: {k: gains aligned with those ranks}}).
     """
-    metric = metric or DistanceMetric.euclidean()
     k_values = [int(k) for k in k_values]
     if any(k < 1 for k in k_values):
         raise InvalidParams("k values must be >= 1")
@@ -352,30 +333,19 @@ def k_sweep(
         raise InvalidParams("need at least one trial")
 
     ranks = _clip_ranks(tuple(ranks), min(len(gallery) for gallery, _, _ in trials))
-    max_rank = max(ranks)
     rank_idx = np.asarray(ranks, dtype=np.int64) - 1
     accum = {token: {k: [] for k in k_values} for token in methods}
     for gallery, probes, truth in trials:
-        baseline = cmc(
-            rerank("knn", probes, gallery, metric, n_threads=n_threads),
-            truth,
-            max_rank,
-        )[rank_idx]
-        for token in methods:
-            method, mode = parse_method_token(token)
-            for k in k_values:
-                rankings = rerank(
-                    method,
-                    probes,
-                    gallery,
-                    metric,
-                    k=k,
-                    k_sigma=k,
-                    policy=mode,
-                    n_threads=n_threads,
-                )
-                curve = cmc(rankings, truth, max_rank)[rank_idx]
-                accum[token][k].append(curve - baseline)
+        baseline = evaluate_methods(
+            gallery, probes, truth, ["knn"], metric, ranks=ranks, n_threads=n_threads
+        ).results[0].cmc[rank_idx]
+        for k in k_values:
+            report = evaluate_methods(
+                gallery, probes, truth, methods, metric,
+                k=k, k_sigma=k, ranks=ranks, n_threads=n_threads,
+            )
+            for token, result in zip(methods, report.results):
+                accum[token][k].append(result.cmc[rank_idx] - baseline)
     gains = {
         token: {k: np.mean(np.stack(vals), axis=0) for k, vals in per_k.items()}
         for token, per_k in accum.items()

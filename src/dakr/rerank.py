@@ -2,11 +2,14 @@
 
 One bandwidth table is computed per batch and shared across probes, so
 the quadratic work stays offline and each probe only pays the
-linearithmic online cost.
+linearithmic online cost.  :func:`offline_phase` is the one place a
+method token becomes its method, its policy (falling back from
+``with_probes`` to ``gallery_only``) and its timed table.
 """
 
 from __future__ import annotations
 
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -59,6 +62,20 @@ def resolve_policy(mode: str, probes: FeatureSet) -> AugmentationPolicy:
         )
         return AugmentationPolicy.gallery_only()
     return AugmentationPolicy.with_probes(probes)
+
+
+def offline_phase(
+    token: str, probes: FeatureSet, gallery: FeatureSet, metric: DistanceMetric, k_sigma: int
+) -> tuple[str, AugmentationPolicy, SigmaTable | None, float]:
+    """(method, policy, table, offline_ms) for a method token; only a
+    kernel method gets a table, timed in milliseconds."""
+    method, mode = parse_method_token(token)
+    policy = resolve_policy(mode, probes)
+    if method not in DAKR_METHODS:
+        return method, policy, None, 0.0
+    started = time.perf_counter()
+    table = compute_sigma_table(gallery, metric, k_sigma, policy)
+    return method, policy, table, (time.perf_counter() - started) * 1e3
 
 
 def rank_probe(

@@ -309,6 +309,8 @@ class TestExitCodes:
             ["bench", "--dim", "-1"],
             ["eval", *SCENARIO, "--threads", "0"],
             ["sweep", *SCENARIO, "--threads", "-2"],
+            ["bench", "--sizes", "1", "--method", "inv_dakr"],
+            ["bench", "--sizes", "20,1", "--method", "knn"],
         ],
     )
     def test_bad_list_count_or_scenario_is_usage_error(self, tmp_path, argv):
@@ -324,6 +326,37 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             run(command, *inputs[command], "--threads", threads, "--out", tmp_path / "out")
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["sigma", "--probes", "PROBES"],
+            ["rerank", "--probes", "PROBES", "--method", "knn", "--sigma-table", "TABLE"],
+            ["rerank", "--probes", "PROBES", "--method", "knn", "--sigma-table", "missing.sgt"],
+            ["rerank", "--probes", "PROBES", "--method", "rnn", "--k", "1", "--recompute"],
+            ["rerank", "--probes", "PROBES", "--method", "inv_dakr", "--recompute"],
+        ],
+    )
+    def test_ignored_input_is_usage_error(self, line_fixture, tmp_path, flags):
+        gallery, _, gpath, ppath = line_fixture
+        table = tmp_path / "table.sgt"
+        write_sigma_sidecar(compute_sigma_table(gallery, DistanceMetric.euclidean(), 1), table)
+        files = {"PROBES": ppath, "TABLE": table}
+        argv = [flags[0], "--gallery", gpath, *(files.get(f, f) for f in flags[1:])]
+        with pytest.raises(SystemExit) as err:
+            run(*argv, "--out", tmp_path / "out")
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("method", ["knn", "inv_dakr", "bi_dakr"])
+    def test_empty_pool_is_data_error(self, tmp_path, capsys, method):
+        # The probe is the gallery's only sample, so its pool is empty.
+        write_features_csv(FeatureSet([0], [[1.0]]), tmp_path / "g.csv")
+        code = run(
+            "rerank", "--gallery", tmp_path / "g.csv", "--probes", tmp_path / "g.csv",
+            "--method", method, "--out", tmp_path / "r.csv",
+        )
+        assert code == 3
+        assert "internal error" not in capsys.readouterr().err
 
     def test_duplicate_ids_in_features_is_data_error(self, line_fixture, tmp_path, capsys):
         _, _, gpath, ppath = line_fixture

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,29 @@ class TestMeanAveragePrecision:
         rankings = [ranking(0, [1, 9, 8, 7, 2, 3])]
         got = mean_average_precision(rankings, truth)
         assert got >= 1.0 / 3.0
+
+
+SCORES = {"CMC": lambda rankings, truth: float(cmc(rankings, truth, 2)[0]),
+          "mAP": mean_average_precision}
+
+
+@pytest.mark.parametrize("name", sorted(SCORES))
+class TestJudgedProbes:
+    def test_empty_match_set_excluded_with_warning(self, name):
+        truth = GroundTruth({0: {5}, 1: set()})
+        rankings = [ranking(0, [5, 6]), ranking(1, [5, 6])]
+        with pytest.warns(RuntimeWarning, match=f"probe 1 .*excluded from {name}$") as seen:
+            assert SCORES[name](rankings, truth) == 1.0
+        assert [w.filename for w in seen] == [__file__]  # blames the caller
+
+    @pytest.mark.parametrize("probe_ids", [[], [0], [0, 1]])
+    def test_no_probe_to_judge_raises(self, name, probe_ids):
+        truth = GroundTruth({0: set(), 1: set()})
+        rankings = [ranking(p, [5, 6]) for p in probe_ids]
+        with pytest.raises(InvalidParams, match="no probes with non-empty match sets"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                SCORES[name](rankings, truth)
 
 
 class TestGroundTruth:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,15 +15,27 @@ from dakr import (
     default_k_sigma,
     inn,
     inv_dakr_rank,
+    knn,
     inv_dakr_score,
     probe_sigma,
     rank_by_distance,
+    rnn,
 )
 from dakr.errors import NonPositiveSigma, StaleSigmaTable
 from dakr.kernels import SigmaTable, reference_digest
 
 from conftest import random_instance
-from oracles import brute_bi_ranking, brute_inv_ranking, brute_sigmas, euclid, offset_for
+from oracles import (
+    brute_bi_ranking,
+    brute_inn,
+    brute_inv_ranking,
+    brute_knn,
+    brute_rnn,
+    brute_sigmas,
+    euclid,
+    make_dist,
+    offset_for,
+)
 
 
 @pytest.fixture
@@ -399,3 +412,85 @@ class TestDefaultKSigma:
     def test_multiplicity_rule(self):
         assert default_k_sigma(1000, avg_true_matches=17.5) == 18
         assert default_k_sigma(1000, avg_true_matches=1.0) == 50
+
+
+def _random_psd_instance(rng):
+    """Gaussian gallery and probes with M = B·Bᵀ, B of rank 1..d (so M
+    is often rank-deficient)."""
+    gallery, probes, _, _ = random_instance(rng, max_n=12, max_d=4)
+    b = rng.normal(size=(gallery.dim, int(rng.integers(1, gallery.dim + 1))))
+    matrix = b @ b.T
+    return gallery, probes, (matrix + matrix.T) / 2
+
+
+def _lattice_instance(rng):
+    """Distinct integer lattice points with M = B·Bᵀ + I for an integer B:
+    every squared distance is an integer, so exact ties are common and
+    must break by id."""
+    d = int(rng.integers(2, 4))
+    n, n_probes = int(rng.integers(6, 15)), int(rng.integers(1, 4))
+    grid = np.array(list(itertools.product(range(-2, 3), repeat=d)), dtype=np.float64)
+    points = grid[rng.choice(len(grid), size=n + n_probes, replace=False)]
+    b = rng.integers(-2, 3, size=(d, d)).astype(np.float64)
+    gallery = FeatureSet(np.arange(n), points[:n])
+    probes = FeatureSet(np.arange(100, 100 + n_probes), points[n:])
+    return gallery, probes, b @ b.T + np.eye(d)
+
+
+class TestMahalanobisOracle:
+    """knn/inn/rnn sets and inv/bi rankings under a Mahalanobis metric
+    against the brute-force oracles, under both policies."""
+
+    @pytest.mark.parametrize(
+        "make_instance, seed",
+        [(_random_psd_instance, 1907), (_lattice_instance, 2311)],
+        ids=["random_psd", "integer_lattice"],
+    )
+    def test_matches_bruteforce(self, make_instance, seed):
+        rng = np.random.default_rng(seed)
+        mismatches = []
+        for trial in range(60):
+            gallery, probes, matrix = make_instance(rng)
+            metric = DistanceMetric.mahalanobis(matrix)
+            dist = make_dist("mahalanobis", matrix.tolist())
+            gdict = {int(i): v.tolist() for i, v in zip(gallery.ids, gallery.vectors)}
+            pdict = {int(i): v.tolist() for i, v in zip(probes.ids, probes.vectors)}
+            k = int(rng.integers(1, 6))
+            k_sigma = int(rng.integers(1, min(6, len(gallery))))
+            for with_probes in (False, True):
+                if with_probes and len(probes) < 2:
+                    continue
+                policy = (
+                    AugmentationPolicy.with_probes(probes)
+                    if with_probes
+                    else AugmentationPolicy.gallery_only()
+                )
+                oracle_probes = pdict if with_probes else None
+                table = compute_sigma_table(gallery, metric, k_sigma, policy)
+                for pid, vec in pdict.items():
+                    got = {
+                        "knn": set(knn(pid, vec, gallery, metric, k, policy).members),
+                        "inn": set(inn(pid, vec, gallery, metric, k, policy)),
+                        "rnn": set(rnn(pid, vec, gallery, metric, k, policy)),
+                        "inv_dakr": inv_dakr_rank(
+                            pid, vec, gallery, metric, table
+                        ).gallery_ids.tolist(),
+                        "bi_dakr": bi_dakr_rank(
+                            pid, vec, gallery, metric, table, policy
+                        ).gallery_ids.tolist(),
+                    }
+                    want = {
+                        "knn": brute_knn(pid, vec, gdict, k, oracle_probes, dist),
+                        "inn": brute_inn(pid, vec, gdict, k, oracle_probes, dist),
+                        "rnn": brute_rnn(pid, vec, gdict, k, oracle_probes, dist),
+                        "inv_dakr": brute_inv_ranking(vec, gdict, k_sigma, oracle_probes, dist),
+                        "bi_dakr": brute_bi_ranking(
+                            pid, vec, gdict, k_sigma, oracle_probes, dist
+                        ),
+                    }
+                    mismatches += [
+                        (trial, with_probes, pid, name)
+                        for name in got
+                        if got[name] != want[name]
+                    ]
+        assert mismatches == []

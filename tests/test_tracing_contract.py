@@ -8,9 +8,21 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import dakr.kernels
 import dakr.neighbors
-from dakr import DistanceMetric, FeatureSet, rank_by_rnn, rnn
+from dakr import (
+    DistanceMetric,
+    FeatureSet,
+    evaluate_methods,
+    generate_scenario,
+    k_sweep,
+    rank_by_rnn,
+    rnn,
+)
+from dakr.cli import main
+from dakr.neighbors import GALLERY_ONLY, WITH_PROBES
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,3 +62,72 @@ def test_rank_by_rnn_looks_up_gallery_neighbor_set_per_member(monkeypatch):
         assert sorted(calls) == sorted(members)
         seen += len(members)
     assert seen > 0
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """(gallery size, k_sigma, policy mode) of every bandwidth table built
+    through a ``compute_sigma_table`` name the traced run wraps, and the
+    number of tables bound by any path (``kernels.bind_sigma_table``)."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced, bound = [], []
+    for module, attr, *_ in tracing.WRAPPED:
+        if attr != "compute_sigma_table":
+            continue
+        mod = importlib.import_module(module)
+
+        def counting(*args, _inner=getattr(mod, attr), **kwargs):
+            table = _inner(*args, **kwargs)
+            traced.append((len(table.gallery_ids), table.k_sigma, table.policy_mode))
+            return table
+
+        monkeypatch.setattr(mod, attr, counting)
+    bind = dakr.kernels.bind_sigma_table
+
+    def binding(*args, **kwargs):
+        bound.append(args)
+        return bind(*args, **kwargs)
+
+    monkeypatch.setattr(dakr.kernels, "bind_sigma_table", binding)
+    return traced, bound
+
+
+TOKENS = ["knn", "inn", "rnn+", "inv_dakr", "bi_dakr+"]
+
+
+def test_evaluate_methods_builds_one_table_per_kernel_token(table_builds):
+    traced, bound = table_builds
+    gallery, probes, truth = generate_scenario(
+        "imperfect_single_shot", 8, n_distractors=4, dim=3, seed=2
+    )
+    evaluate_methods(gallery, probes, truth, TOKENS, k=2, k_sigma=3, ranks=(1, 5))
+    assert sorted(traced) == [(12, 3, GALLERY_ONLY), (12, 3, WITH_PROBES)]
+    assert len(bound) == len(traced)
+
+
+def test_k_sweep_builds_one_table_per_kernel_token_k_and_trial(table_builds):
+    traced, bound = table_builds
+    trials = [
+        generate_scenario("perfect_single_shot", n, dim=3, cluster_spread=0.3, seed=n)
+        for n in (8, 10)
+    ]
+    k_sweep(TOKENS, trials, [1, 3], ranks=(1, 5))
+    assert sorted(traced) == [
+        (n, k, mode) for n in (8, 10) for k in (1, 3) for mode in (GALLERY_ONLY, WITH_PROBES)
+    ]
+    assert len(bound) == len(traced)
+
+
+def test_bench_builds_one_table_per_kernel_token_and_size(table_builds, tmp_path):
+    traced, bound = table_builds
+    code = main([
+        "bench", "--sizes", "20,30", "--dim", "3", "--method", ",".join(TOKENS),
+        "--k-sigma", "4", "--bench-probes", "2", "--out", str(tmp_path / "bench.csv"),
+    ])
+    assert code == 0
+    assert sorted(traced) == [
+        (n, 4, mode) for n in (20, 30) for mode in (GALLERY_ONLY, WITH_PROBES)
+    ]
+    assert len(bound) == len(traced)

@@ -1,0 +1,133 @@
+"""Byte-for-byte comparison of dakr's CLI outputs between two source trees.
+
+    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--work DIR]
+
+Each tree is a directory holding the ``dakr`` package (a checkout's
+``src``).  The scenarios and a Mahalanobis matrix are generated once,
+under PARENT_SRC; then the same command matrix (``sigma``, ``sigma --with-probes``, ``rerank`` for every
+method token and with both kinds of sidecar, Mahalanobis ``rerank``s, two
+``eval``s and three ``sweep``s per scenario) runs through
+``python -m dakr.cli --threads 1`` under each tree.  Every data file that
+differs is listed, ``*.timings.json`` skipped (wall-clock figures), and
+the exit status is 1 on any difference or failed command.  ``--work``
+keeps the files for inspection; it must be empty or absent.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SCENARIOS = {
+    "multi_shot": ["--scenario", "multi_shot", "--n-identities", "25", "--shots-per-id", "3",
+                   "--n-distractors", "10", "--dim", "6", "--cluster-spread", "0.25", "--seed", "3"],
+    "imperfect_single_shot": ["--scenario", "imperfect_single_shot", "--n-identities", "30",
+                              "--n-distractors", "20", "--dim", "6", "--cluster-spread", "0.25",
+                              "--seed", "5"],
+}
+TOKENS = ("knn", "inn", "rnn", "inn+", "rnn+", "inv_dakr", "inv_dakr+", "bi_dakr", "bi_dakr+")
+MAHALANOBIS_TOKENS = ("knn", "inv_dakr", "bi_dakr")
+DIM = 6
+
+
+def package_root(path: str) -> Path:
+    root = Path(path).resolve()
+    if not (root / "dakr").is_dir():
+        raise SystemExit(f"compare_outputs: no dakr package under {root}")
+    return root
+
+
+def psd_matrix(path: Path, seed: int = 7) -> None:
+    """B·Bᵀ/DIM + I for a seeded Gaussian B, as CSV."""
+    rng = random.Random(seed)
+    b = [[rng.gauss(0.0, 1.0) for _ in range(DIM)] for _ in range(DIM)]
+    rows = [
+        [sum(b[i][t] * b[j][t] for t in range(DIM)) / DIM + (i == j) for j in range(DIM)]
+        for i in range(DIM)
+    ]
+    path.write_text("".join(",".join(repr(v) for v in row) + "\n" for row in rows))
+
+
+def commands(inputs: Path, out: Path, scenario_flags: list[str]):
+    """Every command of one scenario, writing under ``out``."""
+    files = ["--gallery", inputs / "gallery.csv", "--probes", inputs / "probes.csv"]
+    truth = [*files, "--truth", inputs / "truth.csv"]
+    yield ["sigma", "--gallery", inputs / "gallery.csv", "--out", out / "gallery.sgt"]
+    yield ["sigma", *files, "--with-probes", "--out", out / "with_probes.sgt"]
+    for token in TOKENS:
+        yield ["rerank", *files, "--method", token, "--k", "4", "--out", out / f"rerank_{token}.csv"]
+    for token, table in (("bi_dakr", "gallery.sgt"), ("bi_dakr+", "with_probes.sgt")):
+        yield ["rerank", *files, "--method", token, "--sigma-table", out / table,
+               "--out", out / f"rerank_{token}_sidecar.csv"]
+    for token in MAHALANOBIS_TOKENS:
+        yield ["rerank", *files, "--method", token, "--metric", "mahalanobis",
+               "--metric-matrix", inputs / "metric.csv", "--out", out / f"rerank_{token}_mahalanobis.csv"]
+    yield ["eval", *truth, "--method", "knn,inn,rnn,inv_dakr,bi_dakr", "--k", "3",
+           "--out", out / "eval_plain"]
+    yield ["eval", *truth, "--method", "inn+,rnn+,inv_dakr+,bi_dakr+", "--k", "5",
+           "--k-sigma", "4", "--ranks", "1,3,10", "--out", out / "eval_augmented"]
+    yield ["sweep", *truth, "--method", "knn,inv_dakr,bi_dakr", "--k-values", "1,3,6",
+           "--out", out / "sweep_kernels"]
+    yield ["sweep", *truth, "--method", "inn+,inv_dakr+,bi_dakr+", "--k-values", "2,4",
+           "--out", out / "sweep_augmented"]
+    yield ["sweep", *scenario_flags, "--trials", "3", "--method", "rnn,bi_dakr", "--k-values", "1,5",
+           "--ranks", "1,5", "--out", out / "sweep_trials"]
+
+
+def dakr(root: Path, argv: list, threads: bool = True) -> subprocess.CompletedProcess:
+    argv = [str(a) for a in argv] + (["--threads", "1"] if threads else [])
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    return subprocess.run([sys.executable, "-m", "dakr.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--work", help="keep inputs and outputs here (default: a temporary directory)")
+    args = parser.parse_args(argv)
+    trees = {"parent": package_root(args.parent_src), "change": package_root(args.change_src)}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(args.work or tmp)
+        if any(work.glob("*")):
+            raise SystemExit(f"compare_outputs: {work} is not empty")
+        problems = []
+        for scenario, flags in SCENARIOS.items():
+            inputs = work / "inputs" / scenario
+            made = dakr(trees["parent"], ["gen", *flags, "--out", inputs], threads=False)
+            if made.returncode != 0:
+                raise SystemExit(f"compare_outputs: gen {scenario} failed:\n{made.stderr}")
+            psd_matrix(inputs / "metric.csv")
+            for side, root in trees.items():
+                out = work / side / scenario
+                out.mkdir(parents=True, exist_ok=True)
+                for command in commands(inputs, out, flags):
+                    run = dakr(root, command)
+                    if run.returncode != 0:
+                        problems.append(f"{side} {scenario}: dakr {command[0]} exited "
+                                        f"{run.returncode}: {run.stderr.strip()[-300:]}")
+        outputs = {
+            side: {p.relative_to(work / side): p for p in (work / side).rglob("*")
+                   if p.is_file() and not p.name.endswith(".timings.json")}
+            for side in trees
+        }
+        for name in sorted(outputs["parent"].keys() | outputs["change"].keys()):
+            a, b = outputs["parent"].get(name), outputs["change"].get(name)
+            if a is None or b is None or a.read_bytes() != b.read_bytes():
+                problems.append(f"differs: {name}")
+        print(f"compared {len(outputs['change'])} data files under each tree")
+        for line in problems:
+            print(line)
+        return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
