@@ -2,14 +2,7 @@
 pipelines, with the classical neighbor-set baselines and an evaluation
 harness."""
 
-from .core import (
-    DistanceMetric,
-    FeatureSet,
-    RankedList,
-    distance,
-    distance_matrix,
-    sort_indices,
-)
+from .core import DistanceMetric, FeatureSet, RankedList
 from .errors import DakrError
 from .evaluation import (
     EvalReport,
@@ -62,8 +55,6 @@ __all__ = [
     "cmc",
     "compute_sigma_table",
     "default_k_sigma",
-    "distance",
-    "distance_matrix",
     "evaluate_methods",
     "generate_scenario",
     "inn",
@@ -79,5 +70,4 @@ __all__ = [
     "rank_by_rnn",
     "rerank",
     "rnn",
-    "sort_indices",
 ]

@@ -76,9 +76,11 @@ def _positive_int_list(text: str) -> list[int]:
 
 
 def _method_tokens(parser: argparse.ArgumentParser, text: str, k: int | None = 1) -> list[str]:
-    """The comma-separated method tokens of ``text``; an unknown method, or
-    k-INN/k-RNN without a k, is a usage error."""
+    """The comma-separated method tokens of ``text``; an unknown or repeated
+    method, or k-INN/k-RNN without a k, is a usage error."""
     tokens = [m.strip() for m in text.split(",") if m.strip()]
+    if len(set(tokens)) != len(tokens):
+        parser.error(f"--method lists a method twice: {text!r}")
     for token in tokens:
         try:
             method, _ = parse_method_token(token)
@@ -296,10 +298,12 @@ def cmd_sweep(parser, args) -> int:
     k_values = args.k_values
     if args.scenario:
         trials = []
-        for trial in range(args.trials):
+        for trial in range(args.trials or 10):
             scenario_args = argparse.Namespace(**vars(args))
             scenario_args.seed = args.seed + trial
             trials.append(_scenario_from_args(parser, scenario_args))
+    elif args.trials is not None:
+        parser.error("--trials is used only with --scenario")
     else:
         trials = [_load_eval_data(parser, args)]
     metric = _build_metric(parser, args, trials[0][0].dim)
@@ -450,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--probes")
     sw.add_argument("--truth")
     _add_scenario_flags(sw)
-    sw.add_argument("--trials", type=_positive_int, default=10)
+    sw.add_argument("--trials", type=_positive_int, help="scenario trials (default 10)")
     sw.add_argument("--method", default="inv_dakr,bi_dakr")
     sw.add_argument("--k-values", type=_positive_int_list, default=[1, 2, 5, 10, 20])
     sw.add_argument("--ranks", type=_positive_int_list, default=list(DEFAULT_RANKS))

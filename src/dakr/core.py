@@ -1,4 +1,4 @@
-"""Domain types, distance metrics, and deterministic sorting primitives.
+"""Domain types and distance metrics.
 
 All types are immutable after construction and safe to share across
 threads.  Distances are computed and stored as float64 regardless of the
@@ -28,10 +28,6 @@ EUCLIDEAN = "euclidean"
 SQUARED_EUCLIDEAN = "squared_euclidean"
 MAHALANOBIS = "mahalanobis"
 METRIC_KINDS = (EUCLIDEAN, SQUARED_EUCLIDEAN, MAHALANOBIS)
-
-# Sort orders
-ASCENDING = "ascending"
-DESCENDING = "descending"
 
 # RankedList orders
 ASCENDING_DISTANCE = "ascending_distance"
@@ -234,42 +230,6 @@ def scan_self_distances(metric: DistanceMetric, vectors, per_block, n_threads=No
     return [scan(start) for start in starts]
 
 
-def distance(metric: DistanceMetric, a, b) -> float:
-    """Distance between two vectors under ``metric``."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise DimensionMismatch("distance() expects 1-D vectors")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"vector dims differ: {a.shape[0]} != {b.shape[0]}")
-    return float(pairwise(metric, a[None, :], b[None, :])[0, 0])
-
-
-def distance_matrix(
-    metric: DistanceMetric, queries: FeatureSet, refs: FeatureSet
-) -> np.ndarray:
-    """All query-to-reference distances as a (|queries|, |refs|) matrix."""
-    return pairwise(metric, queries.vectors, refs.vectors)
-
-
-def sort_indices(values, order: str = ASCENDING) -> np.ndarray:
-    """Stable deterministic argsort; equal values keep ascending index.
-
-    Descending order negates the values first, so ties are still resolved
-    by ascending index rather than by reversal.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise InvalidParams("sort_indices expects a 1-D value vector")
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteValue("cannot sort non-finite values")
-    if order == ASCENDING:
-        return np.argsort(values, kind="stable")
-    if order == DESCENDING:
-        return np.argsort(-values, kind="stable")
-    raise InvalidParams(f"unknown sort order {order!r}")
-
-
 @dataclass(frozen=True)
 class RankedList:
     """Per-probe ordered candidates with their sort values.
@@ -314,10 +274,3 @@ class RankedList:
     def entries(self) -> list[tuple[int, float]]:
         """Ordered (gallery_id, value) pairs."""
         return [(int(g), float(v)) for g, v in zip(self.gallery_ids, self.values)]
-
-    def position_of(self, gallery_id: int) -> int:
-        """1-based rank position of ``gallery_id``; raises KeyError if absent."""
-        hits = np.nonzero(self.gallery_ids == int(gallery_id))[0]
-        if len(hits) == 0:
-            raise KeyError(gallery_id)
-        return int(hits[0]) + 1

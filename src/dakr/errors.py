@@ -30,10 +30,6 @@ class EmptyGallery(DakrError, ValueError):
     """The gallery (or candidate pool) is empty."""
 
 
-class KTooLarge(DakrError, ValueError):
-    """k was requested against an empty candidate pool."""
-
-
 class NonPositiveSigma(DakrError, ValueError):
     """A kernel bandwidth must be strictly positive."""
 
@@ -42,7 +38,7 @@ class StaleSigmaTable(DakrError, ValueError):
     """The bandwidth table does not match the data it is used with."""
 
 
-class MissingTruth(DakrError, KeyError):
+class MissingTruth(DakrError, LookupError):
     """A probe has no ground-truth entry."""
 
 

@@ -262,15 +262,17 @@ def probe_sigma(
     """The probe's own bandwidth: its k_sigma-th nearest-neighbor distance
     within its candidate pool (:func:`dakr.neighbors.candidate_pool`).
     Under with_probes it is served from the table's cache when possible.
+
+    This is the one place a policy is checked against its table: a policy
+    mode other than the table's raises :class:`StaleSigmaTable`.
     """
-    if policy.mode == WITH_PROBES or table.policy_mode == WITH_PROBES:
-        cached = table.cached_probe_sigma(probe_id)
-        if cached is not None:
-            return cached
-        if policy.mode != WITH_PROBES:
-            raise InvalidParams(
-                "probe sigma not cached; pass the with_probes policy to compute it"
-            )
+    if policy.mode != table.policy_mode:
+        raise StaleSigmaTable(
+            f"table was built {table.policy_mode}, ranking requested {policy.mode}"
+        )
+    cached = table.cached_probe_sigma(probe_id)
+    if cached is not None:
+        return cached
     probe_vector = np.asarray(probe_vector, dtype=np.float64)
     vectors, _, keep = candidate_pool(probe_id, gallery, policy)
     if not keep.any():
@@ -312,15 +314,11 @@ def bi_dakr_rank(
 ) -> RankedList:
     """Descending-score ranking under the bidirectional rule.
 
-    The probe bandwidth comes from :func:`probe_sigma` under the same
-    policy the table was built with; the table's gallery bandwidths are
-    reused untouched (the offline/online split).
+    The probe bandwidth comes from :func:`probe_sigma`, which refuses a
+    policy other than the one the table was built with; the table's
+    gallery bandwidths are reused untouched (the offline/online split).
     """
     d = _probe_distances(probe_vector, gallery, metric, table)
-    if policy.mode != table.policy_mode:
-        raise StaleSigmaTable(
-            f"table was built {table.policy_mode}, ranking requested {policy.mode}"
-        )
     sigma_i = probe_sigma(probe_id, probe_vector, gallery, metric, table, policy)
     return _rank_by_kernel_argument(
         probe_id, d * d / (sigma_i * table.gallery_sigmas), gallery

@@ -11,7 +11,8 @@ built.  Other conventions shared by every operation here:
   hold offset probe ids.
 * Ties are broken by ascending (effective) id.
 * k larger than the candidate pool truncates silently to the pool size;
-  only an empty pool raises.
+  only an empty pool raises, as :class:`~dakr.errors.EmptyGallery`
+  (:func:`inn` then returns the empty set).
 * k-INN always scans the full gallery.  Restricting the scan to the
   probe's own k-NN degenerates recall and is deliberately not offered.
 """
@@ -30,7 +31,7 @@ from .core import (
     pairwise,
     scan_self_distances,
 )
-from .errors import EmptyGallery, InvalidParams, KTooLarge
+from .errors import EmptyGallery, InvalidParams
 
 GALLERY_ONLY = "gallery_only"
 WITH_PROBES = "with_probes"
@@ -137,6 +138,8 @@ def _pool_row(probe_id: int, probe_vector, gallery, metric, policy):
 
 def _nearest(ids: np.ndarray, dists: np.ndarray, k: int) -> frozenset:
     """The k ids nearest by (distance, id)."""
+    if len(ids) == 0:
+        raise EmptyGallery("candidate pool is empty")
     order = np.lexsort((ids, dists))
     return frozenset(int(i) for i in ids[order[:k]])
 
@@ -162,8 +165,6 @@ def knn(
 ) -> NeighborSet:
     """The k candidates nearest to the probe, ties by ascending id."""
     _, ids, keep, dists = _pool_row(probe_id, probe_vector, gallery, metric, policy)
-    if not keep.any():
-        raise KTooLarge("candidate pool is empty")
     return NeighborSet(anchor_id=int(probe_id), k=k, members=_nearest(ids[keep], dists[keep], k))
 
 
@@ -237,8 +238,6 @@ def rnn(
     k-INN (so gallery samples only)."""
     row = _pool_row(probe_id, probe_vector, gallery, metric, policy)
     _, ids, keep, dists = row
-    if not keep.any():
-        raise KTooLarge("candidate pool is empty")
     gal_ids, _, members = _inn_members(probe_id, gallery, metric, k, row)
     return _nearest(ids[keep], dists[keep], k) & frozenset(int(i) for i in gal_ids[members])
 

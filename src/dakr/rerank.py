@@ -45,6 +45,8 @@ def parse_method_token(token: str) -> tuple[str, str]:
         mode = WITH_PROBES
     if token not in METHODS:
         raise InvalidParams(f"unknown method {token!r}; expected one of {METHODS}")
+    if token == "knn" and mode == WITH_PROBES:
+        raise InvalidParams("knn ranks by plain distance; it takes no '+'")
     return token, mode
 
 

@@ -235,8 +235,15 @@ class TestSweep:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("command", ["rerank", "eval", "sweep", "bench"])
-    def test_unknown_method_is_usage_error(self, line_fixture, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command, method",
+        [
+            pytest.param(command, method, id=command if method == "foo" else f"{command}-{method}")
+            for method in ("foo", "knn,knn", "knn+")
+            for command in ("rerank", "eval", "sweep", "bench")
+        ],
+    )
+    def test_unknown_method_is_usage_error(self, line_fixture, tmp_path, command, method):
         _, _, gpath, ppath = line_fixture
         inputs = {
             "rerank": ["--gallery", gpath, "--probes", ppath],
@@ -245,7 +252,7 @@ class TestExitCodes:
             "bench": ["--sizes", "20", "--dim", "2"],
         }[command]
         with pytest.raises(SystemExit) as err:
-            run(command, *inputs, "--method", "foo", "--out", tmp_path / "out")
+            run(command, *inputs, "--method", method, "--out", tmp_path / "out")
         assert err.value.code == 2
 
     def test_rerank_takes_one_method(self, line_fixture, tmp_path):
@@ -335,13 +342,16 @@ class TestExitCodes:
             ["rerank", "--probes", "PROBES", "--method", "knn", "--sigma-table", "missing.sgt"],
             ["rerank", "--probes", "PROBES", "--method", "rnn", "--k", "1", "--recompute"],
             ["rerank", "--probes", "PROBES", "--method", "inv_dakr", "--recompute"],
+            ["sweep", "--probes", "PROBES", "--truth", "TRUTH", "--trials", "3"],
         ],
     )
     def test_ignored_input_is_usage_error(self, line_fixture, tmp_path, flags):
         gallery, _, gpath, ppath = line_fixture
         table = tmp_path / "table.sgt"
         write_sigma_sidecar(compute_sigma_table(gallery, DistanceMetric.euclidean(), 1), table)
-        files = {"PROBES": ppath, "TABLE": table}
+        truth = tmp_path / "truth.csv"
+        truth.write_text("probe_id,gallery_id\n9,2\n")
+        files = {"PROBES": ppath, "TABLE": table, "TRUTH": truth}
         argv = [flags[0], "--gallery", gpath, *(files.get(f, f) for f in flags[1:])]
         with pytest.raises(SystemExit) as err:
             run(*argv, "--out", tmp_path / "out")
@@ -357,6 +367,17 @@ class TestExitCodes:
         )
         assert code == 3
         assert "internal error" not in capsys.readouterr().err
+
+    def test_missing_truth_is_data_error(self, line_fixture, tmp_path, capsys):
+        _, _, gpath, ppath = line_fixture
+        truth = tmp_path / "truth.csv"
+        truth.write_text("probe_id,gallery_id\n25,2\n")  # nothing for probe 9
+        code = run(
+            "eval", "--gallery", gpath, "--probes", ppath, "--truth", truth,
+            "--method", "knn", "--ranks", "1", "--out", tmp_path / "r",
+        )
+        assert code == 3
+        assert "dakr: error: no ground truth for probe 9\n" in capsys.readouterr().err
 
     def test_duplicate_ids_in_features_is_data_error(self, line_fixture, tmp_path, capsys):
         _, _, gpath, ppath = line_fixture

@@ -2,12 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dakr.core
-from dakr import DistanceMetric, FeatureSet, RankedList, distance, distance_matrix, sort_indices
-from dakr.core import ASCENDING_DISTANCE, DESCENDING, DESCENDING_SCORE, scan_self_distances
+from dakr import DistanceMetric, FeatureSet, RankedList
+from dakr.core import ASCENDING_DISTANCE, DESCENDING_SCORE, pairwise, scan_self_distances
 from dakr.errors import DimensionMismatch, InvalidMetric, InvalidParams, NonFiniteValue
 
 
@@ -56,23 +54,23 @@ class TestFeatureSet:
 
 class TestDistance:
     def test_euclidean_345(self):
-        assert distance(DistanceMetric.euclidean(), (0, 0), (3, 4)) == 5.0
+        assert pairwise(DistanceMetric.euclidean(), (0, 0), (3, 4))[0, 0] == 5.0
 
     def test_mahalanobis_identity_zero(self):
         m = DistanceMetric.mahalanobis(np.eye(2))
-        assert distance(m, (1, 2), (1, 2)) == 0.0
+        assert pairwise(m, (1, 2), (1, 2))[0, 0] == 0.0
 
     def test_mahalanobis_diag(self):
         # direct expansion: 1*4*1 + 1*1*1 = 5
         m = DistanceMetric.mahalanobis(np.diag([4.0, 1.0]))
-        assert distance(m, (0, 0), (1, 1)) == pytest.approx(math.sqrt(5), abs=1e-12)
+        assert pairwise(m, (0, 0), (1, 1))[0, 0] == pytest.approx(math.sqrt(5), abs=1e-12)
 
     def test_squared_euclidean(self):
-        assert distance(DistanceMetric.squared_euclidean(), (0, 0), (1, 1)) == 2.0
+        assert pairwise(DistanceMetric.squared_euclidean(), (0, 0), (1, 1))[0, 0] == 2.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            distance(DistanceMetric.euclidean(), (0, 0), (1, 1, 1))
+            pairwise(DistanceMetric.euclidean(), (0, 0), (1, 1, 1))
 
     def test_non_psd_matrix_rejected(self):
         with pytest.raises(InvalidMetric):
@@ -103,22 +101,22 @@ class TestDistance:
             DistanceMetric.squared_euclidean(),
             DistanceMetric.mahalanobis(psd),
         ):
-            assert distance(metric, a, b) == pytest.approx(
-                distance(metric, b, a), abs=1e-12
+            assert pairwise(metric, a, b)[0, 0] == pytest.approx(
+                pairwise(metric, b, a)[0, 0], abs=1e-12
             )
-            assert distance(metric, a, a) == 0.0
+            assert pairwise(metric, a, a)[0, 0] == 0.0
 
 
 class TestDistanceMatrix:
     def test_one_dimensional_points(self):
         q = FeatureSet([0], [[0.0]])
         r = FeatureSet([0, 1, 2], [[0.0], [1.0], [3.0]])
-        out = distance_matrix(DistanceMetric.euclidean(), q, r)
+        out = pairwise(DistanceMetric.euclidean(), q.vectors, r.vectors)
         assert out.tolist() == [[0.0, 1.0, 3.0]]
 
     def test_squared_euclidean_hand_expansion(self):
         fs = FeatureSet([0, 1], [[0.0, 0.0], [1.0, 1.0]])
-        out = distance_matrix(DistanceMetric.squared_euclidean(), fs, fs)
+        out = pairwise(DistanceMetric.squared_euclidean(), fs.vectors, fs.vectors)
         assert out.tolist() == [[0.0, 2.0], [2.0, 0.0]]
 
     def test_matches_scalar_distance(self):
@@ -126,21 +124,21 @@ class TestDistanceMatrix:
         q = FeatureSet(np.arange(4), rng.normal(size=(4, 3)))
         r = FeatureSet(np.arange(5), rng.normal(size=(5, 3)))
         metric = DistanceMetric.euclidean()
-        out = distance_matrix(metric, q, r)
+        out = pairwise(metric, q.vectors, r.vectors)
         for i in range(4):
             for j in range(5):
                 assert out[i, j] == pytest.approx(
-                    distance(metric, q.vectors[i], r.vectors[j]), rel=1e-12
+                    pairwise(metric, q.vectors[i], r.vectors[j])[0, 0], rel=1e-12
                 )
 
     def test_monotone_link_same_ordering(self):
         rng = np.random.default_rng(11)
         q = FeatureSet([0], rng.normal(size=(1, 4)))
         r = FeatureSet(np.arange(10), rng.normal(size=(10, 4)))
-        de = distance_matrix(DistanceMetric.euclidean(), q, r)[0]
-        ds = distance_matrix(DistanceMetric.squared_euclidean(), q, r)[0]
+        de = pairwise(DistanceMetric.euclidean(), q.vectors, r.vectors)[0]
+        ds = pairwise(DistanceMetric.squared_euclidean(), q.vectors, r.vectors)[0]
         np.testing.assert_allclose(ds, de**2, rtol=1e-9)
-        assert sort_indices(de).tolist() == sort_indices(ds).tolist()
+        assert np.argsort(de, kind="stable").tolist() == np.argsort(ds, kind="stable").tolist()
 
 
 class TestScanSelfDistances:
@@ -150,7 +148,7 @@ class TestScanSelfDistances:
         rng = np.random.default_rng(17)
         features = FeatureSet(np.arange(60), rng.normal(size=(60, 3)))
         metric = DistanceMetric.euclidean()
-        expected = distance_matrix(metric, features, features)
+        expected = pairwise(metric, features.vectors, features.vectors)
         np.fill_diagonal(expected, np.inf)
         for n_threads in (None, 1, 4):
             blocks = scan_self_distances(
@@ -160,39 +158,10 @@ class TestScanSelfDistances:
             np.testing.assert_array_equal(np.vstack([rows for _, rows in blocks]), expected)
 
 
-class TestSortIndices:
-    def test_tie_broken_by_index(self):
-        assert sort_indices([0.3, 0.1, 0.3]).tolist() == [1, 0, 2]
-
-    def test_singleton_descending(self):
-        assert sort_indices([5.0], DESCENDING).tolist() == [0]
-
-    def test_descending(self):
-        assert sort_indices([1.0, 2.0, 0.5], DESCENDING).tolist() == [1, 0, 2]
-
-    def test_descending_ties_keep_ascending_index(self):
-        assert sort_indices([2.0, 2.0, 1.0], DESCENDING).tolist() == [0, 1, 2]
-
-    def test_rejects_nan(self):
-        with pytest.raises(NonFiniteValue):
-            sort_indices([0.0, float("inf")])
-
-    @given(st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=40))
-    @settings(max_examples=150, deadline=None)
-    def test_is_permutation_and_idempotent(self, values):
-        idx = sort_indices(values)
-        assert sorted(idx.tolist()) == list(range(len(values)))
-        resorted = sort_indices(np.asarray(values)[idx])
-        assert resorted.tolist() == list(range(len(values)))
-
-
 class TestRankedList:
     def test_entries_and_position(self):
         rl = RankedList(0, [5, 2, 9], [0.1, 0.2, 0.2], ASCENDING_DISTANCE)
         assert rl.entries == [(5, 0.1), (2, 0.2), (9, 0.2)]
-        assert rl.position_of(2) == 2
-        with pytest.raises(KeyError):
-            rl.position_of(123)
 
     def test_rejects_unsorted(self):
         with pytest.raises(InvalidParams):
@@ -203,3 +172,7 @@ class TestRankedList:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(InvalidParams):
             RankedList(0, [1, 1], [0.1, 0.2], ASCENDING_DISTANCE)
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in dakr.__all__ if not hasattr(dakr, name)] == []

@@ -363,14 +363,18 @@ class TestBiDakr:
             pid, pvec, gdict, 2, probes=pdict
         )
 
-    def test_policy_mode_must_match_table(self, euclidean, line_gallery):
-        table = compute_sigma_table(line_gallery, euclidean, 1)
+    @pytest.mark.parametrize("fn", [bi_dakr_rank, probe_sigma], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("table_mode", ["gallery_only", "with_probes"])
+    def test_policy_mode_must_match_table(self, euclidean, line_gallery, fn, table_mode):
         probes = FeatureSet([50, 51], [[0.2], [2.0]])
+        policies = {
+            "gallery_only": AugmentationPolicy.gallery_only(),
+            "with_probes": AugmentationPolicy.with_probes(probes),
+        }
+        table = compute_sigma_table(line_gallery, euclidean, 1, policies.pop(table_mode))
+        (other,) = policies.values()
         with pytest.raises(StaleSigmaTable):
-            bi_dakr_rank(
-                50, [0.2], line_gallery, euclidean, table,
-                AugmentationPolicy.with_probes(probes),
-            )
+            fn(50, [0.2], line_gallery, euclidean, table, other)
 
 
 class TestScaleCovariance:

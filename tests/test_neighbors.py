@@ -24,7 +24,8 @@ from dakr import (
     rank_by_rnn,
     rnn,
 )
-from dakr.errors import EmptyGallery, InvalidParams, KTooLarge
+from dakr.errors import EmptyGallery, InvalidParams
+from dakr.kernels import bind_sigma_table
 from dakr.neighbors import NeighborSet, gallery_neighbor_set, probe_id_offset
 
 from conftest import (
@@ -198,11 +199,6 @@ class TestKnn:
         gallery = FeatureSet([0, 1], [[0.0], [1.0]])
         out = knn(9, [0.5], gallery, euclidean, 10)
         assert out.members == frozenset({0, 1})
-
-    def test_empty_pool_raises(self, euclidean):
-        gallery = FeatureSet([4], [[0.0]])
-        with pytest.raises(KTooLarge):
-            knn(4, [0.0], gallery, euclidean, 1)  # own copy is the whole gallery
 
     def test_own_gallery_copy_excluded(self, euclidean):
         gallery = FeatureSet([0, 1], [[0.0], [1.0]])
@@ -476,6 +472,20 @@ def test_k_below_one_rejected(euclidean, fn, k):
     gallery = FeatureSet(np.arange(5), [[0.0], [0.1], [0.3], [0.6], [1.0]])
     with pytest.raises(InvalidParams):
         fn(9, [0.2], gallery, euclidean, k)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [knn, rnn, rank_by_distance, rank_by_inn, rank_by_rnn, inv_dakr_rank, bi_dakr_rank],
+    ids=lambda fn: fn.__name__,
+)
+def test_empty_pool_raises(euclidean, fn):
+    # The probe is the gallery's only sample, so its own copy is the whole pool.
+    gallery = FeatureSet([4], [[0.0]])
+    table = bind_sigma_table(gallery, euclidean, 1, AugmentationPolicy(), np.ones(1))
+    last = {rank_by_distance: (), inv_dakr_rank: (table,), bi_dakr_rank: (table,)}.get(fn, (1,))
+    with pytest.raises(EmptyGallery):
+        fn(4, [0.0], gallery, euclidean, *last)
 
 
 class TestRankByInn:

@@ -3,11 +3,13 @@
     python tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--work DIR]
 
 Each tree is a directory holding the ``dakr`` package (a checkout's
-``src``).  The scenarios and a Mahalanobis matrix are generated once,
-under PARENT_SRC; then the same command matrix (``sigma``, ``sigma --with-probes``, ``rerank`` for every
-method token and with both kinds of sidecar, Mahalanobis ``rerank``s, two
-``eval``s and three ``sweep``s per scenario) runs through
-``python -m dakr.cli --threads 1`` under each tree.  Every data file that
+``src``).  The input scenarios and a Mahalanobis matrix are generated
+once, under PARENT_SRC; then the same command matrix (``gen --format
+csv`` and ``gen --format bin`` of each scenario, ``sigma``, ``sigma
+--with-probes``, ``rerank`` for every method token and with both kinds
+of sidecar, Mahalanobis ``rerank``s, two ``eval``s and three ``sweep``s
+per scenario) runs through ``python -m dakr.cli`` under each tree, with
+``--threads 1`` wherever the command takes it.  Every data file that
 differs is listed, ``*.timings.json`` skipped (wall-clock figures), and
 the exit status is 1 on any difference or failed command.  ``--work``
 keeps the files for inspection; it must be empty or absent.  Standard
@@ -58,6 +60,8 @@ def commands(inputs: Path, out: Path, scenario_flags: list[str]):
     """Every command of one scenario, writing under ``out``."""
     files = ["--gallery", inputs / "gallery.csv", "--probes", inputs / "probes.csv"]
     truth = [*files, "--truth", inputs / "truth.csv"]
+    for fmt in ("csv", "bin"):
+        yield ["gen", *scenario_flags, "--format", fmt, "--out", out / f"gen_{fmt}"]
     yield ["sigma", "--gallery", inputs / "gallery.csv", "--out", out / "gallery.sgt"]
     yield ["sigma", *files, "--with-probes", "--out", out / "with_probes.sgt"]
     for token in TOKENS:
@@ -80,8 +84,8 @@ def commands(inputs: Path, out: Path, scenario_flags: list[str]):
            "--ranks", "1,5", "--out", out / "sweep_trials"]
 
 
-def dakr(root: Path, argv: list, threads: bool = True) -> subprocess.CompletedProcess:
-    argv = [str(a) for a in argv] + (["--threads", "1"] if threads else [])
+def dakr(root: Path, argv: list) -> subprocess.CompletedProcess:
+    argv = [str(a) for a in argv] + (["--threads", "1"] if argv[0] != "gen" else [])
     env = {**os.environ, "PYTHONPATH": str(root)}
     return subprocess.run([sys.executable, "-m", "dakr.cli", *argv], env=env,
                           capture_output=True, text=True)
@@ -102,7 +106,7 @@ def main(argv=None) -> int:
         problems = []
         for scenario, flags in SCENARIOS.items():
             inputs = work / "inputs" / scenario
-            made = dakr(trees["parent"], ["gen", *flags, "--out", inputs], threads=False)
+            made = dakr(trees["parent"], ["gen", *flags, "--out", inputs])
             if made.returncode != 0:
                 raise SystemExit(f"compare_outputs: gen {scenario} failed:\n{made.stderr}")
             psd_matrix(inputs / "metric.csv")
