@@ -14,7 +14,6 @@ import logging
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,29 +220,12 @@ def cmd_rerank(parser, args) -> int:
     method, mode = parse_method_token(tokens[0])
     if args.sigma_table and method not in DAKR_METHODS:
         parser.error(f"--sigma-table is not used with --method {method}")
-    if args.recompute and not args.sigma_table:
-        parser.error("--recompute requires --sigma-table")
     policy = resolve_policy(mode, probes)
-    k_sigma = args.k_sigma
 
     table = None
     if args.sigma_table:
         record = read_sigma_sidecar(_existing(parser, args.sigma_table, "sigma table"))
-        try:
-            if args.k_sigma is not None and record["k_sigma"] != args.k_sigma:
-                raise StaleSigmaTable(
-                    f"sidecar k_sigma={record['k_sigma']} != requested {args.k_sigma}"
-                )
-            table = sigma_table_from_sidecar(record, gallery, metric, policy)
-            k_sigma = table.k_sigma
-        except StaleSigmaTable:
-            if not args.recompute:
-                raise
-            warnings.warn(
-                "sigma table is stale; recomputing (--recompute)",
-                RuntimeWarning,
-                stacklevel=1,
-            )
+        table = sigma_table_from_sidecar(record, gallery, metric, policy)
 
     rankings = rerank(
         method,
@@ -251,7 +233,7 @@ def cmd_rerank(parser, args) -> int:
         gallery,
         metric,
         k=args.k,
-        k_sigma=k_sigma,
+        k_sigma=args.k_sigma,
         policy=policy,
         table=table,
         n_threads=args.threads,
@@ -430,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     rrk.add_argument("--k", type=_positive_int)
     rrk.add_argument("--k-sigma", type=_positive_int)
     rrk.add_argument("--sigma-table")
-    rrk.add_argument("--recompute", action="store_true",
-                     help="recompute a stale sigma table instead of failing")
     rrk.add_argument("--threads", type=_positive_int, default=os.cpu_count())
     _add_metric_flags(rrk)
     rrk.add_argument("--out", required=True)

@@ -76,7 +76,6 @@ class FeatureSet:
         vectors.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_row_of", {int(i): r for r, i in enumerate(ids)})
         object.__setattr__(self, "_digest", None)
 
     def __len__(self) -> int:
@@ -85,16 +84,6 @@ class FeatureSet:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def row_of(self, sample_id: int) -> int:
-        """Row index of ``sample_id``; raises KeyError if absent."""
-        return self._row_of[int(sample_id)]
-
-    def __contains__(self, sample_id: int) -> bool:
-        return int(sample_id) in self._row_of
-
-    def vector(self, sample_id: int) -> np.ndarray:
-        return self.vectors[self.row_of(sample_id)]
 
     def content_digest(self) -> bytes:
         """SHA-256 over ids and vector bytes; cached after first call."""

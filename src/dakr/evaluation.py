@@ -34,20 +34,13 @@ DEFAULT_RANKS = (1, 5, 10, 20)
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Per-probe sets of matching gallery ids, plus distractor ids that
-    match no probe at all."""
+    """Per-probe sets of matching gallery ids."""
 
     matches: dict
-    distractor_ids: frozenset = frozenset()
 
     def __post_init__(self):
         matches = {int(p): frozenset(int(g) for g in gs) for p, gs in self.matches.items()}
-        distractors = frozenset(int(g) for g in self.distractor_ids)
-        for p, gs in matches.items():
-            if gs & distractors:
-                raise InvalidParams(f"probe {p} matches distractor ids {sorted(gs & distractors)}")
         object.__setattr__(self, "matches", matches)
-        object.__setattr__(self, "distractor_ids", distractors)
 
     def matches_of(self, probe_id: int) -> frozenset:
         try:
@@ -155,10 +148,9 @@ def generate_scenario(
         gallery_ids = np.arange(total_ids, dtype=np.int64)
         probe_ids = np.arange(total_ids, total_ids + n_identities, dtype=np.int64)
         matches = {int(total_ids + i): frozenset({i}) for i in range(n_identities)}
-        distractors = frozenset(range(n_identities, total_ids))
         gallery = FeatureSet(gallery_ids, gallery_vectors)
         probes = FeatureSet(probe_ids, probe_vectors)
-        return gallery, probes, GroundTruth(matches, distractors)
+        return gallery, probes, GroundTruth(matches)
 
     # multi_shot: identity blocks of shots_per_id + 1 gallery samples, the
     # first of which is also the probe (same id, same vector).
@@ -180,8 +172,7 @@ def generate_scenario(
         block = range(i * (shots_per_id + 1), (i + 1) * (shots_per_id + 1))
         probe_id = i * (shots_per_id + 1)
         matches[probe_id] = frozenset(b for b in block if b != probe_id)
-    distractors = frozenset(range(rows_true, rows_total))
-    return FeatureSet(gallery_ids, gallery_vectors), probes, GroundTruth(matches, distractors)
+    return FeatureSet(gallery_ids, gallery_vectors), probes, GroundTruth(matches)
 
 
 @dataclass

@@ -72,9 +72,9 @@ class SigmaTable:
     """Per-sample bandwidths, guarded by a content digest.
 
     Correctness silently breaks if bandwidths and data drift apart, so
-    every scoring call re-derives the digest and fails loudly on mismatch.
-    Under with_probes the probes' own bandwidths are cached too, keeping
-    the online phase free of quadratic work.
+    scoring re-derives the digest and :func:`check_policy` refuses any
+    other policy.  Under with_probes the probes' own bandwidths are cached
+    too, keeping the online phase free of quadratic work.
     """
 
     k_sigma: int
@@ -165,11 +165,10 @@ def compute_sigma_table(
     if policy.mode == WITH_PROBES:
         # A probe that is a gallery sample has that sample's bandwidth.
         sigma_of = dict(zip(ref_ids.tolist(), sigmas.tolist()))
-        offset = probe_id_offset(gallery)
-        probe_sigmas = [
-            sigma_of[p] if p in gallery else sigma_of[p + offset]
-            for p in policy.probes.ids.tolist()
-        ]
+        probe_ids = policy.probes.ids
+        offset_ids = probe_ids + probe_id_offset(gallery)
+        keys = np.where(np.isin(probe_ids, gallery.ids), probe_ids, offset_ids)
+        probe_sigmas = [sigma_of[p] for p in keys.tolist()]
         sigmas = np.concatenate([sigmas[: len(gallery)], probe_sigmas])
     return bind_sigma_table(gallery, metric, k_sigma, policy, sigmas)
 
@@ -208,6 +207,17 @@ def _check_table(table: SigmaTable, gallery: FeatureSet, metric: DistanceMetric)
         raise StaleSigmaTable(
             "bandwidth table does not match this gallery/metric; recompute it"
         )
+
+
+def check_policy(table: SigmaTable, policy: AugmentationPolicy) -> None:
+    """The one rule for whether ``policy`` fits ``table``: the same mode and,
+    under with_probes, the same probe set by digest; else :class:`StaleSigmaTable`."""
+    if policy.mode != table.policy_mode:
+        raise StaleSigmaTable(
+            f"table was built {table.policy_mode}, ranking requested {policy.mode}"
+        )
+    if policy.mode == WITH_PROBES and policy.probes.content_digest() != table.probes_digest:
+        raise StaleSigmaTable("table was built over another probe set")
 
 
 def _probe_distances(probe_vector, gallery: FeatureSet, metric, table) -> np.ndarray:
@@ -262,14 +272,9 @@ def probe_sigma(
     """The probe's own bandwidth: its k_sigma-th nearest-neighbor distance
     within its candidate pool (:func:`dakr.neighbors.candidate_pool`).
     Under with_probes it is served from the table's cache when possible.
-
-    This is the one place a policy is checked against its table: a policy
-    mode other than the table's raises :class:`StaleSigmaTable`.
+    A policy that does not fit the table fails :func:`check_policy`.
     """
-    if policy.mode != table.policy_mode:
-        raise StaleSigmaTable(
-            f"table was built {table.policy_mode}, ranking requested {policy.mode}"
-        )
+    check_policy(table, policy)
     cached = table.cached_probe_sigma(probe_id)
     if cached is not None:
         return cached
@@ -315,7 +320,7 @@ def bi_dakr_rank(
     """Descending-score ranking under the bidirectional rule.
 
     The probe bandwidth comes from :func:`probe_sigma`, which refuses a
-    policy other than the one the table was built with; the table's
+    policy that fails :func:`check_policy`; the table's
     gallery bandwidths are reused untouched (the offline/online split).
     """
     d = _probe_distances(probe_vector, gallery, metric, table)

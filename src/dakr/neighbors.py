@@ -11,8 +11,7 @@ built.  Other conventions shared by every operation here:
   hold offset probe ids.
 * Ties are broken by ascending (effective) id.
 * k larger than the candidate pool truncates silently to the pool size;
-  only an empty pool raises, as :class:`~dakr.errors.EmptyGallery`
-  (:func:`inn` then returns the empty set).
+  only an empty pool raises, as :class:`~dakr.errors.EmptyGallery`.
 * k-INN always scans the full gallery.  Restricting the scan to the
   probe's own k-NN degenerates recall and is deliberately not offered.
 """
@@ -192,7 +191,7 @@ def _inn_members(
     own = keep[:n]
     gal_ids, gal_vectors, d_x = gallery.ids[own], vectors[:n][own], dists[:n][own]
     if len(d_x) == 0:
-        return gal_ids, d_x, np.zeros(0, dtype=bool)
+        raise EmptyGallery("no gallery candidates for this probe")
 
     def closer_than_probe(start: int, rows: np.ndarray) -> np.ndarray:
         return np.sum(rows <= d_x[start:start + len(rows), None], axis=1)

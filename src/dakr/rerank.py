@@ -14,10 +14,11 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 from .core import DistanceMetric, FeatureSet, RankedList
-from .errors import InvalidParams
+from .errors import InvalidParams, StaleSigmaTable
 from .kernels import (
     SigmaTable,
     bi_dakr_rank,
+    check_policy,
     compute_sigma_table,
     default_k_sigma,
     inv_dakr_rank,
@@ -121,8 +122,10 @@ def rerank(
 
     ``policy`` may be an :class:`AugmentationPolicy` or one of the mode
     strings; the string form augments with the batch's own probe set.  ``k``
-    drives the neighbor methods, ``k_sigma`` the kernel methods (defaulting
-    to 5% of the gallery); a prebuilt ``table`` is verified and reused.
+    drives the neighbor methods, ``k_sigma`` the kernel methods.  A given
+    ``table`` must fit ``k_sigma`` (default: its own) and ``policy``, else
+    :class:`StaleSigmaTable`; without one a table is built, ``k_sigma``
+    defaulting to 5% of the gallery.
     """
     if isinstance(policy, str):
         policy = resolve_policy(policy, probes)
@@ -130,15 +133,18 @@ def rerank(
     if method in ("inn", "rnn"):
         if k is None or k < 1:
             raise InvalidParams(f"method {method} requires k >= 1")
+    if method == "knn" and policy.mode == WITH_PROBES:
+        raise InvalidParams("knn ranks by plain distance; it takes no with_probes policy")
     if method in DAKR_METHODS:
-        if k_sigma is None:
-            k_sigma = default_k_sigma(len(gallery))
         if table is None:
+            if k_sigma is None:
+                k_sigma = default_k_sigma(len(gallery))
             table = compute_sigma_table(gallery, metric, k_sigma, policy)
-        elif table.k_sigma != k_sigma:
-            raise InvalidParams(
+        elif k_sigma not in (None, table.k_sigma):
+            raise StaleSigmaTable(
                 f"table was built with k_sigma={table.k_sigma}, requested {k_sigma}"
             )
+        check_policy(table, policy)
 
     def rank_one(row: int) -> RankedList:
         return rank_probe(

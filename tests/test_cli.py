@@ -141,25 +141,15 @@ class TestRerank:
         )
         assert code == 3
 
-    def test_stale_sidecar_with_recompute_warns_and_succeeds(self, line_fixture, tmp_path):
+    def test_sidecar_of_other_k_sigma_fails(self, line_fixture, tmp_path):
         gallery, probes, gpath, ppath = line_fixture
-        stale_gallery = FeatureSet([0, 1, 2], [[0.0], [1.0], [9.0]])
-        table = compute_sigma_table(stale_gallery, DistanceMetric.euclidean(), 2)
-        sidecar = tmp_path / "stale.sgt"
-        write_sigma_sidecar(table, sidecar)
-        out = tmp_path / "r.csv"
-        with pytest.warns(RuntimeWarning, match="recomputing"):
-            code = run(
-                "rerank", "--gallery", gpath, "--probes", ppath,
-                "--method", "inv_dakr", "--sigma-table", sidecar,
-                "--recompute", "--out", out,
-            )
-        assert code == 0
-        expected = rerank(
-            "inv_dakr", probes, gallery, DistanceMetric.euclidean(), k_sigma=2
-        )[0]
-        back = read_rankings_csv(out)
-        assert [g for _, g, _, _ in back[9]] == expected.gallery_ids.tolist()
+        sidecar = tmp_path / "k2.sgt"
+        write_sigma_sidecar(compute_sigma_table(gallery, DistanceMetric.euclidean(), 2), sidecar)
+        code = run(
+            "rerank", "--gallery", gpath, "--probes", ppath, "--method", "inv_dakr",
+            "--k-sigma", "3", "--sigma-table", sidecar, "--out", tmp_path / "r.csv",
+        )
+        assert code == 3
 
     def test_valid_sidecar_used(self, line_fixture, tmp_path):
         gallery, probes, gpath, ppath = line_fixture

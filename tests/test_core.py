@@ -14,10 +14,6 @@ class TestFeatureSet:
         fs = FeatureSet([3, 1, 2], [[0.0], [1.0], [2.0]])
         assert len(fs) == 3
         assert fs.dim == 1
-        assert fs.row_of(1) == 1
-        assert 2 in fs
-        assert 9 not in fs
-        assert fs.vector(3)[0] == 0.0
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(InvalidParams):

@@ -364,17 +364,20 @@ class TestBiDakr:
         )
 
     @pytest.mark.parametrize("fn", [bi_dakr_rank, probe_sigma], ids=lambda fn: fn.__name__)
-    @pytest.mark.parametrize("table_mode", ["gallery_only", "with_probes"])
+    @pytest.mark.parametrize("table_mode", ["gallery_only", "with_probes", "other_probes"])
     def test_policy_mode_must_match_table(self, euclidean, line_gallery, fn, table_mode):
         probes = FeatureSet([50, 51], [[0.2], [2.0]])
         policies = {
             "gallery_only": AugmentationPolicy.gallery_only(),
             "with_probes": AugmentationPolicy.with_probes(probes),
+            # The same probe ids with other vectors: another reference set.
+            "other_probes": AugmentationPolicy.with_probes(FeatureSet([50, 51], [[0.2], [7.0]])),
         }
-        table = compute_sigma_table(line_gallery, euclidean, 1, policies.pop(table_mode))
-        (other,) = policies.values()
+        requested = {"gallery_only": "with_probes", "with_probes": "gallery_only",
+                     "other_probes": "with_probes"}[table_mode]
+        table = compute_sigma_table(line_gallery, euclidean, 1, policies[table_mode])
         with pytest.raises(StaleSigmaTable):
-            fn(50, [0.2], line_gallery, euclidean, table, other)
+            fn(50, [0.2], line_gallery, euclidean, table, policies[requested])
 
 
 class TestScaleCovariance:

@@ -112,7 +112,7 @@ class TestUncopiedReferenceSet:
         rng = np.random.default_rng(74)
         gallery = FeatureSet(np.arange(24), rng.normal(size=(24, 3)))
         # The probe is gallery sample 5, as in the multiple-shot protocol.
-        return gallery, 5, gallery.vector(5).copy()
+        return gallery, 5, gallery.vectors[5].copy()
 
     def test_distance_rows_take_the_gallery_uncopied(self, euclidean, monkeypatch, multi_shot):
         gallery, pid, pvec = multi_shot
@@ -228,8 +228,8 @@ class TestKnn:
         probes = FeatureSet([5, 6], [[1.0], [2.0]])
         policy = AugmentationPolicy.with_probes(probes)
         offset = probe_id_offset(gallery)
-        for pid in (5, 6):
-            out = knn(pid, probes.vector(pid), gallery, euclidean, 3, policy)
+        for row, pid in enumerate((5, 6)):
+            out = knn(pid, probes.vectors[row], gallery, euclidean, 3, policy)
             assert offset + pid not in out.members
 
     def test_tie_broken_by_ascending_id(self, euclidean):
@@ -476,7 +476,7 @@ def test_k_below_one_rejected(euclidean, fn, k):
 
 @pytest.mark.parametrize(
     "fn",
-    [knn, rnn, rank_by_distance, rank_by_inn, rank_by_rnn, inv_dakr_rank, bi_dakr_rank],
+    [knn, inn, rnn, rank_by_distance, rank_by_inn, rank_by_rnn, inv_dakr_rank, bi_dakr_rank],
     ids=lambda fn: fn.__name__,
 )
 def test_empty_pool_raises(euclidean, fn):
@@ -510,11 +510,6 @@ class TestPolicyValidation:
     def test_unknown_mode(self):
         with pytest.raises(InvalidParams):
             AugmentationPolicy("both")
-
-    def test_rank_by_distance_empty_gallery(self, euclidean):
-        gallery = FeatureSet([3], [[0.0]])
-        with pytest.raises(EmptyGallery):
-            rank_by_distance(3, [0.0], gallery, euclidean)
 
 
 @given(

@@ -7,6 +7,7 @@ from dakr import (
     FeatureSet,
     bi_dakr_rank,
     compute_sigma_table,
+    default_k_sigma,
     inv_dakr_rank,
     knn,
     rank_by_distance,
@@ -14,7 +15,7 @@ from dakr import (
     rank_by_rnn,
     rerank,
 )
-from dakr.errors import InvalidParams
+from dakr.errors import InvalidParams, StaleSigmaTable
 from dakr.neighbors import probe_id_offset
 from dakr.rerank import parse_method_token
 
@@ -81,8 +82,8 @@ class TestRerankFacade:
         probes = FeatureSet([10, 11], [[1.0, 0.0], [1.1, 0.0]])
         policy = AugmentationPolicy.with_probes(probes)
         offset = probe_id_offset(gallery)
-        a = knn(10, probes.vector(10), gallery, euclidean, 5, policy)
-        b = knn(11, probes.vector(11), gallery, euclidean, 5, policy)
+        a = knn(10, probes.vectors[0], gallery, euclidean, 5, policy)
+        b = knn(11, probes.vectors[1], gallery, euclidean, 5, policy)
         assert offset + 11 in a.members and offset + 10 not in a.members
         assert offset + 10 in b.members and offset + 11 not in b.members
 
@@ -107,8 +108,45 @@ class TestRerankFacade:
     def test_table_k_sigma_consistency(self, euclidean, small_batch):
         gallery, probes = small_batch
         table = compute_sigma_table(gallery, euclidean, 2)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(StaleSigmaTable):
             rerank("inv_dakr", probes, gallery, euclidean, k_sigma=3, table=table)
+
+    def test_given_table_supplies_k_sigma(self, euclidean, small_batch):
+        gallery, probes = small_batch
+        assert default_k_sigma(len(gallery)) != 3
+        table = compute_sigma_table(gallery, euclidean, 3)
+        given = rerank("inv_dakr", probes, gallery, euclidean, table=table)
+        built = rerank("inv_dakr", probes, gallery, euclidean, k_sigma=3)
+        for a, b in zip(given, built):
+            assert a.gallery_ids.tolist() == b.gallery_ids.tolist()
+            np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("method", ["inv_dakr", "bi_dakr"])
+    @pytest.mark.parametrize(
+        "table_mode, requested",
+        [("gallery_only", "with_probes"), ("with_probes", "gallery_only"),
+         ("other_probes", "with_probes")],
+    )
+    def test_given_table_must_fit_policy(self, euclidean, small_batch, method, table_mode,
+                                         requested):
+        gallery, probes = small_batch
+        policies = {
+            "gallery_only": AugmentationPolicy.gallery_only(),
+            "with_probes": AugmentationPolicy.with_probes(probes),
+            # The same probe ids with other vectors: another reference set.
+            "other_probes": AugmentationPolicy.with_probes(
+                FeatureSet(probes.ids, probes.vectors + 1.0)
+            ),
+        }
+        table = compute_sigma_table(gallery, euclidean, 2, policies[table_mode])
+        with pytest.raises(StaleSigmaTable):
+            rerank(method, probes, gallery, euclidean, k_sigma=table.k_sigma,
+                   policy=policies[requested], table=table)
+
+    def test_knn_refuses_with_probes(self, euclidean, small_batch):
+        gallery, probes = small_batch
+        with pytest.raises(InvalidParams):
+            rerank("knn", probes, gallery, euclidean, policy="with_probes")
 
     def test_default_k_sigma_applied(self, euclidean):
         rng = np.random.default_rng(1)

@@ -6,9 +6,9 @@ Each tree is a directory holding the ``dakr`` package (a checkout's
 ``src``).  The input scenarios and a Mahalanobis matrix are generated
 once, under PARENT_SRC; then the same command matrix (``gen --format
 csv`` and ``gen --format bin`` of each scenario, ``sigma``, ``sigma
---with-probes``, ``rerank`` for every method token and with both kinds
-of sidecar, Mahalanobis ``rerank``s, two ``eval``s and three ``sweep``s
-per scenario) runs through ``python -m dakr.cli`` under each tree, with
+--with-probes``, ``sigma --k-sigma 4``, ``rerank`` for every method
+token and with all three sidecars, Mahalanobis ``rerank``s, two
+``eval``s and three ``sweep``s per scenario) runs through ``python -m dakr.cli`` under each tree, with
 ``--threads 1`` wherever the command takes it.  Every data file that
 differs is listed, ``*.timings.json`` skipped (wall-clock figures), and
 the exit status is 1 on any difference or failed command.  ``--work``
@@ -64,11 +64,14 @@ def commands(inputs: Path, out: Path, scenario_flags: list[str]):
         yield ["gen", *scenario_flags, "--format", fmt, "--out", out / f"gen_{fmt}"]
     yield ["sigma", "--gallery", inputs / "gallery.csv", "--out", out / "gallery.sgt"]
     yield ["sigma", *files, "--with-probes", "--out", out / "with_probes.sgt"]
+    yield ["sigma", "--gallery", inputs / "gallery.csv", "--k-sigma", "4", "--out", out / "k4.sgt"]
     for token in TOKENS:
         yield ["rerank", *files, "--method", token, "--k", "4", "--out", out / f"rerank_{token}.csv"]
     for token, table in (("bi_dakr", "gallery.sgt"), ("bi_dakr+", "with_probes.sgt")):
         yield ["rerank", *files, "--method", token, "--sigma-table", out / table,
                "--out", out / f"rerank_{token}_sidecar.csv"]
+    yield ["rerank", *files, "--method", "inv_dakr", "--k-sigma", "4", "--sigma-table", out / "k4.sgt",
+           "--out", out / "rerank_inv_dakr_k4_sidecar.csv"]
     for token in MAHALANOBIS_TOKENS:
         yield ["rerank", *files, "--method", token, "--metric", "mahalanobis",
                "--metric-matrix", inputs / "metric.csv", "--out", out / f"rerank_{token}_mahalanobis.csv"]
