@@ -17,11 +17,9 @@ from .evaluation import (
 from .kernels import (
     SigmaTable,
     bi_dakr_rank,
-    bi_dakr_score,
     compute_sigma_table,
     default_k_sigma,
     inv_dakr_rank,
-    inv_dakr_score,
     probe_sigma,
 )
 from .neighbors import (
@@ -51,7 +49,6 @@ __all__ = [
     "RankedList",
     "SigmaTable",
     "bi_dakr_rank",
-    "bi_dakr_score",
     "cmc",
     "compute_sigma_table",
     "default_k_sigma",
@@ -59,7 +56,6 @@ __all__ = [
     "generate_scenario",
     "inn",
     "inv_dakr_rank",
-    "inv_dakr_score",
     "jaccard_distance",
     "k_sweep",
     "knn",

@@ -129,8 +129,8 @@ def generate_scenario(
         raise InvalidParams("n_distractors must be >= 0")
     if dim < 1:
         raise InvalidParams("dim must be >= 1")
-    if cluster_spread < 0:
-        raise InvalidParams("cluster_spread must be >= 0")
+    if not np.isfinite(cluster_spread) or cluster_spread < 0:
+        raise InvalidParams("cluster_spread must be finite and >= 0")
     if kind == PERFECT_SINGLE_SHOT and n_distractors != 0:
         raise InvalidParams("perfect_single_shot takes no distractors")
     if kind != MULTI_SHOT and shots_per_id != 1:

@@ -11,11 +11,12 @@ sorting kernel responses:
 * bidirectional rule:  phi(d(x, y_j)^2 / (sigma_i * sigma_j)), a smoothed
   reciprocal-NN, where sigma_i is the probe's own bandwidth.
 
-The basis is phi(t) = exp(-t).  Both rules sort on the kernel argument t
-rather than on phi itself, which gives the identical order while being
-immune to floating-point underflow at large arguments; reported scores
-still apply phi.  Rankings take the probe's gallery-only pool from
-:func:`dakr.neighbors.candidate_pool` and are built by :func:`dakr.neighbors.ranking`.
+The basis is phi(t) = exp(-t).  Each rule is written once, in its rank
+function, which sorts on the kernel argument t rather than on phi: the
+same order, immune to floating-point underflow at large t.  The scores
+are the ranking's values, phi(t) for every sample in the probe's pool.
+Rankings and :func:`probe_sigma` take the probe's distance row from
+:func:`dakr.neighbors.pool_row`; :func:`dakr.neighbors.ranking` builds rankings.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from .core import (
     DistanceMetric,
     FeatureSet,
     RankedList,
-    pairwise,
+    # pairwise is not called here; it stays importable because
+    # perfbench/tracing.py wraps dakr.kernels.pairwise.
+    pairwise,  # noqa: F401
     scan_self_distances,
 )
 from .errors import EmptyGallery, InvalidParams, NonPositiveSigma, StaleSigmaTable
@@ -40,7 +43,7 @@ from .neighbors import (
     GALLERY_ONLY,
     WITH_PROBES,
     AugmentationPolicy,
-    candidate_pool,
+    pool_row,
     probe_id_offset,
     ranking,
     reference_set,
@@ -108,14 +111,6 @@ class SigmaTable:
                 raise NonPositiveSigma("bandwidths must be positive and finite")
             object.__setattr__(self, "probe_ids", probe_ids)
             object.__setattr__(self, "probe_sigmas", probe_sigmas)
-
-    def cached_probe_sigma(self, probe_id: int) -> float | None:
-        if self.probe_sigmas is None:
-            return None
-        rows = np.nonzero(self.probe_ids == int(probe_id))[0]
-        if len(rows) == 0:
-            return None
-        return float(self.probe_sigmas[rows[0]])
 
 
 def compute_sigma_table(
@@ -220,32 +215,13 @@ def check_policy(table: SigmaTable, policy: AugmentationPolicy) -> None:
         raise StaleSigmaTable("table was built over another probe set")
 
 
-def _probe_distances(probe_vector, gallery: FeatureSet, metric, table) -> np.ndarray:
-    """Distance row from the probe to every gallery sample, once the table
-    is confirmed to match this gallery and metric."""
+def _rank_by_kernel(probe_id: int, probe_vector, gallery, metric, table, argument) -> RankedList:
+    """Descending-score ranking of the probe's gallery-only pool by ascending
+    kernel argument t = argument(d) of its distance row d, scores exp(-t)."""
     _check_table(table, gallery, metric)
-    probe_vector = np.asarray(probe_vector, dtype=np.float64)
-    return pairwise(metric, probe_vector[None, :], gallery.vectors)[0]
-
-
-def _rank_by_kernel_argument(probe_id: int, t: np.ndarray, gallery: FeatureSet) -> RankedList:
-    """Descending-score ranking of the probe's gallery-only pool from
-    kernel arguments t (one per gallery sample): ascending t, scores exp(-t)."""
-    _, ids, keep = candidate_pool(probe_id, gallery)
-    t = t[keep]
+    _, ids, keep, d = pool_row(probe_id, probe_vector, gallery, metric)
+    t = argument(d)[keep]
     return ranking(probe_id, ids[keep], np.exp(-t), DESCENDING_SCORE, t)
-
-
-def inv_dakr_score(
-    probe_vector,
-    gallery: FeatureSet,
-    metric: DistanceMetric,
-    table: SigmaTable,
-) -> np.ndarray:
-    """Kernel response of every gallery sample evaluated inversely at the
-    probe: phi(d(x, y_j) / sigma_j), length |gallery|."""
-    d = _probe_distances(probe_vector, gallery, metric, table)
-    return np.exp(-(d / table.gallery_sigmas))
 
 
 def inv_dakr_rank(
@@ -256,9 +232,10 @@ def inv_dakr_rank(
     table: SigmaTable,
 ) -> RankedList:
     """Descending-score ranking under the inverse rule, sorted on the
-    kernel argument d/sigma."""
-    d = _probe_distances(probe_vector, gallery, metric, table)
-    return _rank_by_kernel_argument(probe_id, d / table.gallery_sigmas, gallery)
+    kernel argument d/sigma_j."""
+    return _rank_by_kernel(
+        probe_id, probe_vector, gallery, metric, table, lambda d: d / table.gallery_sigmas
+    )
 
 
 def probe_sigma(
@@ -270,43 +247,24 @@ def probe_sigma(
     policy: AugmentationPolicy = AugmentationPolicy(),
 ) -> float:
     """The probe's own bandwidth: its k_sigma-th nearest-neighbor distance
-    within its candidate pool (:func:`dakr.neighbors.candidate_pool`).
+    within its candidate pool (:func:`dakr.neighbors.pool_row`).
     Under with_probes it is served from the table's cache when possible.
     A policy that does not fit the table fails :func:`check_policy`.
     """
     check_policy(table, policy)
-    cached = table.cached_probe_sigma(probe_id)
-    if cached is not None:
-        return cached
-    probe_vector = np.asarray(probe_vector, dtype=np.float64)
-    vectors, _, keep = candidate_pool(probe_id, gallery, policy)
-    if not keep.any():
+    if table.probe_sigmas is not None:
+        cached = table.probe_sigmas[table.probe_ids == int(probe_id)]
+        if len(cached):
+            return float(cached[0])
+    _, _, keep, d = pool_row(probe_id, probe_vector, gallery, metric, policy)
+    d = d[keep]
+    if len(d) == 0:
         raise EmptyGallery("no reference samples to derive the probe bandwidth")
-    d = pairwise(metric, probe_vector[None, :], vectors)[0][keep]
     k_eff = min(table.k_sigma, len(d))
     sigma = float(np.partition(d, k_eff - 1)[k_eff - 1])
     top = float(d.max())
     floor = _SIGMA_FLOOR_SCALE * (top if top > 0 else 1.0)
     return max(sigma, floor)
-
-
-def bi_dakr_score(
-    probe_vector,
-    sigma_i: float,
-    gallery: FeatureSet,
-    metric: DistanceMetric,
-    table: SigmaTable,
-) -> np.ndarray:
-    """Bidirectional belief for every gallery sample:
-    phi(d(x, y_j)^2 / (sigma_i * sigma_j)), length |gallery|.
-
-    The squared distance merges the probe-to-gallery and gallery-to-probe
-    beliefs in one symmetric form.
-    """
-    if not np.isfinite(sigma_i) or sigma_i <= 0:
-        raise NonPositiveSigma(f"sigma_i must be positive, got {sigma_i!r}")
-    d = _probe_distances(probe_vector, gallery, metric, table)
-    return np.exp(-(d * d / (sigma_i * table.gallery_sigmas)))
 
 
 def bi_dakr_rank(
@@ -317,17 +275,20 @@ def bi_dakr_rank(
     table: SigmaTable,
     policy: AugmentationPolicy = AugmentationPolicy(),
 ) -> RankedList:
-    """Descending-score ranking under the bidirectional rule.
+    """Descending-score ranking under the bidirectional rule, sorted on the
+    kernel argument d^2/(sigma_i * sigma_j): the squared distance merges the
+    probe-to-gallery and gallery-to-probe beliefs in one symmetric form.
 
-    The probe bandwidth comes from :func:`probe_sigma`, which refuses a
-    policy that fails :func:`check_policy`; the table's
+    The probe bandwidth sigma_i comes from :func:`probe_sigma`, which
+    refuses a policy that fails :func:`check_policy`; the table's
     gallery bandwidths are reused untouched (the offline/online split).
     """
-    d = _probe_distances(probe_vector, gallery, metric, table)
-    sigma_i = probe_sigma(probe_id, probe_vector, gallery, metric, table, policy)
-    return _rank_by_kernel_argument(
-        probe_id, d * d / (sigma_i * table.gallery_sigmas), gallery
-    )
+
+    def argument(d):
+        sigma_i = probe_sigma(probe_id, probe_vector, gallery, metric, table, policy)
+        return d * d / (sigma_i * table.gallery_sigmas)
+
+    return _rank_by_kernel(probe_id, probe_vector, gallery, metric, table, argument)
 
 
 def default_k_sigma(n_gallery: int, avg_true_matches: float | None = None) -> int:

@@ -4,8 +4,9 @@ dissimilarity, and their probe-augmented variants.
 :func:`reference_set` and :func:`candidate_pool` decide what a pool
 holds, for every neighbor set here and for the bandwidths and rankings in
 :mod:`dakr.kernels`; :func:`candidate_pool` is the one place that drops
-the probe's own copy, and :func:`ranking` the one place rankings are
-built.  Other conventions shared by every operation here:
+the probe's own copy, :func:`pool_row` the one place a probe's distance
+row is computed, and :func:`ranking` the one place rankings are built.
+Other conventions shared by every operation here:
 
 * Ranked outputs only ever emit true gallery ids; neighbor sets may also
   hold offset probe ids.
@@ -127,7 +128,7 @@ def candidate_pool(
     return vectors, ids, keep
 
 
-def _pool_row(probe_id: int, probe_vector, gallery, metric, policy):
+def pool_row(probe_id: int, probe_vector, gallery, metric, policy=_GALLERY_ONLY):
     """The probe's candidate pool and its one distance row over the
     whole reference set: (vectors, ids, keep, dists)."""
     vectors, ids, keep = candidate_pool(probe_id, gallery, policy)
@@ -163,7 +164,7 @@ def knn(
     policy: AugmentationPolicy = AugmentationPolicy(),
 ) -> NeighborSet:
     """The k candidates nearest to the probe, ties by ascending id."""
-    _, ids, keep, dists = _pool_row(probe_id, probe_vector, gallery, metric, policy)
+    _, ids, keep, dists = pool_row(probe_id, probe_vector, gallery, metric, policy)
     return NeighborSet(anchor_id=int(probe_id), k=k, members=_nearest(ids[keep], dists[keep], k))
 
 
@@ -172,13 +173,13 @@ def _inn_members(
     gallery: FeatureSet,
     metric: DistanceMetric,
     k: int,
-    pool_row,
+    row,
 ):
     """The pool's gallery samples as (ids, distances to the probe, mask),
     where the mask tells whether each takes the probe as one of its k
     nearest neighbors.
 
-    ``pool_row`` is what :func:`_pool_row` returned; the scan copies the
+    ``row`` is what :func:`pool_row` returned; the scan copies the
     pool's vectors out of it.  The probe's 0-based position in sample j's
     pool equals the number of candidates ranked strictly before it under
     (distance, id); gallery candidates always win distance ties against
@@ -186,7 +187,7 @@ def _inn_members(
     """
     if k < 1:
         raise InvalidParams("k must be >= 1")
-    vectors, ids, keep, dists = pool_row
+    vectors, ids, keep, dists = row
     n = len(gallery)
     own = keep[:n]
     gal_ids, gal_vectors, d_x = gallery.ids[own], vectors[:n][own], dists[:n][own]
@@ -220,7 +221,7 @@ def inn(
 ) -> frozenset:
     """Inverse nearest neighbors: gallery samples whose own k-NN include
     the probe.  Always a full scan over the gallery."""
-    row = _pool_row(probe_id, probe_vector, gallery, metric, policy)
+    row = pool_row(probe_id, probe_vector, gallery, metric, policy)
     ids, _, members = _inn_members(probe_id, gallery, metric, k, row)
     return frozenset(int(i) for i in ids[members])
 
@@ -235,7 +236,7 @@ def rnn(
 ) -> frozenset:
     """Reciprocal nearest neighbors: the probe's k-NN that are also in its
     k-INN (so gallery samples only)."""
-    row = _pool_row(probe_id, probe_vector, gallery, metric, policy)
+    row = pool_row(probe_id, probe_vector, gallery, metric, policy)
     _, ids, keep, dists = row
     gal_ids, _, members = _inn_members(probe_id, gallery, metric, k, row)
     return _nearest(ids[keep], dists[keep], k) & frozenset(int(i) for i in gal_ids[members])
@@ -286,7 +287,7 @@ def rank_by_distance(
 ) -> RankedList:
     """Plain ascending-distance ranking of the whole gallery (the k-NN
     baseline as a total order)."""
-    _, ids, keep, dists = _pool_row(probe_id, probe_vector, gallery, metric, _GALLERY_ONLY)
+    _, ids, keep, dists = pool_row(probe_id, probe_vector, gallery, metric)
     dists = dists[keep]
     return ranking(probe_id, ids[keep], dists, ASCENDING_DISTANCE, dists)
 
@@ -311,7 +312,7 @@ def rank_by_inn(
     Values are composite sort keys: members in [0, 1), the appended block
     in [2, 3).  Orderings, not magnitudes, are the comparable quantity.
     """
-    row = _pool_row(probe_id, probe_vector, gallery, metric, policy)
+    row = pool_row(probe_id, probe_vector, gallery, metric, policy)
     ids, dists, members = _inn_members(probe_id, gallery, metric, k, row)
     keys = np.where(members, _bounded(dists), 2.0 + _bounded(dists))
     return ranking(probe_id, ids, keys, ASCENDING_DISTANCE, dists, ~members)
@@ -333,7 +334,7 @@ def rank_by_rnn(
     composite sort keys: members carry their Jaccard distance in [0, 1],
     the appended block lives in [2, 3).
     """
-    row = _pool_row(probe_id, probe_vector, gallery, metric, policy)
+    row = pool_row(probe_id, probe_vector, gallery, metric, policy)
     _, ids, keep, dists = row
     probe_nn = _nearest(ids[keep], dists[keep], k)
     gal_ids, dists, member_mask = _inn_members(probe_id, gallery, metric, k, row)

@@ -53,9 +53,12 @@ def parse_method_token(token: str) -> tuple[str, str]:
 
 def resolve_policy(mode: str, probes: FeatureSet) -> AugmentationPolicy:
     """Build the augmentation policy for a batch, degrading to gallery-only
-    (with a warning) when there are no extra probes to augment with."""
+    (with a warning) when there are no extra probes to augment with; a
+    mode that is neither is :class:`InvalidParams`."""
     if mode == GALLERY_ONLY:
         return AugmentationPolicy.gallery_only()
+    if mode != WITH_PROBES:
+        raise InvalidParams(f"unknown augmentation mode {mode!r}")
     if len(probes) < 2:
         warnings.warn(
             "with_probes requested but the probe set has no extra samples; "

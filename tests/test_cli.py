@@ -308,6 +308,13 @@ class TestExitCodes:
             ["sweep", *SCENARIO, "--threads", "-2"],
             ["bench", "--sizes", "1", "--method", "inv_dakr"],
             ["bench", "--sizes", "20,1", "--method", "knn"],
+            ["gen", *SCENARIO, "--seed", "-1"],
+            ["eval", *SCENARIO, "--seed", "-1"],
+            ["sweep", *SCENARIO, "--seed", "-1"],
+            ["bench", "--sizes", "20", "--method", "knn", "--seed", "-1"],
+            ["gen", *SCENARIO, "--cluster-spread", "nan"],
+            ["eval", *SCENARIO, "--cluster-spread", "nan"],
+            ["sweep", *SCENARIO, "--cluster-spread", "inf"],
         ],
     )
     def test_bad_list_count_or_scenario_is_usage_error(self, tmp_path, argv):

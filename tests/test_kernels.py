@@ -10,13 +10,11 @@ from dakr import (
     DistanceMetric,
     FeatureSet,
     bi_dakr_rank,
-    bi_dakr_score,
     compute_sigma_table,
     default_k_sigma,
     inn,
     inv_dakr_rank,
     knn,
-    inv_dakr_score,
     probe_sigma,
     rank_by_distance,
     rnn,
@@ -41,6 +39,12 @@ from oracles import (
 @pytest.fixture
 def line_gallery():
     return FeatureSet([0, 1, 2], [[0.0], [1.0], [3.0]])
+
+
+def values_by_id(ranked, ids):
+    """The ranking's values, its kernel scores, in the order of ``ids``."""
+    score_of = dict(zip(ranked.gallery_ids.tolist(), ranked.values.tolist()))
+    return np.array([score_of[int(i)] for i in ids])
 
 
 def uniform_table(gallery, metric, sigma_value=1.0, k_sigma=1):
@@ -186,21 +190,21 @@ class TestBlockedSigmaTable:
 class TestInvDakr:
     def test_coincident_probe_scores_one(self, euclidean, line_gallery):
         table = compute_sigma_table(line_gallery, euclidean, 1)
-        scores = inv_dakr_score([1.0], line_gallery, euclidean, table)
-        assert scores[1] == 1.0
+        ranked = inv_dakr_rank(99, [1.0], line_gallery, euclidean, table)
+        assert values_by_id(ranked, line_gallery.ids)[1] == 1.0
 
     def test_direct_evaluation(self, euclidean):
         gallery = FeatureSet([0], [[0.0]])
         table = uniform_table(gallery, euclidean, sigma_value=1.0)
-        scores = inv_dakr_score([2.0], gallery, euclidean, table)
-        assert scores[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
+        ranked = inv_dakr_rank(9, [2.0], gallery, euclidean, table)
+        assert ranked.values[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_larger_sigma_raises_score(self, euclidean):
         gallery = FeatureSet([0], [[0.0]])
         small = uniform_table(gallery, euclidean, sigma_value=1.0)
         large = uniform_table(gallery, euclidean, sigma_value=2.0)
-        s_small = inv_dakr_score([2.0], gallery, euclidean, small)[0]
-        s_large = inv_dakr_score([2.0], gallery, euclidean, large)[0]
+        s_small = inv_dakr_rank(9, [2.0], gallery, euclidean, small).values[0]
+        s_large = inv_dakr_rank(9, [2.0], gallery, euclidean, large).values[0]
         assert s_large > s_small
 
     def test_hand_ranking(self, euclidean, line_gallery):
@@ -236,7 +240,7 @@ class TestInvDakr:
         ranked = inv_dakr_rank(9, probe, gallery, euclidean, table)
         assert ranked.gallery_ids.tolist()[0] == 0
         # cross-check against direct formula evaluation
-        scores = inv_dakr_score(probe, gallery, euclidean, table)
+        scores = values_by_id(ranked, gallery.ids)
         assert np.argmax(scores) == 0
 
     def test_matches_bruteforce_oracle(self, euclidean):
@@ -254,9 +258,9 @@ class TestInvDakr:
         table = compute_sigma_table(line_gallery, euclidean, 1)
         other = FeatureSet([0, 1, 2], [[0.0], [1.0], [4.0]])
         with pytest.raises(StaleSigmaTable):
-            inv_dakr_score([0.0], other, euclidean, table)
+            inv_dakr_rank(99, [0.0], other, euclidean, table)
         with pytest.raises(StaleSigmaTable):
-            inv_dakr_score([0.0], line_gallery, DistanceMetric.squared_euclidean(), table)
+            inv_dakr_rank(99, [0.0], line_gallery, DistanceMetric.squared_euclidean(), table)
 
     def test_smoothed_inverse_neighbor_threshold(self, euclidean):
         # the kernel argument d/sigma crosses 1 exactly where membership in
@@ -271,7 +275,8 @@ class TestInvDakr:
             pid = int(probes.ids[0])
             pvec = probes.vectors[0]
             members = inn(pid, pvec, gallery, euclidean, k_sigma)
-            scores = inv_dakr_score(pvec, gallery, euclidean, table)
+            ranked = inv_dakr_rank(pid, pvec, gallery, euclidean, table)
+            scores = values_by_id(ranked, gallery.ids)
             dists = np.linalg.norm(gallery.vectors - np.asarray(pvec), axis=1)
             for row, gid in enumerate(gallery.ids):
                 gid = int(gid)
@@ -285,25 +290,15 @@ class TestInvDakr:
 class TestBiDakr:
     def test_coincident_probe_scores_one(self, euclidean, line_gallery):
         table = compute_sigma_table(line_gallery, euclidean, 1)
-        scores = bi_dakr_score([1.0], 2.5, line_gallery, euclidean, table)
-        assert scores[1] == 1.0
+        ranked = bi_dakr_rank(99, [1.0], line_gallery, euclidean, table)
+        assert values_by_id(ranked, line_gallery.ids)[1] == 1.0
 
     def test_direct_evaluation(self, euclidean):
         gallery = FeatureSet([0], [[0.0]])
         table = uniform_table(gallery, euclidean, sigma_value=2.0)
-        scores = bi_dakr_score([1.0], 1.0, gallery, euclidean, table)
-        assert scores[0] == pytest.approx(math.exp(-0.5), rel=1e-12)
-
-    def test_symmetric_in_sigma_pair(self, euclidean):
-        gallery = FeatureSet([0], [[0.0]])
-        a = bi_dakr_score([1.0], 3.0, gallery, euclidean, uniform_table(gallery, euclidean, 0.5))
-        b = bi_dakr_score([1.0], 0.5, gallery, euclidean, uniform_table(gallery, euclidean, 3.0))
-        assert a[0] == pytest.approx(b[0], rel=1e-12)
-
-    def test_rejects_nonpositive_sigma_i(self, euclidean, line_gallery):
-        table = compute_sigma_table(line_gallery, euclidean, 1)
-        with pytest.raises(NonPositiveSigma):
-            bi_dakr_score([0.0], 0.0, line_gallery, euclidean, table)
+        # sigma_i is the probe's distance to its one pool sample, 1.0
+        ranked = bi_dakr_rank(9, [1.0], gallery, euclidean, table)
+        assert ranked.values[0] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_scores_bounded(self, euclidean):
         rng = np.random.default_rng(44)
@@ -312,7 +307,8 @@ class TestBiDakr:
             table = compute_sigma_table(gallery, euclidean, 1)
             pvec = probes.vectors[0]
             sigma_i = probe_sigma(500, pvec, gallery, euclidean, table)
-            scores = bi_dakr_score(pvec, sigma_i, gallery, euclidean, table)
+            ranked = bi_dakr_rank(500, pvec, gallery, euclidean, table)
+            scores = values_by_id(ranked, gallery.ids)
             assert np.all(scores >= 0)
             assert np.all(scores <= 1.0)
             # strictly positive wherever the kernel argument cannot
@@ -335,10 +331,9 @@ class TestBiDakr:
             gallery, probes, _, _ = random_instance(rng)
             table = uniform_table(gallery, euclidean, sigma_value=1.3)
             pid = int(probes.ids[0])
-            scores = bi_dakr_score(probes.vectors[0], 1.3, gallery, euclidean, table)
+            ranked = bi_dakr_rank(pid, probes.vectors[0], gallery, euclidean, table)
             baseline = rank_by_distance(pid, probes.vectors[0], gallery, euclidean)
-            order = np.lexsort((gallery.ids, -scores))
-            assert gallery.ids[order].tolist() == baseline.gallery_ids.tolist()
+            assert ranked.gallery_ids.tolist() == baseline.gallery_ids.tolist()
 
     def test_matches_bruteforce_oracle(self, euclidean):
         rng = np.random.default_rng(14)
@@ -406,7 +401,7 @@ class TestKernelBasis:
         grid = np.linspace(0.0, 50.0, 400)
         gallery = FeatureSet(np.arange(len(grid)), grid[:, None])
         table = uniform_table(gallery, euclidean, sigma_value=1.0)
-        values = inv_dakr_score([0.0], gallery, euclidean, table)
+        values = values_by_id(inv_dakr_rank(1000, [0.0], gallery, euclidean, table), gallery.ids)
         assert np.all(values > 0)
         assert np.all(np.diff(values) <= 0)
 

@@ -148,6 +148,30 @@ class TestUncopiedReferenceSet:
             assert len(built) == 1, fn.__name__
             assert pid not in ranked.gallery_ids and len(ranked) == len(gallery) - 1
 
+    def test_distance_rows_and_digests_per_ranking(self, euclidean, monkeypatch, multi_shot):
+        # The counts the traced benchmark records per probe: one distance
+        # row per ranking, plus probe_sigma's own row for gallery-only
+        # bi_dakr (none when sigma_i is cached), and one table digest per
+        # kernel ranking.
+        gallery, pid, pvec = multi_shot
+        table = compute_sigma_table(gallery, euclidean, 3)
+        policy = AugmentationPolicy.with_probes(FeatureSet([pid, 90], [pvec, pvec + 1.0]))
+        cached = compute_sigma_table(gallery, euclidean, 3, policy)
+        calls = _counting(monkeypatch, dakr.neighbors, "pairwise")
+        _counting(monkeypatch, dakr.kernels, "pairwise", calls)
+        digests = _counting(monkeypatch, dakr.kernels, "reference_digest")
+        for fn, args, rows in (
+            (rank_by_distance, (pid, pvec, gallery, euclidean), 1),
+            (inv_dakr_rank, (pid, pvec, gallery, euclidean, table), 1),
+            (bi_dakr_rank, (pid, pvec, gallery, euclidean, table), 2),
+            (bi_dakr_rank, (pid, pvec, gallery, euclidean, cached, policy), 1),
+        ):
+            calls.clear()
+            digests.clear()
+            fn(*args)
+            assert sum(len(query) for _, query, _ in calls) == rows, (fn.__name__, args[-1])
+            assert len(digests) == (0 if fn is rank_by_distance else 1), fn.__name__
+
 
 class TestPoolRuleOracle:
     def test_gallery_probes_and_extra_probes_match_bruteforce(self, euclidean):

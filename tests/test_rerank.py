@@ -148,6 +148,13 @@ class TestRerankFacade:
         with pytest.raises(InvalidParams):
             rerank("knn", probes, gallery, euclidean, policy="with_probes")
 
+    @pytest.mark.parametrize("mode", ["gallery-only", "with-probes", "WITH_PROBES", ""])
+    def test_unknown_policy_mode_rejected(self, euclidean, small_batch, mode):
+        # A misspelled mode must not silently augment with the probes.
+        gallery, probes = small_batch
+        with pytest.raises(InvalidParams):
+            rerank("bi_dakr", probes, gallery, euclidean, k_sigma=2, policy=mode)
+
     def test_default_k_sigma_applied(self, euclidean):
         rng = np.random.default_rng(1)
         gallery = FeatureSet(np.arange(40), rng.normal(size=(40, 2)))
