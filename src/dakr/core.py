@@ -41,6 +41,12 @@ PSD_TOLERANCE = 1e-9
 _BLOCK_ELEMENTS = 4_000_000
 
 
+def _has_duplicates(ids: np.ndarray) -> bool:
+    # Sort and compare neighbours; numpy 2's unique() hashes first, ~10x slower.
+    ordered = np.sort(ids)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
 @dataclass(frozen=True)
 class FeatureSet:
     """Dense matrix of d-dimensional feature vectors with stable integer ids.
@@ -66,7 +72,7 @@ class FeatureSet:
             raise InvalidParams(f"{len(ids)} ids for {n} vector rows")
         if np.any(ids < 0):
             raise InvalidParams("ids must be non-negative")
-        if len(np.unique(ids)) != n:
+        if _has_duplicates(ids):
             raise InvalidParams("ids must be unique")
         if not np.all(np.isfinite(vectors)):
             raise NonFiniteValue("feature vectors contain NaN or Inf")
@@ -240,10 +246,12 @@ class RankedList:
             raise InvalidParams("gallery_ids and values must be 1-D")
         if gallery_ids.shape != values.shape:
             raise InvalidParams("gallery_ids and values must have equal length")
-        if len(np.unique(gallery_ids)) != len(gallery_ids):
+        if _has_duplicates(gallery_ids):
             raise InvalidParams("gallery ids must be unique within a ranking")
         if self.order not in (ASCENDING_DISTANCE, DESCENDING_SCORE):
             raise InvalidParams(f"unknown ranking order {self.order!r}")
+        if np.isnan(values).any():
+            raise NonFiniteValue("ranking values contain NaN")
         diffs = np.diff(values)
         if self.order == ASCENDING_DISTANCE and np.any(diffs < 0):
             raise InvalidParams("values are not sorted ascending")

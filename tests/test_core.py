@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dakr.core
 from dakr import DistanceMetric, FeatureSet, RankedList
@@ -18,6 +20,11 @@ class TestFeatureSet:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(InvalidParams):
             FeatureSet([1, 1], [[0.0], [1.0]])
+
+    @pytest.mark.parametrize("ids", [[3, 1, 3], [7, 2, 9, 2]])
+    def test_rejects_non_adjacent_duplicate_ids(self, ids):
+        with pytest.raises(InvalidParams, match="ids must be unique"):
+            FeatureSet(ids, np.zeros((len(ids), 2)))
 
     def test_rejects_negative_ids(self):
         with pytest.raises(InvalidParams):
@@ -168,6 +175,45 @@ class TestRankedList:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(InvalidParams):
             RankedList(0, [1, 1], [0.1, 0.2], ASCENDING_DISTANCE)
+
+    @pytest.mark.parametrize("ids", [[3, 1, 3], [7, 2, 9, 2]])
+    def test_rejects_non_adjacent_duplicate_ids(self, ids):
+        with pytest.raises(InvalidParams, match="gallery ids must be unique"):
+            RankedList(0, ids, np.zeros(len(ids)), ASCENDING_DISTANCE)
+
+    @pytest.mark.parametrize("ids", [[], [4]])
+    def test_accepts_empty_and_single_entry(self, ids):
+        rl = RankedList(0, ids, np.ones(len(ids)), DESCENDING_SCORE)
+        assert rl.gallery_ids.tolist() == ids
+        assert not rl.gallery_ids.flags.writeable
+
+    @pytest.mark.parametrize(
+        "values, order",
+        [
+            ([0.1, math.nan, 0.05], ASCENDING_DISTANCE),
+            ([0.9, math.nan, 0.95], DESCENDING_SCORE),
+            ([math.nan], ASCENDING_DISTANCE),
+        ],
+    )
+    def test_rejects_nan_values(self, values, order):
+        with pytest.raises(NonFiniteValue):
+            RankedList(0, list(range(len(values))), values, order)
+
+
+_INT64 = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+
+
+@given(ids=st.lists(st.one_of(st.integers(-3, 3), _INT64), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_ranked_list_rejects_exactly_repeated_ids(ids):
+    def build():
+        return RankedList(0, np.array(ids, dtype=np.int64), np.zeros(len(ids)), ASCENDING_DISTANCE)
+
+    if len(set(ids)) != len(ids):
+        with pytest.raises(InvalidParams, match="gallery ids must be unique"):
+            build()
+    else:
+        assert build().gallery_ids.tolist() == ids
 
 
 def test_every_exported_name_resolves():

@@ -212,6 +212,10 @@ class TestGenerateScenario:
         with pytest.raises(InvalidParams):
             generate_scenario("perfect_single_shot", 5, shots_per_id=2)
 
+    def test_negative_seed_is_invalid_params(self):
+        with pytest.raises(InvalidParams, match="seed"):
+            generate_scenario("perfect_single_shot", 4, seed=-1)
+
     def test_distractors_never_help_knn_rank1(self):
         # sign test over 25 seeds: adding distractors must not improve
         # rank-1 accuracy in expectation
