@@ -18,13 +18,9 @@ class TestFeatureSet:
         assert fs.dim == 1
 
     def test_rejects_duplicate_ids(self):
-        with pytest.raises(InvalidParams):
-            FeatureSet([1, 1], [[0.0], [1.0]])
-
-    @pytest.mark.parametrize("ids", [[3, 1, 3], [7, 2, 9, 2]])
-    def test_rejects_non_adjacent_duplicate_ids(self, ids):
-        with pytest.raises(InvalidParams, match="ids must be unique"):
-            FeatureSet(ids, np.zeros((len(ids), 2)))
+        for ids in ([1, 1], [3, 1, 3], [7, 2, 9, 2]):
+            with pytest.raises(InvalidParams, match="ids must be unique"):
+                FeatureSet(ids, np.zeros((len(ids), 2)))
 
     def test_rejects_negative_ids(self):
         with pytest.raises(InvalidParams):
@@ -173,13 +169,9 @@ class TestRankedList:
             RankedList(0, [1, 2], [0.1, 0.2], DESCENDING_SCORE)
 
     def test_rejects_duplicate_ids(self):
-        with pytest.raises(InvalidParams):
-            RankedList(0, [1, 1], [0.1, 0.2], ASCENDING_DISTANCE)
-
-    @pytest.mark.parametrize("ids", [[3, 1, 3], [7, 2, 9, 2]])
-    def test_rejects_non_adjacent_duplicate_ids(self, ids):
-        with pytest.raises(InvalidParams, match="gallery ids must be unique"):
-            RankedList(0, ids, np.zeros(len(ids)), ASCENDING_DISTANCE)
+        for ids in ([1, 1], [3, 1, 3], [7, 2, 9, 2]):
+            with pytest.raises(InvalidParams, match="gallery ids must be unique"):
+                RankedList(0, ids, np.zeros(len(ids)), ASCENDING_DISTANCE)
 
     @pytest.mark.parametrize("ids", [[], [4]])
     def test_accepts_empty_and_single_entry(self, ids):

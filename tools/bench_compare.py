@@ -1,7 +1,7 @@
 """Before/after benchmark record of two source trees, as a root ``BENCH_*.json``.
 
     python tools/bench_compare.py PARENT_TREE CHANGE_TREE --workload W[,W...] \\
-        --seeds 0,1,2 [--seconds 35] --out BENCH_<slug>.json
+        [--seeds 0,1,...,9] --out BENCH_<slug>.json
 
 Each tree is a checkout root holding ``perfbench/run.py`` and ``src/dakr``.
 For every workload and seed, ``perfbench/run.py --trace 0`` runs once in
@@ -46,10 +46,10 @@ def commit(root: Path) -> str | None:
     return done.stdout.strip() or None
 
 
-def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict | None, str]:
+def run_bench(root: Path, workload: str, seed: int, trace: int) -> tuple[dict | None, str]:
     """One run.py invocation; its JSON line (None if it printed none) and its report."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--trace", str(trace)]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
@@ -92,8 +92,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent_tree")
     parser.add_argument("change_tree")
     parser.add_argument("--workload", required=True, help="comma-separated workload names")
-    parser.add_argument("--seeds", default="0,1,2", help="comma-separated seeds (default 0,1,2)")
-    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--seeds", default=",".join(map(str, range(10))),
+                        help="comma-separated seeds, one run pair each (default 0,1,...,9)")
     parser.add_argument("--out", required=True, help="the BENCH_<slug>.json to write")
     args = parser.parse_args(argv)
     trees = {"parent": tree_root(args.parent_tree), "change": tree_root(args.change_tree)}
@@ -109,7 +109,7 @@ def main(argv=None) -> int:
         sides = {side: {"runs": []} for side in SIDES}
         for i, seed in enumerate(seeds):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                result, text = run_bench(trees[side], workload, seed, args.seconds, trace=0)
+                result, text = run_bench(trees[side], workload, seed, trace=0)
                 versions = versions or next((ln for ln in text.splitlines() if ln.startswith("numpy ")), "")
                 print(f"bench_compare: {workload} seed {seed} {side} done", file=sys.stderr)
                 if result is None or not result["correct"] or result["failed"]:
@@ -117,7 +117,7 @@ def main(argv=None) -> int:
                 if result is not None:
                     sides[side]["runs"].append(dict(result, seed=seed))
         for side in SIDES:
-            result, text = run_bench(trees[side], workload, seeds[0], args.seconds, trace=1)
+            result, text = run_bench(trees[side], workload, seeds[0], trace=1)
             if result is None or not result["correct"] or result["failed"]:
                 problems.append(f"{side} {workload} seed {seeds[0]} --trace 1: {text.strip()[-300:]}")
             sides[side]["traced_run"] = result
@@ -132,8 +132,8 @@ def main(argv=None) -> int:
                         f"{len(seeds)} untraced runs (seeds {args.seeds}) taken in turns with the other "
                         "side, summarized as in perfbench/baseline.json, and one traced run at the "
                         "first seed. Timings are scaled to the reference host speed."),
-        "command": (f"python3 perfbench/run.py --workload <name> --seed <n> --seconds {args.seconds:g} "
-                    "--trace <0|1>"),
+        "command": ("python3 perfbench/run.py --workload <name> --seed <n> --trace <0|1> "
+                    "(run.py's default --seconds 35)"),
         "machine": {"nproc": os.cpu_count(), "machine": platform.machine(),
                     "python": platform.python_version(), "libraries": versions},
         "commits": {side: commit(trees[side]) for side in SIDES},
