@@ -9,6 +9,16 @@ Ties are broken by ascending id everywhere.  The self-distance scan
 excludes each sample from its own row; a probe's own copy is dropped by
 :func:`dakr.neighbors.candidate_pool` alone, and every ranking is built
 by :func:`dakr.neighbors.ranking`.
+
+Every distance the program emits is :func:`pairwise`'s, which for the
+euclidean metrics means scipy ``cdist``'s bytes.  The self-distance scan
+(:func:`scan_self_distances`) takes its euclidean rows from one GEMM per
+row block, ||x||^2 + ||y||^2 - 2 x.y on mean-centred vectors, with a
+rounding bound per row; that approximation only *selects*.
+:class:`SelfBlock` decides each k-th smallest value, count under a limit
+and maximum from it where the bound allows, and re-scores the entries
+within twice the bound of the boundary with :func:`pairwise`, so the
+values it returns are the ones full ``cdist`` rows would give.
 """
 
 from __future__ import annotations
@@ -40,6 +50,23 @@ PSD_TOLERANCE = 1e-9
 # Row block size cap for quadratic scans, keeps peak memory bounded.
 _BLOCK_ELEMENTS = 4_000_000
 
+# The GEMM scan's rounding bound per row is
+# _EPS_FACTOR * (d + 4) * u * (|x_i|^2 + max_j |x_j|^2) on centred vectors;
+# summing the worst cases of the centring, the norms, the GEMM and cdist's
+# own sum gives a factor of about 5, so 16 leaves room.
+_EPS_FACTOR = 16.0
+# Pairs re-scored per pairwise() call: one chunk x chunk call per chunk.
+_PAIR_CHUNK = 16
+
+
+def _integer_ids(ids) -> np.ndarray:
+    """``ids`` as int64; fractional or non-finite float ids are refused,
+    where a plain cast would truncate them."""
+    raw = np.asarray(ids)
+    if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.floor(raw))):
+        raise InvalidParams("ids must be integers")
+    return np.asarray(raw, dtype=np.int64)
+
 
 def _has_duplicates(ids: np.ndarray) -> bool:
     # Sort and compare neighbours; numpy 2's unique() hashes first, ~10x slower.
@@ -59,7 +86,7 @@ class FeatureSet:
     vectors: np.ndarray
 
     def __post_init__(self):
-        ids = np.asarray(self.ids, dtype=np.int64)
+        ids = _integer_ids(self.ids)
         vectors = np.asarray(self.vectors, dtype=np.float64)
         if ids.ndim != 1:
             raise InvalidParams("ids must be a 1-D sequence of integers")
@@ -201,22 +228,155 @@ def pairwise(metric: DistanceMetric, queries: np.ndarray, refs: np.ndarray) -> n
     return out
 
 
+def _pair_distances(metric: DistanceMetric, vectors: np.ndarray, rows, cols) -> np.ndarray:
+    """pairwise() of each pair (vectors[rows[p]], vectors[cols[p]]): the
+    diagonal of one pairwise() call per chunk, so each value has the bytes
+    the full distance row would give (tests pin this)."""
+    out = np.empty(len(rows), dtype=np.float64)
+    for s in range(0, len(rows), _PAIR_CHUNK):
+        r, c = rows[s:s + _PAIR_CHUNK], cols[s:s + _PAIR_CHUNK]
+        out[s:s + len(r)] = pairwise(metric, vectors[r], vectors[c]).diagonal()
+    return out
+
+
+@dataclass
+class SelfBlock:
+    """Rows ``start`` to ``stop`` of the self-distance matrix of ``vectors``,
+    each sample's entry in its own row at +inf.
+
+    ``approx[i, j]`` is within ``eps[i]`` of the exact distance, or of its
+    square when ``squared``; an ``eps`` of zero means the row is exact.
+    The selections below return exact :func:`pairwise` values and count
+    the pairs they re-score in ``rescored``.
+    """
+
+    metric: DistanceMetric
+    vectors: np.ndarray
+    start: int
+    approx: np.ndarray
+    eps: np.ndarray
+    squared: bool
+    rescored: int = 0
+
+    @property
+    def stop(self) -> int:
+        return self.start + len(self.approx)
+
+    def _exact(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Exact distances of the block's (row, column) pairs."""
+        if not self.eps.any():
+            # Exact rows; all-zero bounds from the GEMM mean every
+            # centred vector is zero, so every distance is 0 either way.
+            return self.approx[rows, cols]
+        self.rescored += len(rows)
+        return _pair_distances(self.metric, self.vectors, self.start + rows, cols)
+
+    def kth_smallest(self, k: int) -> np.ndarray:
+        """Each row's exact k-th smallest distance, 1 <= k < len(vectors).
+
+        Entries more than 2 eps below or above the approximate k-th value
+        are decided by the approximation; the exact k-th is the
+        (k - sure-below)-th smallest of the re-scored band between.
+        """
+        approx, eps2 = self.approx, 2.0 * self.eps
+        part = np.partition(approx, k - 1, axis=1)
+        kth = part[:, k - 1].copy()
+        lo, hi = kth - eps2, kth + eps2
+        # Lone rows: the k-th entry is the only one in its band.
+        lone = (part[:, : k - 1].max(axis=1, initial=-np.inf) < lo) & (
+            part[:, k:].min(axis=1) > hi
+        )
+        del part
+        lone_rows = np.flatnonzero(lone)
+        lone_cols = np.argmax(approx == kth[:, None], axis=1)[lone_rows]
+        wide = np.flatnonzero(~lone)
+        band = approx[wide]
+        below = np.count_nonzero(band < lo[wide, None], axis=1)
+        band_row, band_col = np.nonzero((band >= lo[wide, None]) & (band <= hi[wide, None]))
+        exact = self._exact(
+            np.concatenate([lone_rows, wide[band_row]]), np.concatenate([lone_cols, band_col])
+        )
+        out = np.empty(len(approx), dtype=np.float64)
+        out[lone_rows] = exact[: len(lone_rows)]
+        # band_row ascends, so the stable sort keeps each row's band together.
+        band_exact = exact[len(lone_rows):][np.lexsort((exact[len(lone_rows):], band_row))]
+        first = np.searchsorted(band_row, np.arange(len(wide)))
+        out[wide] = band_exact[first + k - 1 - below]
+        return out
+
+    def count_within(self, limits: np.ndarray) -> np.ndarray:
+        """Per row, the exact number of entries at most ``limits[i]``."""
+        limits = np.asarray(limits, dtype=np.float64)
+        slack = 2.0 * self.eps
+        if self.squared:
+            # Relative slack, so the decided entries stay decided after
+            # the limit's square and the distances' square roots round.
+            key = limits * limits
+            slack = slack + 4.0 * np.finfo(np.float64).eps * key
+        else:
+            key = limits
+        lo, hi = (key - slack)[:, None], (key + slack)[:, None]
+        counts = np.count_nonzero(self.approx <= lo, axis=1)
+        wide = np.flatnonzero(np.count_nonzero(self.approx <= hi, axis=1) > counts)
+        band = self.approx[wide]
+        band_row, band_col = np.nonzero((band > lo[wide]) & (band <= hi[wide]))
+        rows = wide[band_row]
+        inside = self._exact(rows, band_col) <= limits[rows]
+        np.add.at(counts, rows[inside], 1)
+        return counts
+
+    def maximum(self) -> float:
+        """The block's exact largest distance, own entries excluded."""
+        approx, eps = self.approx, self.eps
+        own = (np.arange(len(approx)), np.arange(self.start, self.stop))
+        approx[own] = -np.inf
+        top = approx.max(axis=1)
+        # The exact maximum is at least top_i - eps_i for every row i.
+        floor = float(np.max(top - eps))
+        wide = np.flatnonzero(top + eps >= floor)
+        band_row, band_col = np.nonzero(approx[wide] + eps[wide, None] >= floor)
+        approx[own] = np.inf
+        return float(self._exact(wide[band_row], band_col).max())
+
+
 def scan_self_distances(metric: DistanceMetric, vectors, per_block, n_threads=None) -> list:
     """Walk the (n, n) self-distance matrix of ``vectors`` in row blocks
     of about ``_BLOCK_ELEMENTS`` entries, on a thread pool if n_threads > 1.
 
-    Each block, with every sample's distance to itself set to inf, goes to
-    ``per_block(start, rows)``; the results come back in block order.
-    They must not be views of ``rows``, or every block stays alive.
+    Each block goes to ``per_block(block)`` as a :class:`SelfBlock`; the
+    results come back in block order.  They must not be views of
+    ``block.approx``, or every block stays alive.  Euclidean and squared
+    euclidean blocks are one GEMM each, of squared distances; Mahalanobis
+    blocks are exact :func:`pairwise` rows.
     """
-    n = len(vectors)
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+    n, d = vectors.shape
     block = max(1, min(n, _BLOCK_ELEMENTS // n))
+    if metric.kind == MAHALANOBIS:
+        exact = np.zeros(n)
+
+        def rows_of(start: int, stop: int):
+            return pairwise(metric, vectors[start:stop], vectors), exact[start:stop]
+
+    else:
+        centred = vectors - vectors.mean(axis=0)
+        norms = np.einsum("ij,ij->i", centred, centred)
+        u = np.finfo(np.float64).eps / 2
+        eps = _EPS_FACTOR * (d + 4) * u * (norms + norms.max())
+        # One GEMM gives ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j: no assembly pass.
+        ones = np.ones((n, 1))
+        left = np.hstack([-2.0 * centred, norms[:, None], ones])
+        right = np.hstack([centred, ones, norms[:, None]])
+
+        def rows_of(start: int, stop: int):
+            return left[start:stop] @ right.T, eps[start:stop]
 
     def scan(start: int):
         stop = min(start + block, n)
-        rows = pairwise(metric, vectors[start:stop], vectors)
-        rows[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        return per_block(start, rows)
+        approx, eps_rows = rows_of(start, stop)
+        approx[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        squared = metric.kind == EUCLIDEAN
+        return per_block(SelfBlock(metric, vectors, start, approx, eps_rows, squared))
 
     starts = range(0, n, block)
     if n_threads is not None and n_threads > 1 and len(starts) > 1:
@@ -240,7 +400,7 @@ class RankedList:
     order: str
 
     def __post_init__(self):
-        gallery_ids = np.asarray(self.gallery_ids, dtype=np.int64)
+        gallery_ids = _integer_ids(self.gallery_ids)
         values = np.asarray(self.values, dtype=np.float64)
         if gallery_ids.ndim != 1 or values.ndim != 1:
             raise InvalidParams("gallery_ids and values must be 1-D")

@@ -22,6 +22,7 @@ Rankings and :func:`probe_sigma` take the probe's distance row from
 from __future__ import annotations
 
 import hashlib
+import logging
 import struct
 import warnings
 from dataclasses import dataclass
@@ -51,6 +52,8 @@ from .neighbors import (
 
 # Relative floor for degenerate (duplicate-point) bandwidths.
 _SIGMA_FLOOR_SCALE = 1e-12
+
+log = logging.getLogger("dakr")
 
 
 def reference_digest(
@@ -144,18 +147,24 @@ def compute_sigma_table(
         )
         k_eff = pool
 
-    def kth_and_max(start: int, rows: np.ndarray):
-        # Copy the k-th column: a view would pin the whole partitioned block.
-        kth = np.partition(rows, k_eff - 1, axis=1)[:, k_eff - 1].copy()
-        # Put the zero self-distances back, so the max needs no mask.
-        rows[np.arange(len(rows)), np.arange(start, start + len(rows))] = 0.0
-        return kth, float(rows.max())
+    def kth_and_max(block):
+        return block.kth_smallest(k_eff), block.maximum(), block.rescored
 
     blocks = scan_self_distances(metric, ref_vectors, kth_and_max, n_threads)
-    sigmas = np.concatenate([kth for kth, _ in blocks])
-    max_dist = max(top for _, top in blocks)
+    sigmas = np.concatenate([kth for kth, _, _ in blocks])
+    max_dist = max(top for _, top, _ in blocks)
     floor = _SIGMA_FLOOR_SCALE * (max_dist if max_dist > 0 else 1.0)
+    floor_hits = int(np.count_nonzero(sigmas < floor))
     sigmas = np.maximum(sigmas, floor)
+    log.info(
+        "sigma table: %d samples scanned, k_sigma %d%s, %d sigma floor hits, "
+        "%d pairs re-scored at the selection boundary",
+        len(ref_ids),
+        k_eff,
+        f" (clamped from {k_sigma})" if k_eff < k_sigma else "",
+        floor_hits,
+        sum(rescored for _, _, rescored in blocks),
+    )
 
     if policy.mode == WITH_PROBES:
         # A probe that is a gallery sample has that sample's bandwidth.

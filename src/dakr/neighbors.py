@@ -194,8 +194,8 @@ def _inn_members(
     if len(d_x) == 0:
         raise EmptyGallery("no gallery candidates for this probe")
 
-    def closer_than_probe(start: int, rows: np.ndarray) -> np.ndarray:
-        return np.sum(rows <= d_x[start:start + len(rows), None], axis=1)
+    def closer_than_probe(block) -> np.ndarray:
+        return block.count_within(d_x[block.start:block.stop])
 
     counts = np.concatenate(scan_self_distances(metric, gal_vectors, closer_than_probe))
 

@@ -44,6 +44,26 @@ def reciprocal_gallery() -> FeatureSet:
     return reciprocal_feature_set()
 
 
+# Inputs for the GEMM scan's boundary selection: ties, duplicates,
+# an offset from the origin and two scales.
+SCAN_DATA = ["gaussian", "lattice", "duplicates", "offset", "1e-3", "1e3"]
+
+
+def scan_data(name: str, rng: np.random.Generator) -> np.ndarray:
+    """90 vectors of the kind ``name`` from :data:`SCAN_DATA`."""
+    if name == "gaussian":
+        return rng.normal(size=(90, 6))
+    if name == "lattice":
+        # every squared distance an integer: many exact ties, and repeats
+        return rng.integers(-2, 3, size=(90, 3)).astype(np.float64)
+    if name == "duplicates":
+        # the sigma floor path: k-th distances of 0
+        return np.repeat(rng.normal(size=(30, 4)), 3, axis=0)
+    if name == "offset":
+        return 1e3 + 1e-3 * rng.normal(size=(90, 6))
+    return float(name) * rng.normal(size=(90, 6))
+
+
 def random_instance(rng: np.random.Generator, max_n=12, max_d=4, min_n=3):
     """Small random gallery/probe pair as plain dicts for the oracles and
     as FeatureSets for the library."""

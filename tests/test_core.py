@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import dakr.core
 from dakr import DistanceMetric, FeatureSet, RankedList
 from dakr.core import ASCENDING_DISTANCE, DESCENDING_SCORE, pairwise, scan_self_distances
 from dakr.errors import DimensionMismatch, InvalidMetric, InvalidParams, NonFiniteValue
+
+from conftest import SCAN_DATA, scan_data
 
 
 class TestFeatureSet:
@@ -25,6 +28,16 @@ class TestFeatureSet:
     def test_rejects_negative_ids(self):
         with pytest.raises(InvalidParams):
             FeatureSet([-1, 0], [[0.0], [1.0]])
+
+    def test_rejects_fractional_ids(self):
+        for ids in ([1.5, 2.9], [1.5, 1.7], [0.0, math.nan], [0.0, math.inf]):
+            with pytest.raises(InvalidParams, match="ids must be integers"):
+                FeatureSet(ids, [[0.0], [1.0]])
+
+    def test_accepts_integral_float_ids(self):
+        fs = FeatureSet([2.0, 0.0], [[0.0], [1.0]])
+        assert fs.ids.tolist() == [2, 0]
+        assert fs.ids.dtype == np.int64
 
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteValue):
@@ -140,21 +153,137 @@ class TestDistanceMatrix:
         assert np.argsort(de, kind="stable").tolist() == np.argsort(ds, kind="stable").tolist()
 
 
+_GEMM_METRICS = [
+    (DistanceMetric.euclidean(), "euclidean"),
+    (DistanceMetric.squared_euclidean(), "sqeuclidean"),
+]
+
+
+def _cdist_reference(vectors, name):
+    """Full cdist matrix with inf on the diagonal, and its largest entry."""
+    full = cdist(vectors, vectors, metric=name)
+    top = full.max()
+    np.fill_diagonal(full, np.inf)
+    return full, top
+
+
 class TestScanSelfDistances:
     def test_blocks_cover_the_matrix_in_order(self, monkeypatch):
-        # 600 entries per block over 60 samples: six blocks of ten rows
+        # 600 entries per block over 60 samples: six blocks of ten rows,
+        # each within its rounding bound of the exact (squared) distances,
+        # and every selection made from them equal to cdist's bytes
         monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 600)
         rng = np.random.default_rng(17)
         features = FeatureSet(np.arange(60), rng.normal(size=(60, 3)))
-        metric = DistanceMetric.euclidean()
-        expected = pairwise(metric, features.vectors, features.vectors)
+        for metric, name in _GEMM_METRICS:
+            expected, top = _cdist_reference(features.vectors, name)
+            kth = np.partition(expected, 4, axis=1)[:, 4]
+            key = expected**2 if metric.kind == "euclidean" else expected
+            for n_threads in (None, 1, 4):
+                blocks = scan_self_distances(
+                    metric,
+                    features.vectors,
+                    lambda b: (
+                        b.start,
+                        b.approx.copy(),
+                        b.eps.copy(),
+                        b.kth_smallest(5),
+                        b.count_within(kth[b.start:b.stop]),
+                        b.maximum(),
+                    ),
+                    n_threads,
+                )
+                assert [b[0] for b in blocks] == list(range(0, 60, 10))
+                approx = np.vstack([b[1] for b in blocks])
+                eps = np.concatenate([b[2] for b in blocks])
+                assert np.all(np.isinf(np.diag(approx)))
+                np.fill_diagonal(approx, 0.0)
+                assert np.all(np.abs(approx - np.where(np.isinf(key), 0.0, key)) <= eps[:, None])
+                assert np.concatenate([b[3] for b in blocks]).tobytes() == kth.tobytes()
+                counts = np.concatenate([b[4] for b in blocks])
+                np.testing.assert_array_equal(counts, np.sum(expected <= kth[:, None], axis=1))
+                assert max(b[5] for b in blocks) == top
+
+    def test_mahalanobis_blocks_are_exact_rows(self, monkeypatch):
+        monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 600)
+        rng = np.random.default_rng(23)
+        vectors = rng.integers(-2, 3, size=(60, 3)).astype(np.float64)
+        metric = DistanceMetric.mahalanobis(np.diag([1.0, 2.0, 3.0]))
+        expected = pairwise(metric, vectors, vectors)
+        top = expected.max()
         np.fill_diagonal(expected, np.inf)
-        for n_threads in (None, 1, 4):
-            blocks = scan_self_distances(
-                metric, features.vectors, lambda start, rows: (start, rows.copy()), n_threads
+        kth = np.partition(expected, 2, axis=1)[:, 2]
+        blocks = scan_self_distances(
+            metric,
+            vectors,
+            lambda b: (b.approx.copy(), b.eps.copy(), b.kth_smallest(3),
+                       b.count_within(kth[b.start:b.stop]), b.maximum(), b.rescored),
+        )
+        np.testing.assert_array_equal(np.vstack([b[0] for b in blocks]), expected)
+        assert not np.concatenate([b[1] for b in blocks]).any()
+        assert np.concatenate([b[2] for b in blocks]).tobytes() == kth.tobytes()
+        np.testing.assert_array_equal(
+            np.concatenate([b[3] for b in blocks]), np.sum(expected <= kth[:, None], axis=1)
+        )
+        assert max(b[4] for b in blocks) == top
+        assert sum(b[5] for b in blocks) == 0
+
+
+class TestBoundarySelection:
+    """Exact k-th values, counts and maxima from the GEMM scan, bit for bit
+    against a full cdist matrix and np.partition."""
+
+    @pytest.mark.parametrize("n_threads", [None, 1, 4])
+    @pytest.mark.parametrize("data", SCAN_DATA)
+    def test_selections_match_cdist(self, monkeypatch, data, n_threads):
+        # 700 entries per block: seven rows of 90
+        monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 700)
+        rng = np.random.default_rng(SCAN_DATA.index(data))
+        vectors = scan_data(data, rng)
+        probes = vectors[rng.choice(len(vectors), 4)] + rng.normal(size=(4, vectors.shape[1]))
+        for metric, name in _GEMM_METRICS:
+            full, top = _cdist_reference(vectors, name)
+            for k in (1, 4, 89):
+                kth = np.partition(full, k - 1, axis=1)[:, k - 1]
+                limits = [kth] + [cdist(p[None, :], vectors, metric=name)[0] for p in probes]
+                blocks = scan_self_distances(
+                    metric,
+                    vectors,
+                    lambda b: (
+                        b.kth_smallest(k),
+                        [b.count_within(t[b.start:b.stop]) for t in limits],
+                        b.maximum(),
+                    ),
+                    n_threads,
+                )
+                got = np.concatenate([b[0] for b in blocks])
+                assert got.tobytes() == kth.tobytes(), (name, k)
+                for i, t in enumerate(limits):
+                    counts = np.concatenate([b[1][i] for b in blocks])
+                    np.testing.assert_array_equal(counts, np.sum(full <= t[:, None], axis=1))
+                assert max(b[2] for b in blocks) == top
+
+    def test_ties_widen_the_band(self):
+        # on the lattice several entries tie with the k-th, so they are
+        # re-scored; on spread-out data only the k-th entry itself is
+        rng = np.random.default_rng(5)
+        metric = DistanceMetric.euclidean()
+        for data, wide in (("lattice", True), ("gaussian", False)):
+            vectors = scan_data(data, rng)
+            (rescored,) = scan_self_distances(
+                metric, vectors, lambda b: (b.kth_smallest(4), b.rescored)[1]
             )
-            assert [start for start, _ in blocks] == list(range(0, 60, 10))
-            np.testing.assert_array_equal(np.vstack([rows for _, rows in blocks]), expected)
+            assert (rescored > len(vectors)) == wide, data
+
+    def test_pair_rescoring_has_the_bytes_of_full_rows(self):
+        rng = np.random.default_rng(29)
+        for dim in (1, 7, 64):
+            vectors = rng.normal(size=(300, dim)) * 10.0 ** rng.integers(-3, 4)
+            rows, cols = rng.integers(0, 300, size=(2, 2000))
+            for metric, name in _GEMM_METRICS:
+                full = cdist(vectors, vectors, metric=name)
+                got = dakr.core._pair_distances(metric, vectors, rows, cols)
+                assert got.tobytes() == full[rows, cols].tobytes()
 
 
 class TestRankedList:
@@ -172,6 +301,15 @@ class TestRankedList:
         for ids in ([1, 1], [3, 1, 3], [7, 2, 9, 2]):
             with pytest.raises(InvalidParams, match="gallery ids must be unique"):
                 RankedList(0, ids, np.zeros(len(ids)), ASCENDING_DISTANCE)
+
+    def test_rejects_fractional_ids(self):
+        for ids in ([1.5, 2.9], [1.5, 1.7], [0.0, math.nan]):
+            with pytest.raises(InvalidParams, match="ids must be integers"):
+                RankedList(0, ids, [0.1, 0.2], ASCENDING_DISTANCE)
+
+    def test_accepts_integral_float_ids(self):
+        rl = RankedList(0, [5.0, 2.0], [0.1, 0.2], ASCENDING_DISTANCE)
+        assert rl.gallery_ids.tolist() == [5, 2]
 
     @pytest.mark.parametrize("ids", [[], [4]])
     def test_accepts_empty_and_single_entry(self, ids):

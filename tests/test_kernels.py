@@ -1,8 +1,11 @@
 import itertools
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import dakr.core
 from dakr import (
@@ -22,7 +25,7 @@ from dakr import (
 from dakr.errors import NonPositiveSigma, StaleSigmaTable
 from dakr.kernels import SigmaTable, reference_digest
 
-from conftest import random_instance
+from conftest import SCAN_DATA, random_instance, scan_data
 from oracles import (
     brute_bi_ranking,
     brute_inn,
@@ -185,6 +188,73 @@ class TestBlockedSigmaTable:
         for sid, sigma in got.items():
             assert sigma == pytest.approx(max(expected[sid], floor), rel=1e-12), sid
         assert [got[i] for i in (3, 47, 58)] == pytest.approx([floor] * 3, rel=1e-12)
+
+
+class TestSigmaTableAgainstCdist:
+    """Tables from the GEMM scan against full cdist rows and np.partition,
+    byte for byte, the sigma floor included."""
+
+    @staticmethod
+    def reference(refs, k, name):
+        full = cdist(refs, refs, metric=name)
+        top = full.max()
+        np.fill_diagonal(full, np.inf)
+        kth = np.partition(full, k - 1, axis=1)[:, k - 1]
+        return np.maximum(kth, 1e-12 * (top if top > 0 else 1.0))
+
+    @pytest.mark.parametrize("n_threads", [None, 1, 4])
+    @pytest.mark.parametrize("data", SCAN_DATA)
+    def test_bit_for_bit(self, monkeypatch, data, n_threads):
+        # 700 entries per block: eight rows of 80 samples, seven of 90
+        monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 700)
+        vectors = scan_data(data, np.random.default_rng(100 + SCAN_DATA.index(data)))
+        gallery = FeatureSet(np.arange(80), vectors[:80])
+        probes = FeatureSet(np.arange(200, 210), vectors[80:])
+        for metric, name in (
+            (DistanceMetric.euclidean(), "euclidean"),
+            (DistanceMetric.squared_euclidean(), "sqeuclidean"),
+        ):
+            for policy, refs in (
+                (AugmentationPolicy.gallery_only(), vectors[:80]),
+                (AugmentationPolicy.with_probes(probes), vectors),
+            ):
+                for k in (1, 3, 20):
+                    table = compute_sigma_table(gallery, metric, k, policy, n_threads=n_threads)
+                    got = table.gallery_sigmas
+                    if table.probe_sigmas is not None:
+                        got = np.concatenate([got, table.probe_sigmas])
+                    assert got.tobytes() == self.reference(refs, k, name).tobytes(), (name, k)
+
+
+class TestSigmaTableLog:
+    def test_one_info_line_per_table(self, caplog, euclidean):
+        # ids 0 and 1 coincide: at k_sigma 1 both take the floor
+        gallery = FeatureSet([0, 1, 2, 3], [[0.0], [0.0], [1.0], [3.0]])
+        pattern = (
+            r"sigma table: 4 samples scanned, k_sigma (\d+)(.*), (\d+) sigma floor hits, "
+            r"(\d+) pairs re-scored at the selection boundary"
+        )
+        with caplog.at_level(logging.INFO, logger="dakr"):
+            compute_sigma_table(gallery, euclidean, 1)
+            with pytest.warns(RuntimeWarning, match="clamp"):
+                compute_sigma_table(gallery, euclidean, 9)
+            compute_sigma_table(gallery, DistanceMetric.mahalanobis(np.eye(1)), 1)
+        lines = [r.getMessage() for r in caplog.records if r.name == "dakr"]
+        assert len(lines) == 3
+        found = [re.fullmatch(pattern, line).groups() for line in lines]
+        assert [f[:3] for f in found] == [
+            ("1", "", "2"),
+            ("3", " (clamped from 9)", "0"),
+            ("1", "", "2"),
+        ]
+        # every k-th value is re-scored on the GEMM scan, none on exact rows
+        assert int(found[0][3]) >= 4 and int(found[1][3]) >= 4
+        assert found[2][3] == "0"
+
+    def test_silent_above_info(self, caplog, euclidean, line_gallery):
+        with caplog.at_level(logging.WARNING, logger="dakr"):
+            compute_sigma_table(line_gallery, euclidean, 1)
+        assert [r for r in caplog.records if r.name == "dakr"] == []
 
 
 class TestInvDakr:

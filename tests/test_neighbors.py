@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import dakr.core
 import dakr.kernels
@@ -32,7 +33,9 @@ from conftest import (
     EXTRA_PROBE,
     RECIPROCAL_PROBE,
     RECIPROCAL_PROBE_ID,
+    SCAN_DATA,
     random_instance,
+    scan_data,
     two_probe_set,
 )
 from oracles import brute_inn, brute_knn, brute_rnn
@@ -58,6 +61,28 @@ class TestBlockedInnScan:
                 for k in (1, 3, 8):
                     got = inn(pid, pvecs[row], gallery, euclidean, k, policy)
                     assert got == brute_inn(pid, list(pvecs[row]), gdict, k, probes=pool_probes)
+
+
+class TestInnAgainstCdist:
+    @pytest.mark.parametrize("data", SCAN_DATA)
+    def test_members_match_cdist_counts(self, monkeypatch, data):
+        # members are the samples with fewer than k others at most as far
+        # as the probe, counted on full cdist rows; 700 entries per block
+        monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 700)
+        vectors = scan_data(data, np.random.default_rng(200 + SCAN_DATA.index(data)))
+        gallery = FeatureSet(np.arange(80), vectors[:80])
+        for metric, name in (
+            (DistanceMetric.euclidean(), "euclidean"),
+            (DistanceMetric.squared_euclidean(), "sqeuclidean"),
+        ):
+            full = cdist(vectors[:80], vectors[:80], metric=name)
+            np.fill_diagonal(full, np.inf)
+            for row in range(80, 90):
+                d_x = cdist(vectors[row][None, :], vectors[:80], metric=name)[0]
+                counts = np.sum(full <= d_x[:, None], axis=1)
+                for k in (1, 3, 8):
+                    got = inn(500 + row, vectors[row], gallery, metric, k)
+                    assert got == set(np.flatnonzero(counts < k).tolist()), (name, row, k)
 
 
 def _counting(monkeypatch, module, name, calls=None):
