@@ -4,8 +4,11 @@ bidirectional re-ranking rules.
 A bandwidth sigma_j is the distance from sample j to its k-th nearest
 neighbor inside the reference set (:func:`dakr.neighbors.reference_set`),
 so it encodes local density: small in crowded regions, large in sparse
-ones.  Bandwidths are the offline phase; a probe is then ranked online by
-sorting kernel responses:
+ones.  Bandwidths are the offline phase, the one quadratic step: the
+self-distance scan's GEMM only selects which entries to re-score, and
+every bandwidth is a value of :func:`dakr.core.pairwise` (``cdist``'s
+bytes for the euclidean metrics), as a full scan of ``cdist`` rows
+would give.  A probe is then ranked online by sorting kernel responses:
 
 * inverse rule:        phi(d(x, y_j) / sigma_j), a smoothed inverse-NN;
 * bidirectional rule:  phi(d(x, y_j)^2 / (sigma_i * sigma_j)), a smoothed
@@ -129,7 +132,9 @@ def compute_sigma_table(
     the reference set (self excluded).  k_sigma larger than the pool clamps
     to the pool size with a warning.  Duplicate points would give sigma = 0,
     which is floored at a tiny fraction of the largest pairwise distance
-    so kernels stay finite and coincident samples still win.
+    so kernels stay finite and coincident samples still win.  Each table
+    logs one info line: samples scanned, k_sigma and whether it was
+    clamped, floor hits, and pairs re-scored at the selection boundary.
     """
     if k_sigma < 1:
         raise InvalidParams("k_sigma must be >= 1")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -262,6 +263,31 @@ class TestBoundarySelection:
                     counts = np.concatenate([b[1][i] for b in blocks])
                     np.testing.assert_array_equal(counts, np.sum(full <= t[:, None], axis=1))
                 assert max(b[2] for b in blocks) == top
+
+    def test_near_ties_inside_the_bound(self):
+        # sample 0 is the centre of a sphere of antipodal pairs: its
+        # distances, and the pairs' largest ones, differ in their last bits
+        # only, far below the rounding bound, so no approximation orders them
+        rng = np.random.default_rng(31)
+        units = rng.normal(size=(40, 8))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        radii = 3.0 * (1.0 + rng.integers(-3, 4, size=(40, 1)) * np.finfo(np.float64).eps)
+        sphere = np.vstack([np.zeros(8), radii * units, -radii * units])
+        # a far sample moves the mean off the centre, so the GEMM's rounding
+        # error outgrows the distances' spread
+        far = np.vstack([sphere, np.full((1, 8), 400.0)])
+        for (metric, name), vectors in itertools.product(_GEMM_METRICS, (sphere, far)):
+            full, top = _cdist_reference(vectors, name)
+            for k in (1, 2, 7):
+                kth = np.partition(full, k - 1, axis=1)[:, k - 1]
+                ((got, counts, largest),) = scan_self_distances(
+                    metric,
+                    vectors,
+                    lambda b: (b.kth_smallest(k), b.count_within(kth), b.maximum()),
+                )
+                assert got.tobytes() == kth.tobytes(), (name, k)
+                np.testing.assert_array_equal(counts, np.sum(full <= kth[:, None], axis=1))
+                assert largest == top
 
     def test_ties_widen_the_band(self):
         # on the lattice several entries tie with the k-th, so they are
