@@ -306,7 +306,6 @@ class SelfBlock:
 
     def count_within(self, limits: np.ndarray) -> np.ndarray:
         """Per row, the exact number of entries at most ``limits[i]``."""
-        limits = np.asarray(limits, dtype=np.float64)
         slack = 2.0 * self.eps
         if self.squared:
             # Relative slack, so the decided entries stay decided after
@@ -375,8 +374,9 @@ def scan_self_distances(metric: DistanceMetric, vectors, per_block, n_threads=No
         stop = min(start + block, n)
         approx, eps_rows = rows_of(start, stop)
         approx[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        squared = metric.kind == EUCLIDEAN
-        return per_block(SelfBlock(metric, vectors, start, approx, eps_rows, squared))
+        return per_block(
+            SelfBlock(metric, vectors, start, approx, eps_rows, metric.kind == EUCLIDEAN)
+        )
 
     starts = range(0, n, block)
     if n_threads is not None and n_threads > 1 and len(starts) > 1:
