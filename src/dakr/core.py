@@ -55,7 +55,7 @@ _BLOCK_ELEMENTS = 4_000_000
 # summing the worst cases of the centring, the norms, the GEMM and cdist's
 # own sum gives a factor of about 5, so 16 leaves room.
 _EPS_FACTOR = 16.0
-# Pairs re-scored per pairwise() call: one chunk x chunk call per chunk.
+# Pairs re-scored per pairwise() call outside long runs on one row.
 _PAIR_CHUNK = 16
 
 
@@ -229,13 +229,21 @@ def pairwise(metric: DistanceMetric, queries: np.ndarray, refs: np.ndarray) -> n
 
 
 def _pair_distances(metric: DistanceMetric, vectors: np.ndarray, rows, cols) -> np.ndarray:
-    """pairwise() of each pair (vectors[rows[p]], vectors[cols[p]]): the
-    diagonal of one pairwise() call per chunk, so each value has the bytes
-    the full distance row would give (tests pin this)."""
+    """pairwise() of each pair (vectors[rows[p]], vectors[cols[p]]), with
+    the bytes the full distance row would give (tests pin this): one
+    pairwise() row per run of at least ``_PAIR_CHUNK`` pairs on one row,
+    as duplicate points give, and the diagonal of one pairwise() call per
+    chunk of the other pairs."""
     out = np.empty(len(rows), dtype=np.float64)
-    for s in range(0, len(rows), _PAIR_CHUNK):
-        r, c = rows[s:s + _PAIR_CHUNK], cols[s:s + _PAIR_CHUNK]
-        out[s:s + len(r)] = pairwise(metric, vectors[r], vectors[c]).diagonal()
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    lengths = np.diff(starts, append=len(rows))
+    long_run = lengths >= _PAIR_CHUNK
+    for s, n in zip(starts[long_run], lengths[long_run]):
+        out[s:s + n] = pairwise(metric, vectors[rows[s]], vectors[cols[s:s + n]])[0]
+    rest = np.flatnonzero(np.repeat(~long_run, lengths))
+    for s in range(0, len(rest), _PAIR_CHUNK):
+        pairs = rest[s:s + _PAIR_CHUNK]
+        out[pairs] = pairwise(metric, vectors[rows[pairs]], vectors[cols[pairs]]).diagonal()
     return out
 
 

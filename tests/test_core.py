@@ -306,10 +306,12 @@ class TestBoundarySelection:
         for dim in (1, 7, 64):
             vectors = rng.normal(size=(300, dim)) * 10.0 ** rng.integers(-3, 4)
             rows, cols = rng.integers(0, 300, size=(2, 2000))
-            for metric, name in _GEMM_METRICS:
-                full = cdist(vectors, vectors, metric=name)
-                got = dakr.core._pair_distances(metric, vectors, rows, cols)
-                assert got.tobytes() == full[rows, cols].tobytes()
+            # scattered rows, then runs of about a hundred pairs per row
+            for rows in (rows, np.sort(rows % 20)):
+                for metric, name in _GEMM_METRICS:
+                    full = cdist(vectors, vectors, metric=name)
+                    got = dakr.core._pair_distances(metric, vectors, rows, cols)
+                    assert got.tobytes() == full[rows, cols].tobytes()
 
 
 class TestRankedList:
