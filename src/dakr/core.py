@@ -51,12 +51,15 @@ PSD_TOLERANCE = 1e-9
 _BLOCK_ELEMENTS = 4_000_000
 
 # The GEMM scan's rounding bound per row is
-# _EPS_FACTOR * (d + 4) * u * (|x_i|^2 + max_j |x_j|^2) on centred vectors;
-# summing the worst cases of the centring, the norms, the GEMM and cdist's
-# own sum gives a factor of about 5, so 16 leaves room.
+# _EPS_FACTOR * (d + 4) * (u * (|x_i|^2 + max_j |x_j|^2) + s) on centred
+# vectors, s the smallest subnormal: summing the worst cases of the
+# centring, the norms, the GEMM and cdist's own sum gives a factor of
+# about 5, so 16 leaves room; s covers rounding below the normal range,
+# which is absolute.
 _EPS_FACTOR = 16.0
-# Pairs re-scored per pairwise() call outside long runs on one row.
-_PAIR_CHUNK = 16
+# Entries per pairwise() call when re-scoring pairs: 16 scattered pairs
+# (16 x 16), or up to 256 pairs on one row.
+_PAIR_BUDGET = 256
 
 
 def _integer_ids(ids) -> np.ndarray:
@@ -230,20 +233,26 @@ def pairwise(metric: DistanceMetric, queries: np.ndarray, refs: np.ndarray) -> n
 
 def _pair_distances(metric: DistanceMetric, vectors: np.ndarray, rows, cols) -> np.ndarray:
     """pairwise() of each pair (vectors[rows[p]], vectors[cols[p]]), with
-    the bytes the full distance row would give (tests pin this): one
-    pairwise() row per run of at least ``_PAIR_CHUNK`` pairs on one row,
-    as duplicate points give, and the diagonal of one pairwise() call per
-    chunk of the other pairs."""
+    the bytes the full distance row would give (tests pin this).
+
+    Each pairwise() call takes the next pairs whose count times their
+    number of runs of one row stays within ``_PAIR_BUDGET``, and reads
+    one entry per pair; group the pairs by row to make the calls few.
+    """
     out = np.empty(len(rows), dtype=np.float64)
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    lengths = np.diff(starts, append=len(rows))
-    long_run = lengths >= _PAIR_CHUNK
-    for s, n in zip(starts[long_run], lengths[long_run]):
-        out[s:s + n] = pairwise(metric, vectors[rows[s]], vectors[cols[s:s + n]])[0]
-    rest = np.flatnonzero(np.repeat(~long_run, lengths))
-    for s in range(0, len(rest), _PAIR_CHUNK):
-        pairs = rest[s:s + _PAIR_CHUNK]
-        out[pairs] = pairwise(metric, vectors[rows[pairs]], vectors[cols[pairs]]).diagonal()
+    new_run = np.diff(rows, prepend=-1) != 0
+    run = np.cumsum(new_run) - 1
+    run_rows = rows[new_run]
+    index = np.arange(_PAIR_BUDGET)
+    # fewer than max_runs[c - 1] runs fit in a call of c pairs
+    max_runs = _PAIR_BUDGET // (index + 1)
+    s = 0
+    while s < len(rows):
+        window = run[s:s + _PAIR_BUDGET] - run[s]
+        n = np.count_nonzero(window < max_runs[: len(window)])
+        queries = vectors[run_rows[run[s]:run[s + n - 1] + 1]]
+        out[s:s + n] = pairwise(metric, queries, vectors[cols[s:s + n]])[window[:n], index[:n]]
+        s += n
     return out
 
 
@@ -252,10 +261,11 @@ class SelfBlock:
     """Rows ``start`` to ``stop`` of the self-distance matrix of ``vectors``,
     each sample's entry in its own row at +inf.
 
+    ``approx`` holds exact :func:`pairwise` rows when ``exact``; otherwise
     ``approx[i, j]`` is within ``eps[i]`` of the exact distance, or of its
-    square when ``squared``; an ``eps`` of zero means the row is exact.
-    The selections below return exact :func:`pairwise` values and count
-    the pairs they re-score in ``rescored``.
+    square under the euclidean metric.  The selections below return exact
+    :func:`pairwise` values and count the pairs they re-score in
+    ``rescored``.
     """
 
     metric: DistanceMetric
@@ -263,18 +273,21 @@ class SelfBlock:
     start: int
     approx: np.ndarray
     eps: np.ndarray
-    squared: bool
+    exact: bool
     rescored: int = 0
 
     @property
     def stop(self) -> int:
         return self.start + len(self.approx)
 
+    @property
+    def squared(self) -> bool:
+        """Whether ``approx`` holds squares of the metric's distances."""
+        return self.metric.kind == EUCLIDEAN and not self.exact
+
     def _exact(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Exact distances of the block's (row, column) pairs."""
-        if not self.eps.any():
-            # Exact rows; all-zero bounds from the GEMM mean every
-            # centred vector is zero, so every distance is 0 either way.
+        if self.exact:
             return self.approx[rows, cols]
         self.rescored += len(rows)
         return _pair_distances(self.metric, self.vectors, self.start + rows, cols)
@@ -354,22 +367,29 @@ def scan_self_distances(metric: DistanceMetric, vectors, per_block, n_threads=No
     results come back in block order.  They must not be views of
     ``block.approx``, or every block stays alive.  Euclidean and squared
     euclidean blocks are one GEMM each, of squared distances; Mahalanobis
-    blocks are exact :func:`pairwise` rows.
+    blocks, and blocks of vectors too large for the GEMM, are exact
+    :func:`pairwise` rows.
     """
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     n, d = vectors.shape
     block = max(1, min(n, _BLOCK_ELEMENTS // n))
-    if metric.kind == MAHALANOBIS:
-        exact = np.zeros(n)
-
-        def rows_of(start: int, stop: int):
-            return pairwise(metric, vectors[start:stop], vectors), exact[start:stop]
-
-    else:
+    exact = metric.kind == MAHALANOBIS
+    if not exact:
         centred = vectors - vectors.mean(axis=0)
         norms = np.einsum("ij,ij->i", centred, centred)
+        # The GEMM's partial sums reach 4 max |x|^2; past the float range
+        # the blocks are exact rows, as cdist's may still be finite.
+        exact = not norms.max() <= np.finfo(np.float64).max / 4
+    if exact:
+        no_bound = np.zeros(n)
+
+        def rows_of(start: int, stop: int):
+            return pairwise(metric, vectors[start:stop], vectors), no_bound[start:stop]
+
+    else:
         u = np.finfo(np.float64).eps / 2
-        eps = _EPS_FACTOR * (d + 4) * u * (norms + norms.max())
+        tiny = np.finfo(np.float64).smallest_subnormal
+        eps = _EPS_FACTOR * (d + 4) * (u * (norms + norms.max()) + tiny)
         # One GEMM gives ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j: no assembly pass.
         ones = np.ones((n, 1))
         left = np.hstack([-2.0 * centred, norms[:, None], ones])
@@ -382,9 +402,7 @@ def scan_self_distances(metric: DistanceMetric, vectors, per_block, n_threads=No
         stop = min(start + block, n)
         approx, eps_rows = rows_of(start, stop)
         approx[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        return per_block(
-            SelfBlock(metric, vectors, start, approx, eps_rows, metric.kind == EUCLIDEAN)
-        )
+        return per_block(SelfBlock(metric, vectors, start, approx, eps_rows, exact))
 
     starts = range(0, n, block)
     if n_threads is not None and n_threads > 1 and len(starts) > 1:

@@ -45,8 +45,9 @@ def reciprocal_gallery() -> FeatureSet:
 
 
 # Inputs for the GEMM scan's boundary selection: ties, duplicates,
-# an offset from the origin and two scales.
-SCAN_DATA = ["gaussian", "lattice", "duplicates", "offset", "1e-3", "1e3"]
+# an offset from the origin, three scales (at 1e-160 the squared
+# distances are subnormal) and one sample too far out for the GEMM.
+SCAN_DATA = ["gaussian", "lattice", "duplicates", "offset", "1e-3", "1e3", "1e-160", "far"]
 
 
 def scan_data(name: str, rng: np.random.Generator) -> np.ndarray:
@@ -61,6 +62,12 @@ def scan_data(name: str, rng: np.random.Generator) -> np.ndarray:
         return np.repeat(rng.normal(size=(30, 4)), 3, axis=0)
     if name == "offset":
         return 1e3 + 1e-3 * rng.normal(size=(90, 6))
+    if name == "far":
+        # its squared norm, about 1e308, overflows the GEMM's partial
+        # sums, while cdist's distances stay finite
+        far = rng.normal(size=(90, 6))
+        far[0, 0] = 1e154
+        return far
     return float(name) * rng.normal(size=(90, 6))
 
 

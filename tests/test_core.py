@@ -229,6 +229,18 @@ class TestScanSelfDistances:
         assert max(b[4] for b in blocks) == top
         assert sum(b[5] for b in blocks) == 0
 
+    def test_vectors_too_large_for_the_gemm_give_exact_rows(self):
+        vectors = scan_data("far", np.random.default_rng(3))
+        for metric, name in _GEMM_METRICS:
+            expected, _ = _cdist_reference(vectors, name)
+            (block,) = scan_self_distances(
+                metric, vectors, lambda b: (b.exact, b.approx.copy(), b.kth_smallest(2), b.rescored)
+            )
+            exact, approx, kth, rescored = block
+            assert exact and rescored == 0
+            assert approx.tobytes() == expected.tobytes()
+            assert kth.tobytes() == np.partition(expected, 1, axis=1)[:, 1].tobytes()
+
 
 class TestBoundarySelection:
     """Exact k-th values, counts and maxima from the GEMM scan, bit for bit
@@ -306,8 +318,9 @@ class TestBoundarySelection:
         for dim in (1, 7, 64):
             vectors = rng.normal(size=(300, dim)) * 10.0 ** rng.integers(-3, 4)
             rows, cols = rng.integers(0, 300, size=(2, 2000))
-            # scattered rows, then runs of about a hundred pairs per row
-            for rows in (rows, np.sort(rows % 20)):
+            # scattered rows, then runs of about a hundred and a thousand
+            # pairs per row, the latter longer than one pairwise() call
+            for rows in (rows, np.sort(rows % 20), np.sort(rows % 2)):
                 for metric, name in _GEMM_METRICS:
                     full = cdist(vectors, vectors, metric=name)
                     got = dakr.core._pair_distances(metric, vectors, rows, cols)
