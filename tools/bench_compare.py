@@ -13,7 +13,11 @@ of ``perfbench/baseline.json``: ``end_to_end`` (median, quartiles and
 spread over the runs, with the bound from the change tree's
 ``BENCHMARK.json``), ``runs`` and ``traced_run``; ``comparison`` gives
 each end-to-end metric's change/parent ratio of medians and how many
-seed pairs the change won.  Every run must print its JSON line; the exit
+seed pairs the change won.  Beside the end-to-end metrics, each run
+records its process's wall time and CPU time (user + sys, children
+included) under ``process``, and ``comparison`` the CPU time's medians as
+``process_cpu_s``: CPU a library's idle threads burn shows there and in
+no end-to-end metric.  Every run must print its JSON line; the exit
 status is 1 if any run failed, was not correct, or printed none.
 Standard library only.
 """
@@ -24,9 +28,11 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -46,16 +52,27 @@ def commit(root: Path) -> str | None:
     return done.stdout.strip() or None
 
 
+def cpu_seconds() -> float:
+    """User + sys time of this process's waited-for children so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_bench(root: Path, workload: str, seed: int, trace: int) -> tuple[dict | None, str]:
-    """One run.py invocation; its JSON line (None if it printed none) and its report."""
+    """One run.py invocation; its JSON line (None if it printed none), with
+    the process's wall and CPU seconds under ``process``, and its report."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", str(trace)]
+    wall, cpu = time.perf_counter(), cpu_seconds()
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    process = {"wall_s": time.perf_counter() - wall, "cpu_s": cpu_seconds() - cpu}
     lines = done.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if done.returncode == 0 and lines else None
     except json.JSONDecodeError:
         result = None
+    if result is not None:
+        result["process"] = process
     return result, done.stdout + done.stderr
 
 
@@ -84,6 +101,11 @@ def comparison(sides: dict, better: dict) -> dict:
         out[metric] = {"parent_median": parent["median"], "change_median": change["median"],
                        "change_over_parent": change["median"] / parent["median"] if parent["median"] else None,
                        "better": better.get(metric), "pairs_change_better": f"{won}/{len(pairs)}"}
+    cpu = {side: [r["process"]["cpu_s"] for r in sides[side]["runs"]] for side in SIDES}
+    parent, change = (statistics.median(cpu[side]) for side in SIDES)
+    out["process_cpu_s"] = {"parent_median": parent, "change_median": change,
+                            "change_over_parent": change / parent, "better": "lower",
+                            "pairs_change_better": f"{sum(c < p for p, c in zip(cpu['parent'], cpu['change']))}/{len(cpu['parent'])}"}
     return out
 
 
