@@ -46,7 +46,7 @@ def reciprocal_gallery() -> FeatureSet:
 
 # Inputs for the GEMM scan's boundary selection: ties, duplicates,
 # an offset from the origin, three scales (at 1e-160 the squared
-# distances are subnormal) and one sample too far out for the GEMM.
+# distances are subnormal) and two samples too far out for the GEMM.
 SCAN_DATA = ["gaussian", "lattice", "duplicates", "offset", "1e-3", "1e3", "1e-160", "far"]
 
 
@@ -63,10 +63,10 @@ def scan_data(name: str, rng: np.random.Generator) -> np.ndarray:
     if name == "offset":
         return 1e3 + 1e-3 * rng.normal(size=(90, 6))
     if name == "far":
-        # its squared norm, about 1e308, overflows the GEMM's partial
-        # sums, while cdist's distances stay finite
+        # two samples so far out that the GEMM's partial sums overflow,
+        # while cdist's distances stay finite
         far = rng.normal(size=(90, 6))
-        far[0, 0] = 1e154
+        far[:2, 0] = 1e154
         return far
     return float(name) * rng.normal(size=(90, 6))
 

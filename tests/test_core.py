@@ -229,18 +229,6 @@ class TestScanSelfDistances:
         assert max(b[4] for b in blocks) == top
         assert sum(b[5] for b in blocks) == 0
 
-    def test_vectors_too_large_for_the_gemm_give_exact_rows(self):
-        vectors = scan_data("far", np.random.default_rng(3))
-        for metric, name in _GEMM_METRICS:
-            expected, _ = _cdist_reference(vectors, name)
-            (block,) = scan_self_distances(
-                metric, vectors, lambda b: (b.exact, b.approx.copy(), b.kth_smallest(2), b.rescored)
-            )
-            exact, approx, kth, rescored = block
-            assert exact and rescored == 0
-            assert approx.tobytes() == expected.tobytes()
-            assert kth.tobytes() == np.partition(expected, 1, axis=1)[:, 1].tobytes()
-
 
 class TestBoundarySelection:
     """Exact k-th values, counts and maxima from the GEMM scan, bit for bit
