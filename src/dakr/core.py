@@ -244,7 +244,7 @@ def _pair_distances(metric: DistanceMetric, vectors: np.ndarray, rows, cols) -> 
     run = np.cumsum(new_run) - 1
     run_rows = rows[new_run]
     index = np.arange(_PAIR_BUDGET)
-    # fewer than max_runs[c - 1] runs fit in a call of c pairs
+    # a call of c pairs may span at most max_runs[c - 1] runs
     max_runs = _PAIR_BUDGET // (index + 1)
     s = 0
     while s < len(rows):
