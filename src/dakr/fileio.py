@@ -3,11 +3,19 @@ pairs, bandwidth sidecars, rankings, and report serialization.
 
 All floats are written with ``repr`` (shortest round-trip form) and all
 binary fields are little-endian, so outputs are byte-stable across runs.
+Feature and ranking CSVs hold many numeric rows: their header goes
+through the ``csv`` module, and their rows are filled by one ``%``-format
+per block of rows (``%d`` for integers, ``%r`` for floats, which is
+``repr``), written with one ``fh.write``.  Integers and float ``repr``s
+never need quoting, and the free-form fields of a ranking row (probe id,
+method) are quoted once through ``csv``, so the bytes are those a
+``csv.writer`` row by row would give.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import struct
 from pathlib import Path
@@ -26,10 +34,18 @@ FEATURE_MAGIC = b"FST1"
 SIGMA_MAGIC = b"SGT1"
 _POLICY_TO_BYTE = {GALLERY_ONLY: 0, WITH_PROBES: 1}
 _BYTE_TO_POLICY = {v: k for k, v in _POLICY_TO_BYTE.items()}
+# Feature rows per %-format and write.
+_ROWS_PER_WRITE = 1024
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv_field(value) -> str:
+    """``value`` as the csv module writes it inside a row, escaped for use
+    in a %-format."""
+    buf = io.StringIO()
+    # A second, empty field: a lone empty field would be written as "".
+    # The default line end stays, since it decides what needs quoting.
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-3].replace("%", "%%")
 
 
 # --- feature matrices -------------------------------------------------------
@@ -45,11 +61,15 @@ def _feature_set(path: Path, ids, vectors) -> FeatureSet:
 
 def write_features_csv(features: FeatureSet, path) -> None:
     path = Path(path)
+    row = "%d" + ",%r" * features.dim + "\r\n"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"f{j}" for j in range(features.dim)])
-        for sample_id, row in zip(features.ids, features.vectors):
-            writer.writerow([int(sample_id)] + [_fmt(v) for v in row])
+        csv.writer(fh).writerow(["id"] + [f"f{j}" for j in range(features.dim)])
+        for start in range(0, len(features), _ROWS_PER_WRITE):
+            ids = features.ids[start:start + _ROWS_PER_WRITE, None]
+            vectors = features.vectors[start:start + _ROWS_PER_WRITE]
+            # object cells are Python ints and floats, for %d and %r
+            cells = np.hstack([ids.astype(object), vectors.astype(object)])
+            fh.write(row * len(ids) % tuple(cells.ravel().tolist()))
 
 
 def read_features_csv(path) -> FeatureSet:
@@ -232,13 +252,19 @@ def sigma_table_from_sidecar(
 # --- rankings and reports -----------------------------------------------------
 
 def write_rankings_csv(rankings: list[RankedList], method: str, path) -> None:
+    """One row per ranking entry: probe id, 1-based rank, gallery id,
+    value and method; each ranking is one %-format and one write."""
     path = Path(path)
+    tail = ",%d,%d,%r," + _csv_field(method) + "\r\n"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["probe_id", "rank", "gallery_id", "score_or_distance", "method"])
+        csv.writer(fh).writerow(["probe_id", "rank", "gallery_id", "score_or_distance", "method"])
         for ranking in rankings:
-            for position, (gallery_id, value) in enumerate(ranking.entries, start=1):
-                writer.writerow([ranking.probe_id, position, gallery_id, _fmt(value), method])
+            n = len(ranking.gallery_ids)
+            cells = [None] * (3 * n)
+            cells[0::3] = range(1, n + 1)
+            cells[1::3] = ranking.gallery_ids.tolist()
+            cells[2::3] = ranking.values.tolist()
+            fh.write((_csv_field(ranking.probe_id) + tail) * n % tuple(cells))
 
 
 def read_rankings_csv(path) -> dict:

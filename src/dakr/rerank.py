@@ -9,9 +9,12 @@ method token becomes its method, its policy (falling back from
 
 from __future__ import annotations
 
+import logging
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from .core import DistanceMetric, FeatureSet, RankedList
 from .errors import InvalidParams, StaleSigmaTable
@@ -27,13 +30,17 @@ from .neighbors import (
     GALLERY_ONLY,
     WITH_PROBES,
     AugmentationPolicy,
+    candidate_pool,
     rank_by_distance,
     rank_by_inn,
     rank_by_rnn,
+    reference_set,
 )
 
 METHODS = ("knn", "inn", "rnn", "inv_dakr", "bi_dakr")
 DAKR_METHODS = ("inv_dakr", "bi_dakr")
+
+log = logging.getLogger("dakr")
 
 
 def parse_method_token(token: str) -> tuple[str, str]:
@@ -60,12 +67,12 @@ def resolve_policy(mode: str, probes: FeatureSet) -> AugmentationPolicy:
     if mode != WITH_PROBES:
         raise InvalidParams(f"unknown augmentation mode {mode!r}")
     if len(probes) < 2:
-        warnings.warn(
+        message = (
             "with_probes requested but the probe set has no extra samples; "
-            "falling back to gallery_only",
-            RuntimeWarning,
-            stacklevel=2,
+            "falling back to gallery_only"
         )
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
+        log.info(message)
         return AugmentationPolicy.gallery_only()
     return AugmentationPolicy.with_probes(probes)
 
@@ -110,6 +117,22 @@ def rank_probe(
     raise InvalidParams(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def _log_k_cut(k: int, probes: FeatureSet, gallery: FeatureSet, policy) -> None:
+    """Log, once per batch, how many probes have a candidate pool smaller
+    than ``k``, so that their neighbor sets are cut to the pool."""
+    # A pool is the reference set less at most the probe's own copy.
+    if not log.isEnabledFor(logging.INFO) or k < len(reference_set(gallery, policy)[1]):
+        return
+    pools = [np.count_nonzero(candidate_pool(pid, gallery, policy)[2]) for pid in probes.ids]
+    cut = sum(pool < k for pool in pools)
+    if cut:
+        log.info(
+            "k=%d exceeds the candidate pool of %d of %d probes (smallest pool %d); "
+            "their neighbor sets are cut to the pool",
+            k, cut, len(probes), min(pools),
+        )
+
+
 def rerank(
     method: str,
     probes: FeatureSet,
@@ -136,6 +159,7 @@ def rerank(
     if method in ("inn", "rnn"):
         if k is None or k < 1:
             raise InvalidParams(f"method {method} requires k >= 1")
+        _log_k_cut(k, probes, gallery, policy)
     if method == "knn" and policy.mode == WITH_PROBES:
         raise InvalidParams("knn ranks by plain distance; it takes no with_probes policy")
     if method in DAKR_METHODS:

@@ -302,17 +302,27 @@ class TestBoundarySelection:
             assert (rescored > len(vectors)) == wide, data
 
     def test_pair_rescoring_has_the_bytes_of_full_rows(self):
+        # under Mahalanobis too, whose full rows are pairwise()'s einsum rows
         rng = np.random.default_rng(29)
         for dim in (1, 7, 64):
             vectors = rng.normal(size=(300, dim)) * 10.0 ** rng.integers(-3, 4)
-            rows, cols = rng.integers(0, 300, size=(2, 2000))
+            scattered, cols = rng.integers(0, 300, size=(2, 2000))
+            basis = rng.normal(size=(dim, dim))
+            mahalanobis = DistanceMetric.mahalanobis(basis @ basis.T + np.eye(dim))
+            fulls = [(m, cdist(vectors, vectors, metric=name)) for m, name in _GEMM_METRICS]
+            fulls.append((mahalanobis, pairwise(mahalanobis, vectors, vectors)))
             # scattered rows, then runs of about a hundred and a thousand
             # pairs per row, the latter longer than one pairwise() call
-            for rows in (rows, np.sort(rows % 20), np.sort(rows % 2)):
-                for metric, name in _GEMM_METRICS:
-                    full = cdist(vectors, vectors, metric=name)
+            for rows in (scattered, np.sort(scattered % 20), np.sort(scattered % 2)):
+                for metric, full in fulls:
                     got = dakr.core._pair_distances(metric, vectors, rows, cols)
-                    assert got.tobytes() == full[rows, cols].tobytes()
+                    assert got.tobytes() == full[rows, cols].tobytes(), (metric.kind, dim)
+            # single-pair calls
+            for metric, full in fulls:
+                for pair in zip(scattered[:100], cols[:100]):
+                    rows, col = np.array(pair[:1]), np.array(pair[1:])
+                    got = dakr.core._pair_distances(metric, vectors, rows, col)
+                    assert got.tobytes() == full[rows, col].tobytes(), (metric.kind, dim)
 
 
 class TestRankedList:

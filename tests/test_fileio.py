@@ -1,3 +1,4 @@
+import csv
 import struct
 
 import numpy as np
@@ -26,6 +27,33 @@ from dakr.fileio import (
     write_sigma_sidecar,
     write_truth_csv,
 )
+import dakr.fileio
+from dakr.core import ASCENDING_DISTANCE, DESCENDING_SCORE, RankedList
+
+# Floats whose repr is easy to get wrong: infinities, a signed zero, the
+# smallest subnormal, exponent forms and a sum with a long repr.
+EDGE_FLOATS = [float("inf"), 1e16, 0.1 + 0.2, 1e-05, 5e-324, -0.0, float("-inf")]
+RANKINGS_HEADER = ["probe_id", "rank", "gallery_id", "score_or_distance", "method"]
+
+
+def csv_reference_rankings(rankings, method, path):
+    """The rankings file as csv.writer writes it row by row, floats by repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RANKINGS_HEADER)
+        for ranking in rankings:
+            pairs = zip(ranking.gallery_ids.tolist(), ranking.values.tolist())
+            for position, (gallery_id, value) in enumerate(pairs, start=1):
+                writer.writerow([ranking.probe_id, position, gallery_id, repr(value), method])
+
+
+def csv_reference_features(features, path):
+    """The features file as csv.writer writes it row by row, floats by repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id"] + [f"f{j}" for j in range(features.dim)])
+        for sample_id, row in zip(features.ids.tolist(), features.vectors.tolist()):
+            writer.writerow([sample_id] + [repr(v) for v in row])
 
 
 @pytest.fixture
@@ -110,6 +138,21 @@ class TestFeatureFiles:
         write_features_csv(features, a)
         write_features_csv(features, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("rows_per_write", [None, 4])
+    def test_csv_bytes_match_a_csv_writer(self, tmp_path, monkeypatch, rows_per_write):
+        # finite edge values (a FeatureSet refuses infinities) over ten
+        # rows, in one block or in blocks of four with a short last one
+        if rows_per_write is not None:
+            monkeypatch.setattr(dakr.fileio, "_ROWS_PER_WRITE", rows_per_write)
+        rng = np.random.default_rng(41)
+        vectors = rng.normal(size=(10, 5)) * 10.0 ** rng.integers(-300, 300, size=(10, 5))
+        vectors[:, 0] = [v for v in EDGE_FLOATS if np.isfinite(v)] * 2
+        features = FeatureSet(np.arange(10) * 123_456_789_011 + 3, vectors)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_features_csv(features, got)
+        csv_reference_features(features, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestTruthFiles:
@@ -211,3 +254,30 @@ class TestRankingsCsv:
             assert [gid for _, gid, _, _ in rows] == ranked.gallery_ids.tolist()
             assert [v for _, _, v, _ in rows] == ranked.values.tolist()
             assert all(m == "knn" for _, _, _, m in rows)
+
+    @pytest.mark.parametrize(
+        "method",
+        ["bi_dakr+", 'a,"b', "100%", "two\nlines", ""],
+        ids=["token", "comma_quote", "percent", "newline", "empty"],
+    )
+    def test_bytes_match_a_csv_writer(self, tmp_path, method):
+        rng = np.random.default_rng(43)
+        rankings = [
+            RankedList(np.int64(7), [3, 1, 9, 4, 2, 8, 5], EDGE_FLOATS, DESCENDING_SCORE),
+            RankedList(12, [], [], ASCENDING_DISTANCE),
+            RankedList(
+                2**40, rng.permutation(1000)[:300], np.sort(rng.normal(size=300)),
+                ASCENDING_DISTANCE,
+            ),
+        ]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_rankings_csv(rankings, method, got)
+        csv_reference_rankings(rankings, method, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_no_rankings_writes_the_header_only(self, tmp_path):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_rankings_csv([], "knn", got)
+        csv_reference_rankings([], "knn", want)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_text() == ",".join(RANKINGS_HEADER) + "\n"

@@ -445,6 +445,89 @@ class TestBiDakr:
             fn(50, [0.2], line_gallery, euclidean, table, policies[requested])
 
 
+def _link_instance(rng, lattice):
+    """A gallery of distinct samples at ids 0..n-1 and two probes at ids
+    1000 and 1001, so neither probe is a gallery sample.  On the lattice
+    every squared distance is an integer, and probes may sit on gallery
+    points: exact ties are common."""
+    d = int(rng.integers(2, 5)) if lattice else int(rng.integers(1, 16))
+    n = int(rng.integers(5, 120))
+    if lattice:
+        grid = np.array(list(itertools.product(range(-3, 4), repeat=d)), dtype=np.float64)
+        gallery_vectors = grid[rng.choice(len(grid), size=min(n, len(grid)), replace=False)]
+        probe_vectors = grid[rng.choice(len(grid), size=2)]
+    else:
+        gallery_vectors = rng.normal(size=(n, d))
+        probe_vectors = rng.normal(size=(2, d))
+    gallery = FeatureSet(np.arange(len(gallery_vectors)), gallery_vectors)
+    return gallery, FeatureSet([1000, 1001], probe_vectors)
+
+
+class TestKernelNeighborLink:
+    """The kernel rules' link to the neighbor baselines, on seeded random
+    and integer-lattice data.
+
+    Domain: gallery_only, k_sigma = k below the gallery size (no clamp),
+    a probe that is not a gallery sample, and no floored sigma (the
+    gallery's samples are distinct, each case checks its table against
+    cdist's k-th values, and a lattice probe on a gallery point at k = 1,
+    whose own sigma is floored, is skipped).  Outside it the identities do not hold as
+    written: under with_probes, for a multiple-shot probe whose own copy
+    leaves the pool, or where the floor applies.
+    """
+
+    # a third of the cases on the integer lattice
+    CASES = [(seed, seed % 3 == 0) for seed in range(60)]
+
+    def cases(self, euclidean):
+        """(case, gallery, probes, k, table) per seeded case."""
+        for seed, lattice in self.CASES:
+            rng = np.random.default_rng(seed)
+            gallery, probes = _link_instance(rng, lattice)
+            k = int(rng.integers(1, min(12, len(gallery) - 1) + 1))
+            table = compute_sigma_table(gallery, euclidean, k)
+            full = cdist(gallery.vectors, gallery.vectors)
+            np.fill_diagonal(full, np.inf)
+            kth = np.partition(full, k - 1, axis=1)[:, k - 1]
+            assert table.gallery_sigmas.tobytes() == kth.tobytes(), seed
+            yield (seed, lattice), gallery, probes, k, table
+
+    def test_inverse_neighbors_lead_the_inverse_ranking(self, euclidean):
+        # j takes x among its k nearest iff d(x, j) < sigma_j (gallery
+        # samples win ties), so inn(x) is the block of kernel argument
+        # t = d / sigma_j < 1 that the ranking puts first
+        mismatches = []
+        for case, gallery, probes, k, table in self.cases(euclidean):
+            for pid, pvec in zip(probes.ids.tolist(), probes.vectors):
+                members = inn(pid, pvec, gallery, euclidean, k)
+                ranked = inv_dakr_rank(pid, pvec, gallery, euclidean, table)
+                t = cdist(pvec[None, :], gallery.vectors)[0] / table.gallery_sigmas
+                block = {int(i) for i in gallery.ids[t < 1]}
+                if members != block or set(ranked.gallery_ids[: len(block)].tolist()) != block:
+                    mismatches.append((case, pid))
+        assert mismatches == []
+
+    def test_reciprocal_neighbors_lie_in_the_bidirectional_block(self, euclidean):
+        # a reciprocal member has d <= sigma_i and d < sigma_j, so
+        # t = d^2 / (sigma_i * sigma_j) < 1: inside the block the ranking
+        # puts first
+        violations = []
+        for case, gallery, probes, k, table in self.cases(euclidean):
+            for pid, pvec in zip(probes.ids.tolist(), probes.vectors):
+                d = cdist(pvec[None, :], gallery.vectors)[0]
+                sigma_i = np.partition(d, k - 1)[k - 1]
+                if sigma_i == 0:
+                    continue  # a lattice probe on a gallery point, k = 1: floored
+                members = rnn(pid, pvec, gallery, euclidean, k)
+                ranked = bi_dakr_rank(pid, pvec, gallery, euclidean, table)
+                assert probe_sigma(pid, pvec, gallery, euclidean, table) == sigma_i, case
+                t = d * d / (sigma_i * table.gallery_sigmas)
+                block = {int(i) for i in gallery.ids[t < 1]}
+                if not members <= block or set(ranked.gallery_ids[: len(block)].tolist()) != block:
+                    violations.append((case, pid))
+        assert violations == []
+
+
 class TestScaleCovariance:
     def test_rankings_and_scores_invariant_under_feature_scaling(self, euclidean):
         rng = np.random.default_rng(55)

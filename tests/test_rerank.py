@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,48 @@ class TestRerankFacade:
                 differs = True
                 break
         assert differs
+
+
+class TestDecisionLog:
+    """Silent decisions of a batch, logged at info level."""
+
+    @staticmethod
+    def dakr_lines(caplog):
+        return [r.getMessage() for r in caplog.records if r.name == "dakr"]
+
+    def test_k_cut_to_the_pool_logged_once_per_batch(self, caplog, euclidean):
+        # probe 0 is gallery sample 0 (multiple-shot), so its pool holds
+        # 3 samples; the fresh probes' pools hold all 4.  With probes, the
+        # reference set holds 6 samples and every pool 5.
+        gallery = FeatureSet([0, 1, 2, 3], [[0.0], [1.0], [3.0], [6.0]])
+        probes = FeatureSet([0, 10, 11], [[0.0], [0.5], [2.0]])
+        with caplog.at_level(logging.INFO, logger="dakr"):
+            rerank("inn", probes, gallery, euclidean, k=3)
+            assert self.dakr_lines(caplog) == []
+            rerank("rnn", probes, gallery, euclidean, k=4)
+            rerank("inn", probes, gallery, euclidean, k=6, policy="with_probes")
+        assert self.dakr_lines(caplog) == [
+            "k=4 exceeds the candidate pool of 1 of 3 probes (smallest pool 3); "
+            "their neighbor sets are cut to the pool",
+            "k=6 exceeds the candidate pool of 3 of 3 probes (smallest pool 5); "
+            "their neighbor sets are cut to the pool",
+        ]
+
+    def test_with_probes_fallback_logged(self, caplog, euclidean):
+        gallery = FeatureSet([0, 1], [[0.0], [1.0]])
+        probes = FeatureSet([5], [[0.4]])
+        with caplog.at_level(logging.INFO, logger="dakr"):
+            with pytest.warns(RuntimeWarning, match="gallery_only"):
+                rerank("inn", probes, gallery, euclidean, k=1, policy="with_probes")
+        assert self.dakr_lines(caplog) == [
+            "with_probes requested but the probe set has no extra samples; "
+            "falling back to gallery_only"
+        ]
+
+    def test_silent_above_info(self, caplog, euclidean):
+        gallery = FeatureSet([0, 1], [[0.0], [1.0]])
+        probes = FeatureSet([5], [[0.4]])
+        with caplog.at_level(logging.WARNING, logger="dakr"):
+            with pytest.warns(RuntimeWarning, match="gallery_only"):
+                rerank("rnn", probes, gallery, euclidean, k=9, policy="with_probes")
+        assert self.dakr_lines(caplog) == []
