@@ -3,13 +3,11 @@ pairs, bandwidth sidecars, rankings, and report serialization.
 
 All floats are written with ``repr`` (shortest round-trip form) and all
 binary fields are little-endian, so outputs are byte-stable across runs.
-Feature and ranking CSVs hold many numeric rows: their header goes
-through the ``csv`` module, and their rows are filled by one ``%``-format
-per block of rows (``%d`` for integers, ``%r`` for floats, which is
-``repr``), written with one ``fh.write``.  Integers and float ``repr``s
-never need quoting, and the free-form fields of a ranking row (probe id,
-method) are quoted once through ``csv``, so the bytes are those a
-``csv.writer`` row by row would give.
+Feature and ranking CSVs write their header through ``csv`` and their
+rows as one ``%``-format per block (``%d`` for integers, ``%r`` for
+floats), one ``fh.write`` each; numbers never need quoting, and a ranking
+row's free-form fields (probe id, method) are quoted once through
+``csv``, so the bytes are those of a ``csv.writer`` row by row.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ Other conventions shared by every operation here:
 * Ranked outputs only ever emit true gallery ids; neighbor sets may also
   hold offset probe ids.
 * Ties are broken by ascending (effective) id.
-* k larger than the candidate pool truncates silently to the pool size;
-  only an empty pool raises, as :class:`~dakr.errors.EmptyGallery`.
+* k larger than the candidate pool truncates to the pool size (a
+  :func:`dakr.rerank.rerank` batch logs it at info level); only an empty
+  pool raises, as :class:`~dakr.errors.EmptyGallery`.
 * k-INN always scans the full gallery.  Restricting the scan to the
   probe's own k-NN degenerates recall and is deliberately not offered.
 """

@@ -34,7 +34,6 @@ from .neighbors import (
     rank_by_distance,
     rank_by_inn,
     rank_by_rnn,
-    reference_set,
 )
 
 METHODS = ("knn", "inn", "rnn", "inv_dakr", "bi_dakr")
@@ -120,8 +119,7 @@ def rank_probe(
 def _log_k_cut(k: int, probes: FeatureSet, gallery: FeatureSet, policy) -> None:
     """Log, once per batch, how many probes have a candidate pool smaller
     than ``k``, so that their neighbor sets are cut to the pool."""
-    # A pool is the reference set less at most the probe's own copy.
-    if not log.isEnabledFor(logging.INFO) or k < len(reference_set(gallery, policy)[1]):
+    if not log.isEnabledFor(logging.INFO):
         return
     pools = [np.count_nonzero(candidate_pool(pid, gallery, policy)[2]) for pid in probes.ids]
     cut = sum(pool < k for pool in pools)

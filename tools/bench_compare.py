@@ -17,7 +17,10 @@ seed pairs the change won.  Beside the end-to-end metrics, each run
 records its process's wall time and CPU time (user + sys, children
 included) under ``process``, and ``comparison`` the CPU time's medians as
 ``process_cpu_s``: CPU a library's idle threads burn shows there and in
-no end-to-end metric.  Every run must print its JSON line; the exit
+no end-to-end metric.  The JSON line carries only the per-layer metrics
+that apply to every workload, so ``traced_run`` also keeps, under
+``report_layers``, every per-layer row the traced run's report prints,
+the command-level ones (``fileio.*``, ``cli.*``) included.  Every run must print its JSON line; the exit
 status is 1 if any run failed, was not correct, or printed none.
 Standard library only.
 """
@@ -28,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -36,6 +40,8 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# A measured row of run.py's per-layer table: name, value, unit, rounds.
+LAYER_ROW = re.compile(r"(\S+) +(\S+) (\S+) +(\d+)")
 
 
 def tree_root(path: str) -> Path:
@@ -74,6 +80,23 @@ def run_bench(root: Path, workload: str, seed: int, trace: int) -> tuple[dict | 
     if result is not None:
         result["process"] = process
     return result, done.stdout + done.stderr
+
+
+def report_layers(text: str) -> dict:
+    """The per-layer table of a traced run's report, as {name: {value,
+    unit, rounds}}; rows measured on other workloads only are skipped."""
+    lines = text.splitlines()
+    start = next((i for i, ln in enumerate(lines) if ln.startswith("per-layer metric")), len(lines))
+    out = {}
+    for line in lines[start + 1:]:
+        if line.split()[1:2] == ["n/a"]:
+            continue
+        row = LAYER_ROW.fullmatch(line)
+        if row is None:
+            break
+        name, value, unit, rounds = row.groups()
+        out[name] = {"value": float(value), "unit": unit, "rounds": int(rounds)}
+    return out
 
 
 def summary(runs: list[dict], bounds: dict) -> dict:
@@ -142,6 +165,8 @@ def main(argv=None) -> int:
             result, text = run_bench(trees[side], workload, seeds[0], trace=1)
             if result is None or not result["correct"] or result["failed"]:
                 problems.append(f"{side} {workload} seed {seeds[0]} --trace 1: {text.strip()[-300:]}")
+            if result is not None:
+                result["report_layers"] = report_layers(text)
             sides[side]["traced_run"] = result
         if all(len(sides[side]["runs"]) == len(seeds) for side in SIDES):
             for side in SIDES:
