@@ -116,7 +116,7 @@ def rank_probe(
     raise InvalidParams(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _log_k_cut(k: int, probes: FeatureSet, gallery: FeatureSet, policy) -> None:
+def _log_k_cut(k: int, probes: FeatureSet, gallery: FeatureSet, policy: AugmentationPolicy):
     """Log, once per batch, how many probes have a candidate pool smaller
     than ``k``, so that their neighbor sets are cut to the pool."""
     if not log.isEnabledFor(logging.INFO):

@@ -20,9 +20,9 @@ included) under ``process``, and ``comparison`` the CPU time's medians as
 no end-to-end metric.  The JSON line carries only the per-layer metrics
 that apply to every workload, so ``traced_run`` also keeps, under
 ``report_layers``, every per-layer row the traced run's report prints,
-the command-level ones (``fileio.*``, ``cli.*``) included.  Every run must print its JSON line; the exit
-status is 1 if any run failed, was not correct, or printed none.
-Standard library only.
+the command-level ones (``fileio.*``, ``cli.*``) included.  Every run
+must print its JSON line; the exit status is 1 if any run failed, was
+not correct, or printed none.  Standard library only.
 """
 
 from __future__ import annotations
