@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .core import DistanceMetric, FeatureSet
-from .errors import DakrError, EmptyGallery, FormatError, InvalidParams, MissingTruth, StaleSigmaTable
+from .errors import DakrError, EmptyGallery, FormatError, InvalidParams, MissingTruth
+from .errors import OutOfRange, StaleSigmaTable
 from .evaluation import (
     DEFAULT_RANKS,
     SCENARIO_KINDS,
@@ -481,7 +482,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](parser, args)
-    except (FormatError, StaleSigmaTable, MissingTruth, EmptyGallery, OSError) as exc:
+    except (FormatError, StaleSigmaTable, MissingTruth, EmptyGallery, OutOfRange, OSError) as exc:
         print(f"dakr: error: {exc}", file=sys.stderr)
         return 3
     except DakrError as exc:

@@ -71,6 +71,24 @@ def _integer_ids(ids) -> np.ndarray:
     return np.asarray(raw, dtype=np.int64)
 
 
+def _freeze(obj, **arrays) -> None:
+    """Set each of ``arrays`` on the frozen dataclass ``obj`` as a read-only copy."""
+    for name, array in arrays.items():
+        array = array.copy()
+        array.setflags(write=False)
+        object.__setattr__(obj, name, array)
+
+
+def thread_map(fn, items, n_threads=None) -> list:
+    """``[fn(item) for item in items]``, on a pool of ``n_threads`` threads
+    when that is above 1 and there is more than one item: the one place
+    dakr starts threads."""
+    if n_threads is not None and n_threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def _has_duplicates(ids: np.ndarray) -> bool:
     # Sort and compare neighbours; numpy 2's unique() hashes first, ~10x slower.
     ordered = np.sort(ids)
@@ -106,12 +124,7 @@ class FeatureSet:
             raise InvalidParams("ids must be unique")
         if not np.all(np.isfinite(vectors)):
             raise NonFiniteValue("feature vectors contain NaN or Inf")
-        ids = ids.copy()
-        vectors = vectors.copy()
-        ids.setflags(write=False)
-        vectors.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "vectors", vectors)
+        _freeze(self, ids=ids, vectors=vectors)
         object.__setattr__(self, "_digest", None)
 
     def __len__(self) -> int:
@@ -171,9 +184,7 @@ class DistanceMetric:
                     f"mahalanobis matrix is not PSD: min eigenvalue {eigs.min():.3e} "
                     f"below -{PSD_TOLERANCE:g} * spectral norm {scale:.3e}"
                 )
-            m = m.copy()
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
+            _freeze(self, matrix=m)
         elif self.matrix is not None:
             raise InvalidMetric(f"{self.kind} metric takes no matrix")
 
@@ -404,11 +415,7 @@ def scan_self_distances(metric: DistanceMetric, vectors, per_block, n_threads=No
         approx[np.arange(stop - start), np.arange(start, stop)] = np.inf
         return per_block(SelfBlock(metric, vectors, start, approx, eps_rows, exact))
 
-    starts = range(0, n, block)
-    if n_threads is not None and n_threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(scan, starts))
-    return [scan(start) for start in starts]
+    return thread_map(scan, range(0, n, block), n_threads)
 
 
 @dataclass(frozen=True)
@@ -438,22 +445,12 @@ class RankedList:
             raise InvalidParams(f"unknown ranking order {self.order!r}")
         if np.isnan(values).any():
             raise NonFiniteValue("ranking values contain NaN")
-        diffs = np.diff(values)
-        if self.order == ASCENDING_DISTANCE and np.any(diffs < 0):
+        # Compared, not subtracted: inf - inf would warn.
+        if self.order == ASCENDING_DISTANCE and np.any(values[1:] < values[:-1]):
             raise InvalidParams("values are not sorted ascending")
-        if self.order == DESCENDING_SCORE and np.any(diffs > 0):
+        if self.order == DESCENDING_SCORE and np.any(values[1:] > values[:-1]):
             raise InvalidParams("values are not sorted descending")
-        gallery_ids = gallery_ids.copy()
-        values = values.copy()
-        gallery_ids.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "gallery_ids", gallery_ids)
-        object.__setattr__(self, "values", values)
+        _freeze(self, gallery_ids=gallery_ids, values=values)
 
     def __len__(self) -> int:
         return len(self.gallery_ids)
-
-    @property
-    def entries(self) -> list[tuple[int, float]]:
-        """Ordered (gallery_id, value) pairs."""
-        return [(int(g), float(v)) for g, v in zip(self.gallery_ids, self.values)]

@@ -44,3 +44,7 @@ class MissingTruth(DakrError, LookupError):
 
 class FormatError(DakrError, ValueError):
     """A data file is malformed."""
+
+
+class OutOfRange(DakrError, ValueError):
+    """Ids or distances of the data pass what int64 or float64 can hold."""

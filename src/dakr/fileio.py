@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,22 @@ def _csv_field(value) -> str:
     return buf.getvalue()[:-3].replace("%", "%%")
 
 
+@contextmanager
+def _csv_rows(path: Path):
+    """The header of the CSV file ``path`` and its other non-empty rows, as
+    (line number, fields); a ValueError or OSError raised while the file
+    is open, other than a FormatError, becomes a FormatError naming it."""
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            yield header, ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
+    except FormatError:
+        raise
+    except (ValueError, OSError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 # --- feature matrices -------------------------------------------------------
 
 def _feature_set(path: Path, ids, vectors) -> FeatureSet:
@@ -72,30 +89,21 @@ def write_features_csv(features: FeatureSet, path) -> None:
 
 def read_features_csv(path) -> FeatureSet:
     path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0] != "id":
-                raise FormatError(f"{path}: expected header starting with 'id'")
-            dim = len(header) - 1
-            if dim < 1:
-                raise FormatError(f"{path}: no feature columns")
-            ids, rows = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != dim + 1:
-                    raise FormatError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(row)}")
-                ids.append(int(row[0]))
-                rows.append([float(v) for v in row[1:]])
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"{path}: {exc}") from exc
-    if not rows:
+    with _csv_rows(path) as (header, rows):
+        if not header or header[0] != "id":
+            raise FormatError(f"{path}: expected header starting with 'id'")
+        dim = len(header) - 1
+        if dim < 1:
+            raise FormatError(f"{path}: no feature columns")
+        ids, vectors = [], []
+        for lineno, row in rows:
+            if len(row) != dim + 1:
+                raise FormatError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(row)}")
+            ids.append(int(row[0]))
+            vectors.append([float(v) for v in row[1:]])
+    if not vectors:
         raise FormatError(f"{path}: no feature rows")
-    return _feature_set(path, ids, np.asarray(rows))
+    return _feature_set(path, ids, np.asarray(vectors))
 
 
 def write_features_binary(features: FeatureSet, path) -> None:
@@ -153,22 +161,13 @@ def write_truth_csv(truth: GroundTruth, path) -> None:
 def read_truth_csv(path) -> GroundTruth:
     path = Path(path)
     matches: dict = {}
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["probe_id", "gallery_id"]:
-                raise FormatError(f"{path}: expected header probe_id,gallery_id")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise FormatError(f"{path}:{lineno}: expected two fields")
-                matches.setdefault(int(row[0]), set()).add(int(row[1]))
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"{path}: {exc}") from exc
+    with _csv_rows(path) as (header, rows):
+        if header != ["probe_id", "gallery_id"]:
+            raise FormatError(f"{path}: expected header probe_id,gallery_id")
+        for lineno, row in rows:
+            if len(row) != 2:
+                raise FormatError(f"{path}:{lineno}: expected two fields")
+            matches.setdefault(int(row[0]), set()).add(int(row[1]))
     if not matches:
         raise FormatError(f"{path}: no truth rows")
     return GroundTruth({p: frozenset(g) for p, g in matches.items()})
@@ -269,22 +268,14 @@ def read_rankings_csv(path) -> dict:
     """Rankings grouped by probe id as [(rank, gallery_id, value, method)]."""
     path = Path(path)
     out: dict = {}
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["probe_id", "rank", "gallery_id", "score_or_distance", "method"]:
-                raise FormatError(f"{path}: unexpected rankings header")
-            for row in reader:
-                if not row:
-                    continue
-                out.setdefault(int(row[0]), []).append(
-                    (int(row[1]), int(row[2]), float(row[3]), row[4])
-                )
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"{path}: {exc}") from exc
+    with _csv_rows(path) as (header, rows):
+        if header != ["probe_id", "rank", "gallery_id", "score_or_distance", "method"]:
+            raise FormatError(f"{path}: unexpected rankings header")
+        for lineno, row in rows:
+            if len(row) != 5:
+                raise FormatError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
+            probe, rank, gid, value, method = row
+            out.setdefault(int(probe), []).append((int(rank), int(gid), float(value), method))
     return out
 
 

@@ -42,13 +42,12 @@ from .core import (
     pairwise,  # noqa: F401
     scan_self_distances,
 )
-from .errors import EmptyGallery, InvalidParams, NonPositiveSigma, StaleSigmaTable
+from .errors import EmptyGallery, InvalidParams, NonPositiveSigma, OutOfRange, StaleSigmaTable
 from .neighbors import (
     GALLERY_ONLY,
     WITH_PROBES,
     AugmentationPolicy,
     pool_row,
-    probe_id_offset,
     ranking,
     reference_set,
 )
@@ -157,8 +156,7 @@ def compute_sigma_table(
 
     blocks = scan_self_distances(metric, ref_vectors, kth_and_max, n_threads)
     sigmas = np.concatenate([kth for kth, _, _ in blocks])
-    max_dist = max(top for _, top, _ in blocks)
-    floor = _SIGMA_FLOOR_SCALE * (max_dist if max_dist > 0 else 1.0)
+    floor = _sigma_floor(max(top for _, top, _ in blocks))
     floor_hits = int(np.count_nonzero(sigmas < floor))
     sigmas = np.maximum(sigmas, floor)
     log.info(
@@ -172,12 +170,12 @@ def compute_sigma_table(
     )
 
     if policy.mode == WITH_PROBES:
-        # A probe that is a gallery sample has that sample's bandwidth.
-        sigma_of = dict(zip(ref_ids.tolist(), sigmas.tolist()))
-        probe_ids = policy.probes.ids
-        offset_ids = probe_ids + probe_id_offset(gallery)
-        keys = np.where(np.isin(probe_ids, gallery.ids), probe_ids, offset_ids)
-        probe_sigmas = [sigma_of[p] for p in keys.tolist()]
+        # A probe that is a gallery sample has that sample's bandwidth;
+        # the others follow the gallery in the reference set, in order.
+        sigma_of = dict(zip(gallery.ids.tolist(), sigmas.tolist()))
+        fresh = iter(sigmas[len(gallery):].tolist())
+        probe_ids = policy.probes.ids.tolist()
+        probe_sigmas = [sigma_of[p] if p in sigma_of else next(fresh) for p in probe_ids]
         sigmas = np.concatenate([sigmas[: len(gallery)], probe_sigmas])
     return bind_sigma_table(gallery, metric, k_sigma, policy, sigmas)
 
@@ -276,9 +274,15 @@ def probe_sigma(
         raise EmptyGallery("no reference samples to derive the probe bandwidth")
     k_eff = min(table.k_sigma, len(d))
     sigma = float(np.partition(d, k_eff - 1)[k_eff - 1])
-    top = float(d.max())
-    floor = _SIGMA_FLOOR_SCALE * (top if top > 0 else 1.0)
-    return max(sigma, floor)
+    return max(sigma, _sigma_floor(float(d.max())))
+
+
+def _sigma_floor(top: float) -> float:
+    """The floor for degenerate bandwidths, a tiny fraction of the largest
+    distance ``top``; a ``top`` past float64 is :class:`OutOfRange`."""
+    if not np.isfinite(top):
+        raise OutOfRange("distances overflow float64, so the bandwidths are not finite")
+    return _SIGMA_FLOOR_SCALE * (top if top > 0 else 1.0)
 
 
 def bi_dakr_rank(

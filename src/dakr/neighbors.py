@@ -5,7 +5,8 @@ dissimilarity, and their probe-augmented variants.
 holds, for every neighbor set here and for the bandwidths and rankings in
 :mod:`dakr.kernels`; :func:`candidate_pool` is the one place that drops
 the probe's own copy, :func:`pool_row` the one place a probe's distance
-row is computed, and :func:`ranking` the one place rankings are built.
+row is computed, :func:`offset_ids` the one place probes get their
+offset ids, and :func:`ranking` the one place rankings are built.
 Other conventions shared by every operation here:
 
 * Ranked outputs only ever emit true gallery ids; neighbor sets may also
@@ -32,7 +33,7 @@ from .core import (
     pairwise,
     scan_self_distances,
 )
-from .errors import EmptyGallery, InvalidParams
+from .errors import EmptyGallery, InvalidParams, OutOfRange
 
 GALLERY_ONLY = "gallery_only"
 WITH_PROBES = "with_probes"
@@ -88,6 +89,19 @@ def probe_id_offset(gallery: FeatureSet) -> int:
     return int(gallery.ids.max()) + 1
 
 
+def offset_ids(ids, gallery: FeatureSet) -> np.ndarray:
+    """``ids`` plus :func:`probe_id_offset`: the ids probes take in pools.
+    A sum past int64 is :class:`~dakr.errors.OutOfRange`, never wrapped."""
+    ids = np.asarray(ids, dtype=np.int64)
+    offset = probe_id_offset(gallery)
+    if ids.size and int(ids.max()) > np.iinfo(np.int64).max - offset:
+        raise OutOfRange(
+            f"probe id {int(ids.max())} plus the probe id offset {offset} "
+            "(the largest gallery id + 1) passes int64"
+        )
+    return ids + offset if ids.size else ids
+
+
 def reference_set(gallery: FeatureSet, policy: AugmentationPolicy):
     """The samples pools and bandwidths are taken over, as (vectors, ids):
     the gallery, then under with_probes every probe that is not a gallery
@@ -105,7 +119,7 @@ def reference_set(gallery: FeatureSet, policy: AugmentationPolicy):
     fresh = ~np.isin(probes.ids, gallery.ids)
     return (
         np.vstack([gallery.vectors, probes.vectors[fresh]]),
-        np.concatenate([gallery.ids, probes.ids[fresh] + probe_id_offset(gallery)]),
+        np.concatenate([gallery.ids, offset_ids(probes.ids[fresh], gallery)]),
     )
 
 
@@ -125,7 +139,7 @@ def candidate_pool(
     n = len(gallery)
     keep = gallery.ids != int(probe_id)
     if len(ids) > n:
-        keep = np.concatenate([keep, ids[n:] != probe_id_offset(gallery) + int(probe_id)])
+        keep = np.concatenate([keep, ids[n:] != offset_ids(probe_id, gallery)])
     return vectors, ids, keep
 
 
@@ -169,13 +183,7 @@ def knn(
     return NeighborSet(anchor_id=int(probe_id), k=k, members=_nearest(ids[keep], dists[keep], k))
 
 
-def _inn_members(
-    probe_id: int,
-    gallery: FeatureSet,
-    metric: DistanceMetric,
-    k: int,
-    row,
-):
+def _inn_members(probe_id: int, gallery: FeatureSet, metric: DistanceMetric, k: int, row):
     """The pool's gallery samples as (ids, distances to the probe, mask),
     where the mask tells whether each takes the probe as one of its k
     nearest neighbors.
@@ -202,7 +210,7 @@ def _inn_members(
 
     extra = keep[n:]
     if extra.any():
-        eff_x = probe_id_offset(gallery) + int(probe_id)
+        eff_x = offset_ids(probe_id, gallery)
         d_aug = pairwise(metric, vectors[n:][extra], gal_vectors)
         counts += np.sum(d_aug < d_x[None, :], axis=0)
         ties = d_aug == d_x[None, :]
@@ -227,6 +235,14 @@ def inn(
     return frozenset(int(i) for i in ids[members])
 
 
+def _rnn_members(probe_id: int, gallery: FeatureSet, metric: DistanceMetric, k: int, row):
+    """:func:`_inn_members`, the mask cut to the probe's k-NN, and that k-NN."""
+    _, ids, keep, dists = row
+    gal_ids, d_x, members = _inn_members(probe_id, gallery, metric, k, row)
+    probe_nn = _nearest(ids[keep], dists[keep], k)
+    return gal_ids, d_x, members & np.isin(gal_ids, list(probe_nn)), probe_nn
+
+
 def rnn(
     probe_id: int,
     probe_vector,
@@ -238,9 +254,8 @@ def rnn(
     """Reciprocal nearest neighbors: the probe's k-NN that are also in its
     k-INN (so gallery samples only)."""
     row = pool_row(probe_id, probe_vector, gallery, metric, policy)
-    _, ids, keep, dists = row
-    gal_ids, _, members = _inn_members(probe_id, gallery, metric, k, row)
-    return _nearest(ids[keep], dists[keep], k) & frozenset(int(i) for i in gal_ids[members])
+    ids, _, members, _ = _rnn_members(probe_id, gallery, metric, k, row)
+    return frozenset(int(i) for i in ids[members])
 
 
 def jaccard_distance(a, b) -> float:
@@ -255,29 +270,23 @@ def jaccard_distance(a, b) -> float:
 
 
 def gallery_neighbor_set(
-    gallery_id: int,
-    probe_id: int,
-    probe_vector,
-    gallery: FeatureSet,
-    metric: DistanceMetric,
-    k: int,
-    policy: AugmentationPolicy = AugmentationPolicy(),
+    gallery_id: int, probe_id: int, row, gallery: FeatureSet, metric: DistanceMetric, k: int
 ) -> NeighborSet:
-    """k-NN of one gallery sample over the probe's candidate pool with
-    that sample swapped for the probe (at its offset id), the pool k-INN
-    searches, so Jaccard overlaps compare like with like."""
-    vectors, ids, keep = candidate_pool(probe_id, gallery, policy)
-    vectors, ids = vectors[keep], ids[keep]
-    n_gallery = np.count_nonzero(keep[: len(gallery)])
-    anchor_rows = np.flatnonzero(ids[:n_gallery] == int(gallery_id))
+    """k-NN of one gallery sample over the probe's candidate pool ``row``
+    (from :func:`pool_row`) with that sample swapped for the probe at its
+    offset id, the pool k-INN searches, so Jaccard overlaps compare like
+    with like; the swapped entry is the probe's distance, read from ``row``."""
+    vectors, ids, keep, dists = row
+    anchor_rows = np.flatnonzero((gallery.ids == int(gallery_id)) & keep[: len(gallery)])
     if len(anchor_rows) == 0:
         raise InvalidParams(f"gallery id {gallery_id} not in candidate pool")
     anchor = int(anchor_rows[0])
-    anchor_vector = vectors[anchor].copy()
-    vectors[anchor] = np.asarray(probe_vector, dtype=np.float64)
-    ids[anchor] = probe_id_offset(gallery) + int(probe_id)
-    dists = pairwise(metric, anchor_vector[None, :], vectors)[0]
-    return NeighborSet(anchor_id=int(gallery_id), k=k, members=_nearest(ids, dists, k))
+    anchor_dists = pairwise(metric, vectors[anchor][None, :], vectors)[0]
+    anchor_dists[anchor] = dists[anchor]
+    ids = ids.copy()
+    ids[anchor] = offset_ids(probe_id, gallery)
+    members = _nearest(ids[keep], anchor_dists[keep], k)
+    return NeighborSet(anchor_id=int(gallery_id), k=k, members=members)
 
 
 def rank_by_distance(
@@ -294,9 +303,9 @@ def rank_by_distance(
 
 
 def _bounded(dists: np.ndarray) -> np.ndarray:
-    # Monotone map of [0, inf) into [0, 1); keeps composite sort keys of
+    # Monotone map of [0, inf] into [0, 1]; keeps composite sort keys of
     # member and appended blocks in disjoint bands.
-    return dists / (1.0 + dists)
+    return np.divide(dists, 1.0 + dists, out=np.ones_like(dists), where=dists < np.inf)
 
 
 def rank_by_inn(
@@ -336,21 +345,14 @@ def rank_by_rnn(
     the appended block lives in [2, 3).
     """
     row = pool_row(probe_id, probe_vector, gallery, metric, policy)
-    _, ids, keep, dists = row
-    probe_nn = _nearest(ids[keep], dists[keep], k)
-    gal_ids, dists, member_mask = _inn_members(probe_id, gallery, metric, k, row)
+    gal_ids, dists, members, probe_nn = _rnn_members(probe_id, gallery, metric, k, row)
     jaccard = np.zeros(len(gal_ids), dtype=np.float64)
-    for member in np.flatnonzero(member_mask):
-        gid = int(gal_ids[member])
-        if gid not in probe_nn:
-            member_mask[member] = False
-            continue
+    for member in np.flatnonzero(members):
         # Looked up as a module global on every call: the traced benchmark
         # counts these calls.
-        neighborhood = gallery_neighbor_set(
-            gid, probe_id, probe_vector, gallery, metric, k, policy
-        )
+        gid = int(gal_ids[member])
+        neighborhood = gallery_neighbor_set(gid, probe_id, row, gallery, metric, k)
         jaccard[member] = jaccard_distance(neighborhood, probe_nn)
 
-    keys = np.where(member_mask, jaccard, 2.0 + _bounded(dists))
-    return ranking(probe_id, gal_ids, keys, ASCENDING_DISTANCE, dists, keys, ~member_mask)
+    keys = np.where(members, jaccard, 2.0 + _bounded(dists))
+    return ranking(probe_id, gal_ids, keys, ASCENDING_DISTANCE, dists, keys, ~members)

@@ -12,11 +12,10 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import DistanceMetric, FeatureSet, RankedList
+from .core import DistanceMetric, FeatureSet, RankedList, thread_map
 from .errors import InvalidParams, StaleSigmaTable
 from .kernels import (
     SigmaTable,
@@ -177,8 +176,4 @@ def rerank(
             gallery, metric, k, table, policy,
         )
 
-    rows = range(len(probes))
-    if n_threads is not None and n_threads > 1 and len(probes) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(rank_one, rows))
-    return [rank_one(row) for row in rows]
+    return thread_map(rank_one, range(len(probes)), n_threads)

@@ -103,6 +103,36 @@ def brute_rnn(probe_id, probe_vec, gallery, k, probes=None, dist=euclid):
     return gallery_only & brute_inn(probe_id, probe_vec, gallery, k, probes, dist)
 
 
+def brute_rnn_ranking(probe_id, probe_vec, gallery, k, probes=None, dist=euclid):
+    """k-RNN as a full ranking, as [(gallery id, value)].
+
+    Reciprocal members come first, valued by the Jaccard distance between
+    the probe's k-NN and the member's own k-NN, taken over the probe's
+    pool with the member swapped for the probe (at its offset id); ties
+    by distance, then id.  Every other sample of the probe's pool follows
+    by (distance, id), valued 2 + d / (1 + d).
+    """
+    eff = _effective_gallery(probe_id, gallery)
+    aug = _augmentation(probe_id, gallery, probes)
+    probe_eff = offset_for(gallery) + probe_id
+    forward = brute_knn(probe_id, probe_vec, gallery, k, probes, dist)
+    members = brute_rnn(probe_id, probe_vec, gallery, k, probes, dist)
+    head, tail = [], []
+    for gid, gvec in eff.items():
+        d = dist(probe_vec, gvec)
+        if gid in members:
+            pool = [(other, vec) for other, vec in eff.items() if other != gid]
+            pool += aug
+            pool.append((probe_eff, probe_vec))
+            theirs = topk_ids(gvec, pool, k, dist)
+            head.append((1.0 - len(theirs & forward) / len(theirs | forward), d, gid))
+        else:
+            tail.append((d, gid, 2.0 + d / (1.0 + d)))
+    head.sort()
+    tail.sort()
+    return [(gid, value) for value, _, gid in head] + [(gid, value) for _, gid, value in tail]
+
+
 def brute_sigmas(gallery, k_sigma, probes=None, dist=euclid):
     """k_sigma-th nearest-neighbor distance per sample over the reference
     set (gallery, plus probes when given), self excluded.  Probes use

@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,67 @@ class TestExitCodes:
         )
         assert code == 3
         assert "dup.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            (["sigma", "--with-probes"], 3),
+            (["rerank", "--method", "inv_dakr+"], 3),
+            (["eval", "--method", "rnn+", "--k", "2", "--ranks", "1"], 3),
+            (["rerank", "--method", "rnn", "--k", "2"], 3),
+            (["rerank", "--method", "knn"], 0),
+            (["rerank", "--method", "inn", "--k", "2"], 0),
+            (["rerank", "--method", "inv_dakr"], 0),
+            (["rerank", "--method", "bi_dakr"], 0),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_gallery_id_at_the_int64_limit(self, tmp_path, capsys, command, code):
+        # Probes get offset ids past the largest gallery id, and past
+        # 2**63 - 1 there is no room: commands that need one are refused.
+        gpath, ppath = tmp_path / "big.csv", tmp_path / "probes.csv"
+        gpath.write_text("id,f0\n0,0.0\n1,1.0\n9223372036854775807,3.0\n")
+        ppath.write_text("id,f0\n9,2.1\n10,0.4\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("probe_id,gallery_id\n9,1\n10,0\n")
+        argv = [command[0], "--gallery", gpath, "--probes", ppath, *command[1:]]
+        if command[0] == "eval":
+            argv += ["--truth", truth]
+        assert run(*argv, "--out", tmp_path / "out") == code
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "Traceback" not in err
+        if code:
+            assert "passes int64" in err
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            (["sigma", "--k-sigma", "1"], 3),
+            (["rerank", "--method", "bi_dakr"], 3),
+            (["rerank", "--method", "inn", "--k", "2"], 0),
+            (["rerank", "--method", "knn"], 0),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_overflowing_distances(self, tmp_path, capsys, command, code):
+        # Samples 2 and 3 are too far apart for float64.
+        gpath, ppath = tmp_path / "far.csv", tmp_path / "probes.csv"
+        gpath.write_text("id,f0,f1\n0,0.0,0.1\n1,0.5,0.2\n2,1e200,0.3\n3,-1e200,0.3\n")
+        ppath.write_text("id,f0,f1\n9,0.2,0.1\n")
+        out = tmp_path / "out.csv"
+        argv = [command[0], "--gallery", gpath, *command[1:], "--out", out]
+        if command[0] == "rerank":
+            argv += ["--probes", ppath]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's inf - inf and inf / inf warn
+            assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        if code:
+            assert "distances overflow float64" in err
+        else:
+            # Infinite distances rank last, by id, as under knn.
+            assert [row.split(",")[2] for row in out.read_text().splitlines()[-2:]] == ["2", "3"]
 
 
     @pytest.mark.parametrize(

@@ -119,6 +119,22 @@ class TestDistance:
             )
             assert pairwise(metric, a, a)[0, 0] == 0.0
 
+    @pytest.mark.parametrize("dim", [1, 7, 64])
+    def test_either_order_gives_the_same_bytes(self, dim):
+        # k-RNN reads a member's distance to the probe from the probe's row.
+        rng = np.random.default_rng(dim)
+        a, b = rng.normal(size=(9, dim)), 3.0 * rng.normal(size=(13, dim)) + 0.5
+        mat = rng.normal(size=(dim, dim))
+        for metric in (
+            DistanceMetric.euclidean(),
+            DistanceMetric.squared_euclidean(),
+            DistanceMetric.mahalanobis(mat @ mat.T),
+        ):
+            forward = pairwise(metric, a, b)
+            assert forward.tobytes() == pairwise(metric, b, a).T.tobytes(), metric.kind
+            for i in range(len(a)):
+                assert pairwise(metric, b, a[i]).ravel().tobytes() == forward[i].tobytes()
+
 
 class TestDistanceMatrix:
     def test_one_dimensional_points(self):
@@ -328,7 +344,8 @@ class TestBoundarySelection:
 class TestRankedList:
     def test_entries_and_position(self):
         rl = RankedList(0, [5, 2, 9], [0.1, 0.2, 0.2], ASCENDING_DISTANCE)
-        assert rl.entries == [(5, 0.1), (2, 0.2), (9, 0.2)]
+        assert rl.gallery_ids.tolist() == [5, 2, 9]
+        assert rl.values.tolist() == [0.1, 0.2, 0.2]
 
     def test_rejects_unsorted(self):
         with pytest.raises(InvalidParams):

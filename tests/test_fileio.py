@@ -281,3 +281,43 @@ class TestRankingsCsv:
         csv_reference_rankings([], "knn", want)
         assert got.read_bytes() == want.read_bytes()
         assert got.read_text() == ",".join(RANKINGS_HEADER) + "\n"
+
+
+
+_RANKINGS = ",".join(RANKINGS_HEADER) + "\n"
+_BAD_INT = "{path}: invalid literal for int() with base 10: 'x'"
+_BAD_FLOAT = "{path}: could not convert string to float: 'y'"
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (read_features_csv, "id,f0\n0,0.5\nx,1.5\n", _BAD_INT),
+        (read_features_csv, "id,f0\n0,0.5\n1,y\n", _BAD_FLOAT),
+        (read_truth_csv, "probe_id,gallery_id\n5,1\n6,x\n", _BAD_INT),
+        (read_truth_csv, "probe_id,gallery_id\n5,1\n6,1,2\n", "{path}:3: expected two fields"),
+        (read_rankings_csv, _RANKINGS + "x,1,0,0.5,knn\n", _BAD_INT),
+        (read_rankings_csv, _RANKINGS + "5,1,0,y,knn\n", _BAD_FLOAT),
+        (
+            read_rankings_csv,
+            _RANKINGS + "5,1,0,0.5,knn\n5,2,1\n",
+            "{path}:3: expected 5 fields, got 3",
+        ),
+        (
+            read_rankings_csv,
+            "probe_id,rank,gallery_id,value,method\n",
+            "{path}: unexpected rankings header",
+        ),
+    ],
+    ids=[
+        "features-bad_int", "features-bad_float", "truth-bad_int", "truth-field_count",
+        "rankings-bad_int", "rankings-bad_float", "rankings-field_count", "rankings-header",
+    ],
+)
+def test_csv_reader_faults_name_the_file(tmp_path, reader, text, message):
+    # The faults of each CSV reader that no other test covers.
+    path = tmp_path / "faulty.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError) as err:
+        reader(path)
+    assert str(err.value) == message.format(path=path)

@@ -25,9 +25,15 @@ from dakr import (
     rank_by_rnn,
     rnn,
 )
-from dakr.errors import EmptyGallery, InvalidParams
+from dakr.errors import EmptyGallery, InvalidParams, OutOfRange
 from dakr.kernels import bind_sigma_table
-from dakr.neighbors import NeighborSet, gallery_neighbor_set, probe_id_offset
+from dakr.neighbors import (
+    NeighborSet,
+    candidate_pool,
+    gallery_neighbor_set,
+    pool_row,
+    probe_id_offset,
+)
 
 from conftest import (
     EXTRA_PROBE,
@@ -38,7 +44,7 @@ from conftest import (
     scan_data,
     two_probe_set,
 )
-from oracles import brute_inn, brute_knn, brute_rnn
+from oracles import brute_inn, brute_knn, brute_rnn, brute_rnn_ranking
 
 
 class TestBlockedInnScan:
@@ -470,10 +476,11 @@ class TestRankByRnn:
         probe_nn = knn(
             RECIPROCAL_PROBE_ID, RECIPROCAL_PROBE, reciprocal_gallery, euclidean, 3
         )
+        row = pool_row(RECIPROCAL_PROBE_ID, RECIPROCAL_PROBE, reciprocal_gallery, euclidean)
         expected = {}
         for gid in (2, 3):
             neighborhood = gallery_neighbor_set(
-                gid, RECIPROCAL_PROBE_ID, RECIPROCAL_PROBE, reciprocal_gallery, euclidean, 3
+                gid, RECIPROCAL_PROBE_ID, row, reciprocal_gallery, euclidean, 3
             )
             expected[gid] = jaccard_distance(neighborhood, probe_nn)
         first, second = ranked.gallery_ids.tolist()[:2]
@@ -514,6 +521,42 @@ class TestRankByRnn:
         ranked = rank_by_rnn(77, probe, gallery, euclidean, k)
         assert ranked.gallery_ids.tolist() == expected
 
+    @pytest.mark.parametrize("lattice", [False, True], ids=["gaussian", "lattice"])
+    @pytest.mark.parametrize("augmented", [False, True], ids=["gallery_only", "with_probes"])
+    def test_ids_and_values_match_oracle_ranking(self, euclidean, augmented, lattice):
+        # Two probes are gallery samples, whose own copy leaves the pool
+        # (the multiple-shot protocol); two are extra samples.  On the
+        # integer lattice many distances tie.
+        rng = np.random.default_rng(93 + 2 * augmented + lattice)
+
+        def draw(*shape):
+            if lattice:
+                return rng.integers(-2, 3, size=shape).astype(np.float64)
+            return rng.normal(size=shape)
+
+        seen = 0
+        for _ in range(8):
+            n, d = int(rng.integers(5, 16)), int(rng.integers(1, 4))
+            gvecs = draw(n, d)
+            gallery = FeatureSet(np.arange(n), gvecs)
+            shots = rng.choice(n, size=2, replace=False)
+            ids = [int(i) for i in shots] + [n + 2, n + 5]
+            pvecs = np.vstack([gvecs[shots], draw(2, d)])
+            probes = FeatureSet(ids, pvecs)
+            policy = AugmentationPolicy.with_probes(probes) if augmented else AugmentationPolicy()
+            gdict = {i: list(v) for i, v in enumerate(gvecs)}
+            pdict = {pid: list(v) for pid, v in zip(ids, pvecs)} if augmented else None
+            for pid, pvec in zip(ids, pvecs):
+                for k in (1, 2, 4):
+                    ranked = rank_by_rnn(pid, pvec, gallery, euclidean, k, policy)
+                    expected = brute_rnn_ranking(pid, list(pvec), gdict, k, probes=pdict)
+                    assert ranked.gallery_ids.tolist() == [g for g, _ in expected]
+                    assert ranked.values.tolist() == pytest.approx(
+                        [v for _, v in expected], rel=1e-12, abs=0
+                    )
+                    seen += int(np.count_nonzero(ranked.values < 2.0))
+        assert seen > 0
+
 
 @pytest.mark.parametrize("fn", [inn, rnn, rank_by_inn, rank_by_rnn])
 @pytest.mark.parametrize("k", [0, -1])
@@ -545,6 +588,64 @@ class TestRankByInn:
         # only the isolated point searches back; it leads despite being far
         assert ranked.gallery_ids.tolist() == [3, 0, 1, 2]
         assert ranked.values[0] < 1.0 <= ranked.values[1]
+
+
+class TestOffsetIdRange:
+    """A probe's offset id is its id plus the largest gallery id plus 1;
+    one past int64 is refused, never wrapped."""
+
+    def test_with_probes_pools_refuse_offset_ids_past_int64(self, euclidean):
+        gallery = FeatureSet([0, 1, 2, 2**62 + 3], np.eye(4))
+        probes = FeatureSet([2**62 + 5, 2**62 + 7], np.eye(4)[:2] + 0.1)
+        policy = AugmentationPolicy.with_probes(probes)
+        with pytest.raises(OutOfRange, match="passes int64"):
+            candidate_pool(2**62 + 5, gallery, policy)
+        for fn in (knn, inn, rnn, rank_by_inn, rank_by_rnn):
+            with pytest.raises(OutOfRange):
+                fn(2**62 + 5, probes.vectors[0], gallery, euclidean, 2, policy)
+        with pytest.raises(OutOfRange):
+            compute_sigma_table(gallery, euclidean, 1, policy)
+
+    def test_gallery_only_rankings_run_at_the_int64_limit(self, euclidean):
+        top = np.iinfo(np.int64).max
+        gallery = FeatureSet([0, 1, 2, top], [[0.0], [1.0], [3.0], [0.5]])
+        table = compute_sigma_table(gallery, euclidean, 1)
+        for ranked in (
+            rank_by_distance(9, [0.4], gallery, euclidean),
+            rank_by_inn(9, [0.4], gallery, euclidean, 2),
+            inv_dakr_rank(9, [0.4], gallery, euclidean, table),
+            bi_dakr_rank(9, [0.4], gallery, euclidean, table),
+        ):
+            assert sorted(ranked.gallery_ids.tolist()) == [0, 1, 2, top]
+        # k-RNN swaps the probe in at its offset id, which has no room.
+        with pytest.raises(OutOfRange):
+            rank_by_rnn(9, [0.4], gallery, euclidean, 2)
+
+
+class TestOverflowingDistances:
+    def test_infinite_distances_rank_last_as_under_knn(self, euclidean):
+        # Samples 2 and 3 are too far apart for float64: every distance
+        # from either one is +inf.
+        gallery = FeatureSet(
+            np.arange(5), [[0.0, 0.1], [0.5, 0.2], [1e200, 0.3], [-1e200, 0.3], [1.0, 0.0]]
+        )
+        probe = [0.2, 0.1]
+        order = rank_by_distance(9, probe, gallery, euclidean).gallery_ids.tolist()
+        assert order[3:] == [2, 3]
+        for fn in (rank_by_inn, rank_by_rnn):
+            ranked = fn(9, probe, gallery, euclidean, 2)
+            assert ranked.gallery_ids.tolist() == order, fn.__name__
+            assert ranked.values[3:].tolist() == [3.0, 3.0], fn.__name__
+
+    def test_bandwidths_refuse_overflowing_distances(self, euclidean):
+        gallery = FeatureSet(np.arange(3), [[0.0], [1e200], [-1e200]])
+        with pytest.raises(OutOfRange, match="overflow"):
+            compute_sigma_table(gallery, euclidean, 1)
+        # The gallery's own distances are finite; the probe's are not.
+        gallery = FeatureSet([0, 1], [[0.0], [1.0]])
+        table = compute_sigma_table(gallery, euclidean, 1)
+        with pytest.raises(OutOfRange, match="overflow"):
+            probe_sigma(9, [1e200], gallery, euclidean, table)
 
 
 class TestPolicyValidation:
