@@ -346,12 +346,19 @@ class SelfBlock:
             slack = slack + 4.0 * np.finfo(np.float64).eps * key
         else:
             key = limits
-        lo, hi = (key - slack)[:, None], (key + slack)[:, None]
+        # A limit with no finite band (it or its square overflows) has its
+        # whole row re-scored, own entry aside.
+        with np.errstate(invalid="ignore"):
+            lo, hi = key - slack, key + slack
+        whole = ~(np.isfinite(lo) & np.isfinite(hi))
+        lo[whole], hi[whole] = -np.inf, np.inf
+        lo, hi = lo[:, None], hi[:, None]
         counts = np.count_nonzero(self.approx <= lo, axis=1)
         wide = np.flatnonzero(np.count_nonzero(self.approx <= hi, axis=1) > counts)
         band = self.approx[wide]
         band_row, band_col = np.nonzero((band > lo[wide]) & (band <= hi[wide]))
-        rows = wide[band_row]
+        other = band_col != self.start + wide[band_row]
+        rows, band_col = wide[band_row[other]], band_col[other]
         inside = self._exact(rows, band_col) <= limits[rows]
         np.add.at(counts, rows[inside], 1)
         return counts

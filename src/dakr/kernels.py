@@ -99,23 +99,17 @@ class SigmaTable:
             raise InvalidParams("k_sigma must be >= 1")
         if self.policy_mode not in (GALLERY_ONLY, WITH_PROBES):
             raise InvalidParams(f"unknown policy mode {self.policy_mode!r}")
-        gallery_ids = np.asarray(self.gallery_ids, dtype=np.int64)
-        sigmas = np.asarray(self.gallery_sigmas, dtype=np.float64)
-        if gallery_ids.shape != sigmas.shape:
-            raise InvalidParams("one sigma per gallery sample required")
-        if np.any(sigmas <= 0) or not np.all(np.isfinite(sigmas)):
-            raise NonPositiveSigma("bandwidths must be positive and finite")
-        object.__setattr__(self, "gallery_ids", gallery_ids)
-        object.__setattr__(self, "gallery_sigmas", sigmas)
-        if self.probe_sigmas is not None:
-            probe_ids = np.asarray(self.probe_ids, dtype=np.int64)
-            probe_sigmas = np.asarray(self.probe_sigmas, dtype=np.float64)
-            if probe_ids.shape != probe_sigmas.shape:
-                raise InvalidParams("one sigma per probe required")
-            if np.any(probe_sigmas <= 0) or not np.all(np.isfinite(probe_sigmas)):
+        for side, what in (("gallery", "gallery sample"), ("probe", "probe")):
+            if side == "probe" and self.probe_sigmas is None:
+                continue
+            ids = np.asarray(getattr(self, f"{side}_ids"), dtype=np.int64)
+            sigmas = np.asarray(getattr(self, f"{side}_sigmas"), dtype=np.float64)
+            if ids.shape != sigmas.shape:
+                raise InvalidParams(f"one sigma per {what} required")
+            if np.any(sigmas <= 0) or not np.all(np.isfinite(sigmas)):
                 raise NonPositiveSigma("bandwidths must be positive and finite")
-            object.__setattr__(self, "probe_ids", probe_ids)
-            object.__setattr__(self, "probe_sigmas", probe_sigmas)
+            object.__setattr__(self, f"{side}_ids", ids)
+            object.__setattr__(self, f"{side}_sigmas", sigmas)
 
 
 def compute_sigma_table(

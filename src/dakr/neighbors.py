@@ -90,14 +90,16 @@ def probe_id_offset(gallery: FeatureSet) -> int:
 
 
 def offset_ids(ids, gallery: FeatureSet) -> np.ndarray:
-    """``ids`` plus :func:`probe_id_offset`: the ids probes take in pools.
-    A sum past int64 is :class:`~dakr.errors.OutOfRange`, never wrapped."""
+    """``ids`` plus :func:`probe_id_offset`: the ids probes take in pools,
+    past every gallery id.  A negative id, or one whose sum passes int64,
+    is :class:`~dakr.errors.OutOfRange`, never wrapped."""
     ids = np.asarray(ids, dtype=np.int64)
     offset = probe_id_offset(gallery)
-    if ids.size and int(ids.max()) > np.iinfo(np.int64).max - offset:
+    bad = ids[(ids < 0) | (ids > np.iinfo(np.int64).max - offset)]
+    if bad.size:
         raise OutOfRange(
-            f"probe id {int(ids.max())} plus the probe id offset {offset} "
-            "(the largest gallery id + 1) passes int64"
+            f"probe id {bad.flat[0]} has no offset id: plus the probe id offset {offset} "
+            "(the largest gallery id + 1) it lands among the gallery ids or past int64"
         )
     return ids + offset if ids.size else ids
 
@@ -183,7 +185,13 @@ def knn(
     return NeighborSet(anchor_id=int(probe_id), k=k, members=_nearest(ids[keep], dists[keep], k))
 
 
-def _inn_members(probe_id: int, gallery: FeatureSet, metric: DistanceMetric, k: int, row):
+def _inn_members(
+    probe_id: int,
+    gallery: FeatureSet,
+    metric: DistanceMetric,
+    k: int,
+    row,
+):
     """The pool's gallery samples as (ids, distances to the probe, mask),
     where the mask tells whether each takes the probe as one of its k
     nearest neighbors.
@@ -235,7 +243,13 @@ def inn(
     return frozenset(int(i) for i in ids[members])
 
 
-def _rnn_members(probe_id: int, gallery: FeatureSet, metric: DistanceMetric, k: int, row):
+def _rnn_members(
+    probe_id: int,
+    gallery: FeatureSet,
+    metric: DistanceMetric,
+    k: int,
+    row,
+):
     """:func:`_inn_members`, the mask cut to the probe's k-NN, and that k-NN."""
     _, ids, keep, dists = row
     gal_ids, d_x, members = _inn_members(probe_id, gallery, metric, k, row)
@@ -270,7 +284,12 @@ def jaccard_distance(a, b) -> float:
 
 
 def gallery_neighbor_set(
-    gallery_id: int, probe_id: int, row, gallery: FeatureSet, metric: DistanceMetric, k: int
+    gallery_id: int,
+    probe_id: int,
+    row,
+    gallery: FeatureSet,
+    metric: DistanceMetric,
+    k: int,
 ) -> NeighborSet:
     """k-NN of one gallery sample over the probe's candidate pool ``row``
     (from :func:`pool_row`) with that sample swapped for the probe at its
@@ -319,8 +338,9 @@ def rank_by_inn(
     """k-INN as a full ranking: inverse neighbors first (by raw distance),
     remaining gallery after them (by raw distance).
 
-    Values are composite sort keys: members in [0, 1), the appended block
-    in [2, 3).  Orderings, not magnitudes, are the comparable quantity.
+    Values are composite sort keys: members in [0, 1], the appended block
+    in [2, 3], an infinite distance at the top of its block.  Orderings,
+    not magnitudes, are the comparable quantity.
     """
     row = pool_row(probe_id, probe_vector, gallery, metric, policy)
     ids, dists, members = _inn_members(probe_id, gallery, metric, k, row)
@@ -342,7 +362,7 @@ def rank_by_rnn(
     their neighborhood and the probe's (ties by raw distance, then id);
     all other gallery samples follow, ordered by raw distance.  Values are
     composite sort keys: members carry their Jaccard distance in [0, 1],
-    the appended block lives in [2, 3).
+    the appended block lives in [2, 3], an infinite distance at 3.
     """
     row = pool_row(probe_id, probe_vector, gallery, metric, policy)
     gal_ids, dists, members, probe_nn = _rnn_members(probe_id, gallery, metric, k, row)

@@ -28,6 +28,12 @@ def euclid(a, b) -> float:
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
+def float_euclid(a, b) -> float:
+    """euclid, but a sum past float64 is +inf, as in cdist, where
+    ``** 2`` raises OverflowError."""
+    return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
+
+
 def sq_euclid(a, b) -> float:
     return sum((x - y) ** 2 for x, y in zip(a, b))
 
@@ -110,7 +116,7 @@ def brute_rnn_ranking(probe_id, probe_vec, gallery, k, probes=None, dist=euclid)
     the probe's k-NN and the member's own k-NN, taken over the probe's
     pool with the member swapped for the probe (at its offset id); ties
     by distance, then id.  Every other sample of the probe's pool follows
-    by (distance, id), valued 2 + d / (1 + d).
+    by (distance, id), valued 2 + d / (1 + d), or 3 for an infinite d.
     """
     eff = _effective_gallery(probe_id, gallery)
     aug = _augmentation(probe_id, gallery, probes)
@@ -127,7 +133,7 @@ def brute_rnn_ranking(probe_id, probe_vec, gallery, k, probes=None, dist=euclid)
             theirs = topk_ids(gvec, pool, k, dist)
             head.append((1.0 - len(theirs & forward) / len(theirs | forward), d, gid))
         else:
-            tail.append((d, gid, 2.0 + d / (1.0 + d)))
+            tail.append((d, gid, 3.0 if d == math.inf else 2.0 + d / (1.0 + d)))
     head.sort()
     tail.sort()
     return [(gid, value) for value, _, gid in head] + [(gid, value) for _, gid, value in tail]

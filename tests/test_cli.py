@@ -417,22 +417,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "internal error" not in err and "Traceback" not in err
         if code:
-            assert "passes int64" in err
+            assert "no offset id" in err
 
     @pytest.mark.parametrize(
-        "command, code",
+        "command",
         [
-            (["sigma", "--k-sigma", "1"], 3),
-            (["rerank", "--method", "bi_dakr"], 3),
-            (["rerank", "--method", "inn", "--k", "2"], 0),
-            (["rerank", "--method", "knn"], 0),
+            ["sigma", "--with-probes"],
+            ["rerank", "--method", "rnn", "--k", "2"],
+            ["eval", "--method", "rnn+", "--k", "2", "--ranks", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_negative_probe_id_beside_the_int64_limit(self, tmp_path, capsys, command):
+        # -1 plus the offset 2**63 would be the gallery id 2**63 - 1.
+        gpath, ppath = tmp_path / "big.csv", tmp_path / "probes.csv"
+        gpath.write_text("id,f0\n0,0.0\n1,1.0\n9223372036854775807,3.0\n")
+        ppath.write_text("id,f0\n-1,2.1\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("probe_id,gallery_id\n-1,1\n")
+        argv = [command[0], "--gallery", gpath, "--probes", ppath, *command[1:]]
+        if command[0] == "eval":
+            argv += ["--truth", truth]
+        assert run(*argv, "--out", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "probes.csv" in err and "negative" in err
+
+    @pytest.mark.parametrize(
+        "command, code, tail",
+        [
+            (["sigma", "--k-sigma", "1"], 3, None),
+            (["rerank", "--method", "bi_dakr"], 3, None),
+            (["rerank", "--method", "inn", "--k", "2"], 0, ["3.0", "3.0"]),
+            # k = 5: every sample's pool is the 4 others and the probe, so
+            # all five are members, 2 and 3 at the top of the member block.
+            (["rerank", "--method", "inn", "--k", "5"], 0, ["1.0", "1.0"]),
+            (["rerank", "--method", "rnn", "--k", "5"], 0, [repr(1 - 4 / 6)] * 2),
+            (["rerank", "--method", "knn"], 0, ["inf", "inf"]),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
     )
-    def test_overflowing_distances(self, tmp_path, capsys, command, code):
+    def test_overflowing_distances(self, tmp_path, capsys, command, code, tail):
         # Samples 2 and 3 are too far apart for float64.
         gpath, ppath = tmp_path / "far.csv", tmp_path / "probes.csv"
-        gpath.write_text("id,f0,f1\n0,0.0,0.1\n1,0.5,0.2\n2,1e200,0.3\n3,-1e200,0.3\n")
+        gpath.write_text(
+            "id,f0,f1\n0,0.0,0.1\n1,0.5,0.2\n2,1e200,0.3\n3,-1e200,0.3\n4,1.0,0.0\n"
+        )
         ppath.write_text("id,f0,f1\n9,0.2,0.1\n")
         out = tmp_path / "out.csv"
         argv = [command[0], "--gallery", gpath, *command[1:], "--out", out]
@@ -447,7 +476,8 @@ class TestExitCodes:
             assert "distances overflow float64" in err
         else:
             # Infinite distances rank last, by id, as under knn.
-            assert [row.split(",")[2] for row in out.read_text().splitlines()[-2:]] == ["2", "3"]
+            rows = [row.split(",") for row in out.read_text().splitlines()[-2:]]
+            assert [(row[2], row[3]) for row in rows] == list(zip(["2", "3"], tail))
 
 
     @pytest.mark.parametrize(

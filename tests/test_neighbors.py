@@ -31,6 +31,7 @@ from dakr.neighbors import (
     NeighborSet,
     candidate_pool,
     gallery_neighbor_set,
+    offset_ids,
     pool_row,
     probe_id_offset,
 )
@@ -44,7 +45,7 @@ from conftest import (
     scan_data,
     two_probe_set,
 )
-from oracles import brute_inn, brute_knn, brute_rnn, brute_rnn_ranking
+from oracles import brute_inn, brute_knn, brute_rnn, brute_rnn_ranking, float_euclid
 
 
 class TestBlockedInnScan:
@@ -598,7 +599,7 @@ class TestOffsetIdRange:
         gallery = FeatureSet([0, 1, 2, 2**62 + 3], np.eye(4))
         probes = FeatureSet([2**62 + 5, 2**62 + 7], np.eye(4)[:2] + 0.1)
         policy = AugmentationPolicy.with_probes(probes)
-        with pytest.raises(OutOfRange, match="passes int64"):
+        with pytest.raises(OutOfRange, match="no offset id"):
             candidate_pool(2**62 + 5, gallery, policy)
         for fn in (knn, inn, rnn, rank_by_inn, rank_by_rnn):
             with pytest.raises(OutOfRange):
@@ -621,6 +622,19 @@ class TestOffsetIdRange:
         with pytest.raises(OutOfRange):
             rank_by_rnn(9, [0.4], gallery, euclidean, 2)
 
+    def test_negative_probe_ids_are_refused(self, euclidean):
+        # -1 plus the offset 2**63 would be the gallery id 2**63 - 1; any
+        # negative id's offset id may be a gallery id.
+        for top in (np.iinfo(np.int64).max, 5):
+            gallery = FeatureSet([0, 1, 2, top], [[0.0], [1.0], [3.0], [0.5]])
+            with pytest.raises(OutOfRange, match="no offset id"):
+                offset_ids(-1, gallery)
+            with pytest.raises(OutOfRange, match="no offset id"):
+                rank_by_rnn(-1, [0.4], gallery, euclidean, 2)
+        policy = AugmentationPolicy.with_probes(FeatureSet([7], [[0.2]]))
+        with pytest.raises(OutOfRange, match="no offset id"):
+            inn(-1, [0.4], gallery, euclidean, 2, policy)
+
 
 class TestOverflowingDistances:
     def test_infinite_distances_rank_last_as_under_knn(self, euclidean):
@@ -636,6 +650,40 @@ class TestOverflowingDistances:
             ranked = fn(9, probe, gallery, euclidean, 2)
             assert ranked.gallery_ids.tolist() == order, fn.__name__
             assert ranked.values[3:].tolist() == [3.0, 3.0], fn.__name__
+
+    @pytest.mark.parametrize(
+        "gvecs, pvecs",
+        [
+            # GEMM blocks: the probe's distances are finite, their squares not.
+            ([[0.0], [0.5], [1.0], [2.0]], [[1e200], [0.7]]),
+            # Exact blocks: every distance from samples 2 and 3 is +inf.
+            (
+                [[0.0, 0.1], [0.5, 0.2], [1e200, 0.3], [-1e200, 0.3], [1.0, 0.0]],
+                [[0.2, 0.1], [5e199, 0.0]],
+            ),
+        ],
+        ids=["gemm", "exact"],
+    )
+    @pytest.mark.parametrize("augmented", [False, True], ids=["gallery_only", "with_probes"])
+    def test_members_and_rankings_match_the_oracles(self, euclidean, gvecs, pvecs, augmented):
+        n = len(gvecs)
+        gallery = FeatureSet(np.arange(n), gvecs)
+        ids = [n + 4, n + 1]
+        probes = FeatureSet(ids, pvecs)
+        policy = AugmentationPolicy.with_probes(probes) if augmented else AugmentationPolicy()
+        gdict = dict(enumerate(gvecs))
+        pdict = dict(zip(ids, pvecs)) if augmented else None
+        for pid, pvec in zip(ids, pvecs):
+            for k in range(1, n + 2):
+                oracle = (pid, pvec, gdict, k)
+                got = inn(pid, pvec, gallery, euclidean, k, policy)
+                assert got == brute_inn(*oracle, probes=pdict, dist=float_euclid), (pid, k)
+                ranked = rank_by_rnn(pid, pvec, gallery, euclidean, k, policy)
+                expected = brute_rnn_ranking(*oracle, probes=pdict, dist=float_euclid)
+                assert ranked.gallery_ids.tolist() == [g for g, _ in expected], (pid, k)
+                assert ranked.values.tolist() == pytest.approx(
+                    [v for _, v in expected], rel=1e-12, abs=0
+                ), (pid, k)
 
     def test_bandwidths_refuse_overflowing_distances(self, euclidean):
         gallery = FeatureSet(np.arange(3), [[0.0], [1e200], [-1e200]])
