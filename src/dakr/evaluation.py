@@ -147,34 +147,23 @@ def generate_scenario(
         probe_vectors = centers[:n_identities] + rng.normal(
             0.0, cluster_spread, size=(n_identities, dim)
         )
-        gallery_ids = np.arange(total_ids, dtype=np.int64)
-        probe_ids = np.arange(total_ids, total_ids + n_identities, dtype=np.int64)
-        matches = {int(total_ids + i): frozenset({i}) for i in range(n_identities)}
-        gallery = FeatureSet(gallery_ids, gallery_vectors)
-        probes = FeatureSet(probe_ids, probe_vectors)
+        matches = {total_ids + i: frozenset({i}) for i in range(n_identities)}
+        gallery = FeatureSet(np.arange(total_ids), gallery_vectors)
+        probes = FeatureSet(total_ids + np.arange(n_identities), probe_vectors)
         return gallery, probes, GroundTruth(matches)
 
     # multi_shot: identity blocks of shots_per_id + 1 gallery samples, the
-    # first of which is also the probe (same id, same vector).
-    rows_true = n_identities * (shots_per_id + 1)
-    rows_total = rows_true + n_distractors * shots_per_id
-    expanded = np.empty((rows_total, dim), dtype=np.float64)
-    for i in range(n_identities):
-        expanded[i * (shots_per_id + 1) : (i + 1) * (shots_per_id + 1)] = centers[i]
-    for j in range(n_distractors):
-        start = rows_true + j * shots_per_id
-        expanded[start : start + shots_per_id] = centers[n_identities + j]
+    # first of which is also the probe (same id, same vector), then
+    # distractor blocks of shots_per_id samples.
+    expanded = np.vstack([
+        np.repeat(centers[:n_identities], shots_per_id + 1, axis=0),
+        np.repeat(centers[n_identities:], shots_per_id, axis=0),
+    ])
     gallery_vectors = expanded + rng.normal(0.0, cluster_spread, size=expanded.shape)
-    gallery_ids = np.arange(rows_total, dtype=np.int64)
-
-    probe_rows = [i * (shots_per_id + 1) for i in range(n_identities)]
-    probes = FeatureSet(gallery_ids[probe_rows], gallery_vectors[probe_rows])
-    matches = {}
-    for i in range(n_identities):
-        block = range(i * (shots_per_id + 1), (i + 1) * (shots_per_id + 1))
-        probe_id = i * (shots_per_id + 1)
-        matches[probe_id] = frozenset(b for b in block if b != probe_id)
-    return FeatureSet(gallery_ids, gallery_vectors), probes, GroundTruth(matches)
+    probe_rows = np.arange(n_identities) * (shots_per_id + 1)
+    probes = FeatureSet(probe_rows, gallery_vectors[probe_rows])
+    matches = {int(p): frozenset(range(p + 1, p + shots_per_id + 1)) for p in probe_rows}
+    return FeatureSet(np.arange(len(expanded)), gallery_vectors), probes, GroundTruth(matches)
 
 
 @dataclass
@@ -270,8 +259,7 @@ def evaluate_methods(
     ranks = _clip_ranks(tuple(ranks), len(gallery))
     max_rank = max(ranks)
     if k_sigma is None:
-        avg = truth.average_multiplicity()
-        k_sigma = default_k_sigma(len(gallery), avg if avg > 1 else None)
+        k_sigma = default_k_sigma(len(gallery), truth.average_multiplicity())
 
     results = []
     for token in methods:

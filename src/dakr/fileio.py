@@ -149,13 +149,9 @@ def read_features(path) -> FeatureSet:
 def write_truth_csv(truth: GroundTruth, path) -> None:
     """One probe_id,gallery_id pair per row; multiple-shot truth is simply
     repeated probe ids."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["probe_id", "gallery_id"])
-        for probe_id in sorted(truth.matches):
-            for gallery_id in sorted(truth.matches[probe_id]):
-                writer.writerow([probe_id, gallery_id])
+    matches = truth.matches
+    rows = [{"probe_id": p, "gallery_id": g} for p in sorted(matches) for g in sorted(matches[p])]
+    write_csv_rows(rows, ["probe_id", "gallery_id"], path)
 
 
 def read_truth_csv(path) -> GroundTruth:
@@ -289,5 +285,4 @@ def write_csv_rows(rows: list[dict], fieldnames: list[str], path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
