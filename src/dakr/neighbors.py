@@ -339,8 +339,7 @@ def rank_by_inn(
     remaining gallery after them (by raw distance).
 
     Values are composite sort keys: members in [0, 1], the appended block
-    in [2, 3], an infinite distance at the top of its block.  Orderings,
-    not magnitudes, are the comparable quantity.
+    in [2, 3], infinite distances at 1 and 3.  Only their order is meaningful.
     """
     row = pool_row(probe_id, probe_vector, gallery, metric, policy)
     ids, dists, members = _inn_members(probe_id, gallery, metric, k, row)

@@ -654,7 +654,8 @@ class TestOverflowingDistances:
     @pytest.mark.parametrize(
         "gvecs, pvecs",
         [
-            # GEMM blocks: the probe's distances are finite, their squares not.
+            # GEMM blocks: the gallery's distances are small, the probe's
+            # overflow to +inf.
             ([[0.0], [0.5], [1.0], [2.0]], [[1e200], [0.7]]),
             # Exact blocks: every distance from samples 2 and 3 is +inf.
             (
@@ -665,7 +666,15 @@ class TestOverflowingDistances:
         ids=["gemm", "exact"],
     )
     @pytest.mark.parametrize("augmented", [False, True], ids=["gallery_only", "with_probes"])
-    def test_members_and_rankings_match_the_oracles(self, euclidean, gvecs, pvecs, augmented):
+    @pytest.mark.parametrize("squared", [False, True], ids=["euclidean", "squared_euclidean"])
+    def test_members_and_rankings_match_the_oracles(self, gvecs, pvecs, augmented, squared):
+        metric = DistanceMetric.squared_euclidean() if squared else DistanceMetric.euclidean()
+
+        def dist(a, b):
+            if squared:
+                return sum((x - y) * (x - y) for x, y in zip(a, b))
+            return float_euclid(a, b)
+
         n = len(gvecs)
         gallery = FeatureSet(np.arange(n), gvecs)
         ids = [n + 4, n + 1]
@@ -676,10 +685,10 @@ class TestOverflowingDistances:
         for pid, pvec in zip(ids, pvecs):
             for k in range(1, n + 2):
                 oracle = (pid, pvec, gdict, k)
-                got = inn(pid, pvec, gallery, euclidean, k, policy)
-                assert got == brute_inn(*oracle, probes=pdict, dist=float_euclid), (pid, k)
-                ranked = rank_by_rnn(pid, pvec, gallery, euclidean, k, policy)
-                expected = brute_rnn_ranking(*oracle, probes=pdict, dist=float_euclid)
+                got = inn(pid, pvec, gallery, metric, k, policy)
+                assert got == brute_inn(*oracle, probes=pdict, dist=dist), (pid, k)
+                ranked = rank_by_rnn(pid, pvec, gallery, metric, k, policy)
+                expected = brute_rnn_ranking(*oracle, probes=pdict, dist=dist)
                 assert ranked.gallery_ids.tolist() == [g for g, _ in expected], (pid, k)
                 assert ranked.values.tolist() == pytest.approx(
                     [v for _, v in expected], rel=1e-12, abs=0
