@@ -341,6 +341,53 @@ class TestBoundarySelection:
                     assert got.tobytes() == full[rows, col].tobytes(), (metric.kind, dim)
 
 
+class TestBlockBuffers:
+    """The scan's blocks live in buffers that later blocks overwrite."""
+
+    @pytest.mark.parametrize("n_threads", [None, 1, 4])
+    @pytest.mark.parametrize("data", ["gaussian", "lattice"])
+    def test_selections_neither_change_nor_alias_the_block(self, monkeypatch, data, n_threads):
+        # 700 entries per block: twelve blocks of seven rows of 90, then six
+        monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 700)
+        vectors = scan_data(data, np.random.default_rng(41))
+        mahalanobis = DistanceMetric.mahalanobis(np.diag(np.arange(1.0, vectors.shape[1] + 1)))
+        for metric in [m for m, _ in _GEMM_METRICS] + [mahalanobis]:
+            # cdist's matrix under the GEMM metrics
+            full = pairwise(metric, vectors, vectors)
+            top = full.max()
+            np.fill_diagonal(full, np.inf)
+            kth = np.partition(full, 2, axis=1)[:, 2]
+
+            def select(b):
+                before = b.approx.tobytes()
+                got = (b.kth_smallest(3), b.count_within(kth[b.start:b.stop]), b.maximum())
+                assert b.approx.tobytes() == before
+                assert not any(np.shares_memory(r, b.approx) for r in got[:2])
+                return b.start, *got
+
+            blocks = scan_self_distances(metric, vectors, select, n_threads)
+            assert [b[0] for b in blocks] == list(range(0, 90, 7))
+            assert np.concatenate([b[1] for b in blocks]).tobytes() == kth.tobytes()
+            np.testing.assert_array_equal(
+                np.concatenate([b[2] for b in blocks]), np.sum(full <= kth[:, None], axis=1)
+            )
+            assert max(b[3] for b in blocks) == top
+
+    def test_single_thread_reuses_one_pair(self, monkeypatch):
+        # 600 entries per block: six blocks of ten rows of 60
+        monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 600)
+        vectors = np.random.default_rng(43).normal(size=(60, 3))
+        for metric, _ in _GEMM_METRICS:
+            blocks = scan_self_distances(metric, vectors, lambda b: b, 1)
+            assert len(blocks) == 6
+            first = blocks[0]
+            for b in blocks:
+                assert np.shares_memory(b.approx, first.approx)
+            for b in blocks:
+                assert np.shares_memory(b.spare, first.spare)
+                assert not np.shares_memory(b.spare, first.approx)
+
+
 class TestRankedList:
     def test_entries_and_position(self):
         rl = RankedList(0, [5, 2, 9], [0.1, 0.2, 0.2], ASCENDING_DISTANCE)
