@@ -60,6 +60,7 @@ def _configure_logging() -> None:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    logging.captureWarnings(True)  # so DAKR_LOG governs warnings too
 
 
 def _non_negative_int(text: str) -> int:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -279,11 +278,11 @@ class SelfBlock:
     ``approx`` holds exact :func:`pairwise` rows when ``exact``; otherwise
     ``approx[i, j]`` is within ``eps[i]`` of the exact distance, or of its
     square under the euclidean metric.  ``spare``, of ``approx``'s shape,
-    is :meth:`kth_smallest`'s scratch space.  Both are buffers of the scan
-    thread (``approx`` only for GEMM blocks), which its next block
-    overwrites.  The selections below return exact :func:`pairwise`
-    values, never views of either, and count the pairs they re-score in
-    ``rescored``.
+    is :meth:`kth_smallest`'s scratch space.  A GEMM block runs on the
+    calling thread in the scan's one buffer pair, which the next block
+    overwrites; an exact-row block, on the pool of ``n_threads``, has its
+    own.  The selections below return exact :func:`pairwise` values, never
+    views of either, and count the pairs they re-score in ``rescored``.
     """
 
     metric: DistanceMetric
@@ -311,6 +310,16 @@ class SelfBlock:
         self.rescored += len(rows)
         return _pair_distances(self.metric, self.vectors, self.start + rows, cols)
 
+    def _band(self, rows: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of block rows ``rows`` from ``lo`` to ``hi`` (bounds
+        that broadcast against ``approx[rows]``), own entries left out:
+        their rows, ascending, and their exact distances."""
+        band = self.approx[rows]
+        band_row, cols = np.nonzero((band >= lo) & (band <= hi))
+        rows = rows[band_row]
+        other = cols != self.start + rows
+        return rows[other], self._exact(rows[other], cols[other])
+
     def kth_smallest(self, k: int) -> np.ndarray:
         """Each row's exact k-th smallest distance, 1 <= k < len(vectors).
 
@@ -318,32 +327,22 @@ class SelfBlock:
         are decided by the approximation; the exact k-th is the
         (k - sure-below)-th smallest of the re-scored band between.
         """
-        approx, eps2 = self.approx, 2.0 * self.eps
-        part = self.spare
+        approx, part, eps2 = self.approx, self.spare, 2.0 * self.eps
         np.copyto(part, approx)
         part.partition(k - 1, axis=1)
         kth = part[:, k - 1].copy()
         lo, hi = kth - eps2, kth + eps2
+        below = np.count_nonzero(part[:, : k - 1] < lo[:, None], axis=1)
         # Lone rows: the k-th entry is the only one in its band.
-        lone = (part[:, : k - 1].max(axis=1, initial=-np.inf) < lo) & (
-            part[:, k:].min(axis=1) > hi
-        )
-        del part
-        lone_rows = np.flatnonzero(lone)
-        lone_cols = np.argmax(approx == kth[:, None], axis=1)[lone_rows]
-        wide = np.flatnonzero(~lone)
-        band = approx[wide]
-        below = np.count_nonzero(band < lo[wide, None], axis=1)
-        band_row, band_col = np.nonzero((band >= lo[wide, None]) & (band <= hi[wide, None]))
-        exact = self._exact(
-            np.concatenate([lone_rows, wide[band_row]]), np.concatenate([lone_cols, band_col])
-        )
+        lone = (below == k - 1) & (part[:, k:].min(axis=1) > hi)
+        lone_rows, wide = np.flatnonzero(lone), np.flatnonzero(~lone)
         out = np.empty(len(approx), dtype=np.float64)
-        out[lone_rows] = exact[: len(lone_rows)]
-        # band_row ascends, so the stable sort keeps each row's band together.
-        band_exact = exact[len(lone_rows):][np.lexsort((exact[len(lone_rows):], band_row))]
-        first = np.searchsorted(band_row, np.arange(len(wide)))
-        out[wide] = band_exact[first + k - 1 - below]
+        lone_cols = np.argmax(approx == kth[:, None], axis=1)[lone_rows]
+        out[lone_rows] = self._exact(lone_rows, lone_cols)
+        rows, exact = self._band(wide, lo[wide, None], hi[wide, None])
+        # rows ascend, so the stable sort keeps each row's band together.
+        band_exact = exact[np.lexsort((exact, rows))]
+        out[wide] = band_exact[np.searchsorted(rows, wide) + k - 1 - below[wide]]
         return out
 
     def count_within(self, limits: np.ndarray) -> np.ndarray:
@@ -362,15 +361,10 @@ class SelfBlock:
             lo, hi = key - slack, key + slack
         whole = ~(np.isfinite(lo) & np.isfinite(hi))
         lo[whole], hi[whole] = -np.inf, np.inf
-        lo, hi = lo[:, None], hi[:, None]
-        counts = np.count_nonzero(self.approx <= lo, axis=1)
-        wide = np.flatnonzero(np.count_nonzero(self.approx <= hi, axis=1) > counts)
-        band = self.approx[wide]
-        band_row, band_col = np.nonzero((band > lo[wide]) & (band <= hi[wide]))
-        other = band_col != self.start + wide[band_row]
-        rows, band_col = wide[band_row[other]], band_col[other]
-        inside = self._exact(rows, band_col) <= limits[rows]
-        np.add.at(counts, rows[inside], 1)
+        counts = np.count_nonzero(self.approx < lo[:, None], axis=1)
+        wide = np.flatnonzero(np.count_nonzero(self.approx <= hi[:, None], axis=1) > counts)
+        rows, exact = self._band(wide, lo[wide, None], hi[wide, None])
+        np.add.at(counts, rows[exact <= limits[rows]], 1)
         return counts
 
     def maximum(self) -> float:
@@ -379,27 +373,24 @@ class SelfBlock:
         own = (np.arange(len(approx)), np.arange(self.start, self.stop))
         approx[own] = -np.inf
         top = approx.max(axis=1)
+        approx[own] = np.inf
         # The exact maximum is at least top_i - eps_i for every row i.
         floor = float(np.max(top - eps))
         wide = np.flatnonzero(top + eps >= floor)
-        band_row, band_col = np.nonzero(approx[wide] + eps[wide, None] >= floor)
-        approx[own] = np.inf
-        return float(self._exact(wide[band_row], band_col).max())
+        return float(self._band(wide, floor - eps[wide, None], np.inf)[1].max())
 
 
 def scan_self_distances(metric: DistanceMetric, vectors, per_block, n_threads=None) -> list:
     """Walk the (n, n) self-distance matrix of ``vectors`` in row blocks
-    of about ``_BLOCK_ELEMENTS`` entries, on a thread pool if n_threads > 1.
+    of about ``_BLOCK_ELEMENTS`` entries, each passed to ``per_block`` as
+    a :class:`SelfBlock`; the results come back in block order.
 
-    Each block goes to ``per_block(block)`` as a :class:`SelfBlock`; the
-    results come back in block order.  Euclidean and squared euclidean
-    blocks are one GEMM each, of squared distances; Mahalanobis blocks,
-    and blocks of vectors too large for the GEMM, are exact
-    :func:`pairwise` rows.  Each thread of the scan makes one pair of
-    block-sized buffers at its first block and keeps it until the scan
-    returns: a GEMM block's ``approx`` is the first, ``block.spare`` the
-    second, and the thread's next block overwrites both.  So the results
-    must not be views of ``block.approx`` or ``block.spare``.
+    Euclidean and squared euclidean blocks are one GEMM each, of squared
+    distances, on the calling thread in the scan's one buffer pair, so
+    the results must not be views of ``block.approx`` or ``block.spare``.
+    Mahalanobis blocks, and blocks of vectors too large for the GEMM, are
+    exact :func:`pairwise` rows with buffers of their own, on a pool of
+    ``n_threads`` threads if that is above 1.
     """
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     n, d = vectors.shape
@@ -412,10 +403,9 @@ def scan_self_distances(metric: DistanceMetric, vectors, per_block, n_threads=No
         # the blocks are exact rows, as cdist's may still be finite.
         exact = not norms.max() <= np.finfo(np.float64).max / 4
     if exact:
-        no_bound = np.zeros(n)
-
-        def rows_of(start: int, stop: int, out: np.ndarray):
-            return pairwise(metric, vectors[start:stop], vectors), no_bound[start:stop]
+        def rows_of(start: int, stop: int):
+            approx = pairwise(metric, vectors[start:stop], vectors)
+            return approx, np.zeros(stop - start), np.empty_like(approx)
 
     else:
         u = np.finfo(np.float64).eps / 2
@@ -425,23 +415,23 @@ def scan_self_distances(metric: DistanceMetric, vectors, per_block, n_threads=No
         ones = np.ones((n, 1))
         left = np.hstack([-2.0 * centred, norms[:, None], ones])
         right = np.hstack([centred, ones, norms[:, None]])
+        # One allocation: numpy asks for huge pages from 4 MiB up.
+        out, spare = np.empty((2, block, n))
 
-        def rows_of(start: int, stop: int, out: np.ndarray):
-            return np.matmul(left[start:stop], right.T, out=out), eps[start:stop]
-
-    local = threading.local()
+        def rows_of(start: int, stop: int):
+            approx = np.matmul(left[start:stop], right.T, out=out[: stop - start])
+            return approx, eps[start:stop], spare[: stop - start]
 
     def scan(start: int):
         stop = min(start + block, n)
-        if not hasattr(local, "pair"):
-            # One allocation: numpy asks for huge pages from 4 MiB up.
-            local.pair = np.empty((2, block, n))
-        out, spare = local.pair[:, : stop - start]
-        approx, eps_rows = rows_of(start, stop, out)
+        approx, eps_rows, spare_rows = rows_of(start, stop)
         approx[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        return per_block(SelfBlock(metric, vectors, start, approx, eps_rows, exact, spare))
+        return per_block(SelfBlock(metric, vectors, start, approx, eps_rows, exact, spare_rows))
 
-    return thread_map(scan, range(0, n, block), n_threads)
+    # GEMM blocks take no pool: OpenBLAS threads the GEMM itself, and a
+    # block pool on top made sigma tables of N = 4,000, d = 64 slower on
+    # 2 cores (140-156 ms at 2 threads against 105-123 ms at 1).
+    return thread_map(scan, range(0, n, block), n_threads if exact else None)
 
 
 @dataclass(frozen=True)

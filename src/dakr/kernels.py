@@ -128,6 +128,8 @@ def compute_sigma_table(
     so kernels stay finite and coincident samples still win.  Each table
     logs one info line: samples scanned, k_sigma and whether it was
     clamped, floor hits, and pairs re-scored at the selection boundary.
+    GEMM blocks run on the calling thread in one buffer pair per scan;
+    ``n_threads`` sizes only the pool of exact-row blocks, as under Mahalanobis.
     """
     if k_sigma < 1:
         raise InvalidParams("k_sigma must be >= 1")

@@ -70,7 +70,6 @@ def resolve_policy(mode: str, probes: FeatureSet) -> AugmentationPolicy:
             "falling back to gallery_only"
         )
         warnings.warn(message, RuntimeWarning, stacklevel=2)
-        log.info(message)
         return AugmentationPolicy.gallery_only()
     return AugmentationPolicy.with_probes(probes)
 

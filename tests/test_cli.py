@@ -1,10 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dakr
 from dakr import DistanceMetric, FeatureSet, compute_sigma_table, rerank
 from dakr.cli import main
 from dakr.fileio import (
@@ -163,6 +168,20 @@ class TestRerank:
             "--method", "inv_dakr", "--sigma-table", sidecar, "--out", out,
         )
         assert code == 0
+
+    @pytest.mark.parametrize("level, lines", [("info", 1), ("warning", 1), ("error", 0)])
+    def test_with_probes_fallback_reported_once(self, line_fixture, tmp_path, level, lines):
+        # In a fresh process, so that DAKR_LOG configures the logging: the
+        # fallback's RuntimeWarning goes through it, and dakr logs no copy.
+        _, _, gpath, ppath = line_fixture
+        argv = ["rerank", "--gallery", gpath, "--probes", ppath, "--method", "bi_dakr+",
+                "--out", tmp_path / "out.csv"]
+        env = {**os.environ, "DAKR_LOG": level,
+               "PYTHONPATH": str(Path(dakr.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "dakr.cli", *map(str, argv)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count("falling back to gallery_only") == lines, done.stderr
 
 
 class TestEval:

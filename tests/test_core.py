@@ -387,6 +387,55 @@ class TestBlockBuffers:
                 assert np.shares_memory(b.spare, first.spare)
                 assert not np.shares_memory(b.spare, first.approx)
 
+    @pytest.mark.parametrize("n_threads", [None, 1, 4])
+    def test_only_exact_row_blocks_take_the_pool(self, monkeypatch, n_threads):
+        # GEMM blocks run on the calling thread, since BLAS threads the
+        # GEMM itself; Mahalanobis blocks and the blocks of vectors too
+        # large for the GEMM pass the caller's thread count on
+        monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 700)
+        pools = []
+
+        def thread_map(fn, items, n_threads=None):
+            pools.append(n_threads)
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(dakr.core, "thread_map", thread_map)
+        rng = np.random.default_rng(47)
+        gaussian, far = scan_data("gaussian", rng), scan_data("far", rng)
+        mahalanobis = DistanceMetric.mahalanobis(np.eye(gaussian.shape[1]))
+        scans = [(m, gaussian, None) for m, _ in _GEMM_METRICS]
+        scans += [(m, far, n_threads) for m, _ in _GEMM_METRICS]
+        scans.append((mahalanobis, gaussian, n_threads))
+        for metric, vectors, expected in scans:
+            pools.clear()
+            blocks = scan_self_distances(metric, vectors, lambda b: b.kth_smallest(2), n_threads)
+            assert len(blocks) == 13 and pools == [expected], metric.kind
+
+    def test_threaded_gemm_blocks_share_one_pair(self, monkeypatch):
+        # 700 entries per block: thirteen blocks of up to seven rows of 90
+        monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 700)
+        vectors = scan_data("gaussian", np.random.default_rng(53))
+        for metric, _ in _GEMM_METRICS:
+            blocks = scan_self_distances(metric, vectors, lambda b: b, 4)
+            assert len(blocks) == 13
+            first = blocks[0]
+            for b in blocks:
+                assert np.shares_memory(b.approx, first.approx)
+                assert np.shares_memory(b.spare, first.spare)
+
+    def test_threaded_exact_row_blocks_own_their_spare(self, monkeypatch):
+        # under Mahalanobis, and for vectors too large for the GEMM
+        monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 700)
+        rng = np.random.default_rng(59)
+        gaussian, far = scan_data("gaussian", rng), scan_data("far", rng)
+        mahalanobis = DistanceMetric.mahalanobis(np.eye(gaussian.shape[1]))
+        for metric, vectors in [(mahalanobis, gaussian)] + [(m, far) for m, _ in _GEMM_METRICS]:
+            blocks = scan_self_distances(metric, vectors, lambda b: b, 4)
+            assert len(blocks) == 13 and all(b.exact for b in blocks)
+            for a, b in itertools.combinations(blocks, 2):
+                assert not np.shares_memory(a.spare, b.spare)
+                assert not np.shares_memory(a.spare, b.approx)
+
 
 class TestRankedList:
     def test_entries_and_position(self):

@@ -7,8 +7,9 @@ Each tree is a directory holding the ``dakr`` package (a checkout's
 once, under PARENT_SRC; then the same command matrix (``gen --format
 csv`` and ``gen --format bin`` of each scenario, ``sigma``, ``sigma
 --with-probes``, ``sigma --k-sigma 4``, ``rerank`` for every method
-token and with all three sidecars, Mahalanobis ``rerank``s, two
-``eval``s and three ``sweep``s per scenario) runs through ``python -m dakr.cli`` under each tree, with
+token and with all three sidecars, Mahalanobis ``rerank``s, a squared
+euclidean ``sigma`` and two such ``rerank``s, two ``eval``s and three
+``sweep``s per scenario) runs through ``python -m dakr.cli`` under each tree, with
 ``--threads 1`` wherever the command takes it.  Every data file that
 differs is listed, ``*.timings.json`` skipped (wall-clock figures), and
 the exit status is 1 on any difference or failed command.  ``--work``
@@ -75,6 +76,11 @@ def commands(inputs: Path, out: Path, scenario_flags: list[str]):
     for token in MAHALANOBIS_TOKENS:
         yield ["rerank", *files, "--method", token, "--metric", "mahalanobis",
                "--metric-matrix", inputs / "metric.csv", "--out", out / f"rerank_{token}_mahalanobis.csv"]
+    squared = ["--metric", "squared_euclidean"]
+    yield ["sigma", "--gallery", inputs / "gallery.csv", *squared, "--out", out / "squared.sgt"]
+    for token in ("inn", "bi_dakr"):
+        yield ["rerank", *files, "--method", token, "--k", "4", *squared,
+               "--out", out / f"rerank_{token}_squared.csv"]
     yield ["eval", *truth, "--method", "knn,inn,rnn,inv_dakr,bi_dakr", "--k", "3",
            "--out", out / "eval_plain"]
     yield ["eval", *truth, "--method", "inn+,rnn+,inv_dakr+,bi_dakr+", "--k", "5",
