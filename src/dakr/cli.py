@@ -1,7 +1,9 @@
 """Command-line surface: scenario generation, bandwidth precompute,
 re-ranking, evaluation, parameter sweeps, and timing benchmarks.
 
-Exit codes: 0 success, 2 usage, 3 data/format, 4 internal error.
+Exit codes: 0 success, 2 usage, 3 data/format, 4 internal error.  A
+probe file whose id names a gallery sample with another vector is a data
+error: probe and gallery ids share one namespace.
 Set DAKR_LOG=debug|info|warning|error to control verbosity.  Data outputs
 are byte-stable for a fixed seed; wall-clock figures go to stdout or to a
 separate timings file, never into data files.
@@ -14,6 +16,7 @@ import logging
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +48,8 @@ from .fileio import (
 from .kernels import compute_sigma_table, default_k_sigma
 from .neighbors import GALLERY_ONLY, WITH_PROBES
 from .rerank import (
-    DAKR_METHODS, offline_phase, parse_method_token, rank_probe, rerank, resolve_policy
+    DAKR_METHODS, NEIGHBOR_METHODS, offline_phase, parse_method_token, rank_probe, rerank,
+    resolve_policy,
 )
 
 log = logging.getLogger("dakr")
@@ -60,7 +64,9 @@ def _configure_logging() -> None:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    logging.captureWarnings(True)  # so DAKR_LOG governs warnings too
+    # A warning a command raises is one dakr log line, its message alone,
+    # so DAKR_LOG governs it and no library path or source line shows.
+    warnings.showwarning = lambda message, *_: log.warning("%s", message)
 
 
 def _non_negative_int(text: str) -> int:
@@ -93,7 +99,7 @@ def _method_tokens(parser: argparse.ArgumentParser, text: str, k: int | None = 1
             method, _ = parse_method_token(token)
         except InvalidParams as exc:
             parser.error(str(exc))
-        if method in ("inn", "rnn") and k is None:
+        if method in NEIGHBOR_METHODS and k is None:
             parser.error(f"--method {token} requires --k")
     return tokens
 
@@ -106,10 +112,22 @@ def _existing(parser: argparse.ArgumentParser, path: str, what: str) -> Path:
 
 
 def _read_probes(parser: argparse.ArgumentParser, path: str, gallery: FeatureSet) -> FeatureSet:
+    """The probe file, which must match the gallery's dimension; a probe
+    whose id is a gallery id is that gallery sample, so it must carry the
+    same vector."""
     probes_path = _existing(parser, path, "probes")
     probes = read_features(probes_path)
     if probes.dim != gallery.dim:
         raise FormatError(f"{probes_path}: probe dim {probes.dim} != gallery dim {gallery.dim}")
+    shared = np.flatnonzero(np.isin(probes.ids, gallery.ids))
+    order = np.argsort(gallery.ids)
+    rows = order[np.searchsorted(gallery.ids, probes.ids[shared], sorter=order)]
+    differs = np.any(probes.vectors[shared] != gallery.vectors[rows], axis=1)
+    if differs.any():
+        raise FormatError(
+            f"{probes_path}: probe id {probes.ids[shared[differs.argmax()]]} is a gallery id, "
+            "but its vector differs from that gallery sample's"
+        )
     return probes
 
 
@@ -132,13 +150,14 @@ def _build_metric(parser: argparse.ArgumentParser, args, dim: int) -> DistanceMe
     return metric
 
 
-def _add_metric_flags(sub: argparse.ArgumentParser) -> None:
+def _add_compute_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--metric",
         default="euclidean",
         choices=["euclidean", "squared_euclidean", "mahalanobis"],
     )
     sub.add_argument("--metric-matrix", help="CSV matrix for mahalanobis")
+    sub.add_argument("--threads", type=_positive_int, default=os.cpu_count())
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
@@ -149,6 +168,17 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dim", type=int, default=16)
     sub.add_argument("--cluster-spread", type=float, default=0.21)
     sub.add_argument("--seed", type=_non_negative_int, default=0)
+
+
+def _add_report_flags(sub: argparse.ArgumentParser) -> None:
+    """The input, scenario, rank, metric, thread and output flags of eval and sweep."""
+    sub.add_argument("--gallery")
+    sub.add_argument("--probes")
+    sub.add_argument("--truth")
+    _add_scenario_flags(sub)
+    sub.add_argument("--ranks", type=_positive_int_list, default=list(DEFAULT_RANKS))
+    _add_compute_flags(sub)
+    sub.add_argument("--out", required=True, help="report base path")
 
 
 def _scenario_from_args(parser: argparse.ArgumentParser, args):
@@ -415,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     sigma.add_argument("--probes")
     sigma.add_argument("--with-probes", action="store_true")
     sigma.add_argument("--k-sigma", type=_positive_int)
-    sigma.add_argument("--threads", type=_positive_int, default=os.cpu_count())
-    _add_metric_flags(sigma)
+    _add_compute_flags(sigma)
     sigma.add_argument("--out", required=True)
 
     rrk = sub.add_parser("rerank", help="rank the gallery for every probe")
@@ -426,35 +455,20 @@ def build_parser() -> argparse.ArgumentParser:
     rrk.add_argument("--k", type=_positive_int)
     rrk.add_argument("--k-sigma", type=_positive_int)
     rrk.add_argument("--sigma-table")
-    rrk.add_argument("--threads", type=_positive_int, default=os.cpu_count())
-    _add_metric_flags(rrk)
+    _add_compute_flags(rrk)
     rrk.add_argument("--out", required=True)
 
     ev = sub.add_parser("eval", help="CMC/mAP report for one or more methods")
-    ev.add_argument("--gallery")
-    ev.add_argument("--probes")
-    ev.add_argument("--truth")
-    _add_scenario_flags(ev)
+    _add_report_flags(ev)
     ev.add_argument("--method", default="knn")
     ev.add_argument("--k", type=_positive_int)
     ev.add_argument("--k-sigma", type=_positive_int)
-    ev.add_argument("--ranks", type=_positive_int_list, default=list(DEFAULT_RANKS))
-    ev.add_argument("--threads", type=_positive_int, default=os.cpu_count())
-    _add_metric_flags(ev)
-    ev.add_argument("--out", required=True, help="report base path")
 
     sw = sub.add_parser("sweep", help="per-rank gain over the k-NN baseline vs k")
-    sw.add_argument("--gallery")
-    sw.add_argument("--probes")
-    sw.add_argument("--truth")
-    _add_scenario_flags(sw)
+    _add_report_flags(sw)
     sw.add_argument("--trials", type=_positive_int, help="scenario trials (default 10)")
     sw.add_argument("--method", default="inv_dakr,bi_dakr")
     sw.add_argument("--k-values", type=_positive_int_list, default=[1, 2, 5, 10, 20])
-    sw.add_argument("--ranks", type=_positive_int_list, default=list(DEFAULT_RANKS))
-    sw.add_argument("--threads", type=_positive_int, default=os.cpu_count())
-    _add_metric_flags(sw)
-    sw.add_argument("--out", required=True, help="report base path")
 
     bench = sub.add_parser("bench", help="offline/online wall-clock table")
     bench.add_argument("--sizes", type=_positive_int_list, default=[1000, 2000, 4000, 8000])

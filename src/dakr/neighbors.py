@@ -75,13 +75,7 @@ class NeighborSet:
     drops it.
     """
 
-    anchor_id: int
-    k: int
     members: frozenset
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidParams("k must be >= 1")
 
 
 def probe_id_offset(gallery: FeatureSet) -> int:
@@ -111,7 +105,9 @@ def reference_set(gallery: FeatureSet, policy: AugmentationPolicy):
 
     Probe and gallery ids share one namespace: a probe whose id is a
     gallery id is that gallery sample (the multiple-shot protocol draws
-    probes from the gallery), so it adds no row of its own.
+    probes from the gallery), so it adds no row of its own: its pool drops
+    that row, and under with_probes it takes that row's σ.  Callers give
+    such a probe that sample's vector; the library does not compare them.
     """
     if policy.mode != WITH_PROBES:
         return gallery.vectors, gallery.ids
@@ -157,6 +153,8 @@ def _nearest(ids: np.ndarray, dists: np.ndarray, k: int) -> frozenset:
     """The k ids nearest by (distance, id)."""
     if len(ids) == 0:
         raise EmptyGallery("candidate pool is empty")
+    if k < 1:
+        raise InvalidParams("k must be >= 1")
     order = np.lexsort((ids, dists))
     return frozenset(int(i) for i in ids[order[:k]])
 
@@ -182,7 +180,7 @@ def knn(
 ) -> NeighborSet:
     """The k candidates nearest to the probe, ties by ascending id."""
     _, ids, keep, dists = pool_row(probe_id, probe_vector, gallery, metric, policy)
-    return NeighborSet(anchor_id=int(probe_id), k=k, members=_nearest(ids[keep], dists[keep], k))
+    return NeighborSet(_nearest(ids[keep], dists[keep], k))
 
 
 def _inn_members(
@@ -218,12 +216,9 @@ def _inn_members(
 
     extra = keep[n:]
     if extra.any():
-        eff_x = offset_ids(probe_id, gallery)
         d_aug = pairwise(metric, vectors[n:][extra], gal_vectors)
-        counts += np.sum(d_aug < d_x[None, :], axis=0)
-        ties = d_aug == d_x[None, :]
-        if np.any(ties):
-            counts += np.sum(ties & (ids[n:][extra] < eff_x)[:, None], axis=0)
+        lower = (ids[n:][extra] < offset_ids(probe_id, gallery))[:, None]
+        counts += np.count_nonzero((d_aug < d_x) | ((d_aug == d_x) & lower), axis=0)
 
     return gal_ids, d_x, counts < k
 
@@ -304,8 +299,7 @@ def gallery_neighbor_set(
     anchor_dists[anchor] = dists[anchor]
     ids = ids.copy()
     ids[anchor] = offset_ids(probe_id, gallery)
-    members = _nearest(ids[keep], anchor_dists[keep], k)
-    return NeighborSet(anchor_id=int(gallery_id), k=k, members=members)
+    return NeighborSet(_nearest(ids[keep], anchor_dists[keep], k))
 
 
 def rank_by_distance(

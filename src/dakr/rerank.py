@@ -35,8 +35,9 @@ from .neighbors import (
     rank_by_rnn,
 )
 
-METHODS = ("knn", "inn", "rnn", "inv_dakr", "bi_dakr")
+NEIGHBOR_METHODS = ("inn", "rnn")
 DAKR_METHODS = ("inv_dakr", "bi_dakr")
+METHODS = ("knn", *NEIGHBOR_METHODS, *DAKR_METHODS)
 
 log = logging.getLogger("dakr")
 
@@ -58,20 +59,15 @@ def parse_method_token(token: str) -> tuple[str, str]:
 
 def resolve_policy(mode: str, probes: FeatureSet) -> AugmentationPolicy:
     """Build the augmentation policy for a batch, degrading to gallery-only
-    (with a warning) when there are no extra probes to augment with; a
-    mode that is neither is :class:`InvalidParams`."""
-    if mode == GALLERY_ONLY:
-        return AugmentationPolicy.gallery_only()
-    if mode != WITH_PROBES:
-        raise InvalidParams(f"unknown augmentation mode {mode!r}")
-    if len(probes) < 2:
+    (with a warning) when there are no extra probes to augment with."""
+    if mode == WITH_PROBES and len(probes) < 2:
         message = (
             "with_probes requested but the probe set has no extra samples; "
             "falling back to gallery_only"
         )
         warnings.warn(message, RuntimeWarning, stacklevel=2)
-        return AugmentationPolicy.gallery_only()
-    return AugmentationPolicy.with_probes(probes)
+        mode = GALLERY_ONLY
+    return AugmentationPolicy(mode, probes if mode == WITH_PROBES else None)
 
 
 def offline_phase(
@@ -152,7 +148,7 @@ def rerank(
     if isinstance(policy, str):
         policy = resolve_policy(policy, probes)
 
-    if method in ("inn", "rnn"):
+    if method in NEIGHBOR_METHODS:
         if k is None or k < 1:
             raise InvalidParams(f"method {method} requires k >= 1")
         _log_k_cut(k, probes, gallery, policy)

@@ -16,6 +16,7 @@ from dakr.fileio import (
     read_features,
     read_rankings_csv,
     read_sigma_sidecar,
+    write_features_binary,
     write_features_csv,
     write_sigma_sidecar,
 )
@@ -172,7 +173,8 @@ class TestRerank:
     @pytest.mark.parametrize("level, lines", [("info", 1), ("warning", 1), ("error", 0)])
     def test_with_probes_fallback_reported_once(self, line_fixture, tmp_path, level, lines):
         # In a fresh process, so that DAKR_LOG configures the logging: the
-        # fallback's RuntimeWarning goes through it, and dakr logs no copy.
+        # fallback's RuntimeWarning is one dakr line, without the library's
+        # path or source line, and dakr logs no copy.
         _, _, gpath, ppath = line_fixture
         argv = ["rerank", "--gallery", gpath, "--probes", ppath, "--method", "bi_dakr+",
                 "--out", tmp_path / "out.csv"]
@@ -182,6 +184,12 @@ class TestRerank:
                               env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stderr.count("falling back to gallery_only") == lines, done.stderr
+        assert "cli.py" not in done.stderr and "py.warnings" not in done.stderr
+        warned = [line for line in done.stderr.splitlines() if not line.startswith("INFO dakr: ")]
+        assert warned == [
+            "WARNING dakr: with_probes requested but the probe set has no extra samples; "
+            "falling back to gallery_only"
+        ] * lines, done.stderr
 
 
 class TestEval:
@@ -406,6 +414,50 @@ class TestExitCodes:
         )
         assert code == 3
         assert "dup.csv" in capsys.readouterr().err
+
+    SHARED_ID_COMMANDS = [
+        ["sigma", "--with-probes"],
+        ["rerank", "--method", "knn"],
+        ["rerank", "--method", "bi_dakr+"],
+        ["eval", "--method", "knn,bi_dakr+", "--ranks", "1"],
+        ["sweep", "--method", "knn,bi_dakr+", "--k-values", "1"],
+    ]
+
+    @staticmethod
+    def shared_id_argv(command, gpath, ppath, tmp_path):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("probe_id,gallery_id\n0,3\n2,1\n7,0\n")
+        argv = [command[0], "--gallery", gpath, "--probes", ppath, *command[1:]]
+        if command[0] in ("eval", "sweep"):
+            argv += ["--truth", truth]
+        return [*argv, "--out", tmp_path / "out"]
+
+    @pytest.mark.parametrize("command", SHARED_ID_COMMANDS, ids=" ".join)
+    def test_probe_id_naming_another_gallery_vector(self, tmp_path, capsys, command):
+        # Probe 0 is gallery sample 0 by id, so it must be at 0.0: at 2.9 its
+        # pool would silently drop gallery 0 and rank the rest.
+        gpath, ppath = tmp_path / "gallery.csv", tmp_path / "probes.csv"
+        write_features_csv(FeatureSet([0, 1, 2, 3], [[0.0], [1.0], [2.0], [3.0]]), gpath)
+        write_features_csv(FeatureSet([0, 7], [[2.9], [0.1]]), ppath)
+        assert run(*self.shared_id_argv(command, gpath, ppath, tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert f"{ppath}: probe id 0 is a gallery id" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("command", SHARED_ID_COMMANDS, ids=" ".join)
+    def test_probe_ids_naming_identical_gallery_copies(self, tmp_path, command, fmt):
+        # Multiple-shot probes are gallery samples; both formats keep their
+        # vectors exact, so the copies compare equal.
+        rng = np.random.default_rng(3)
+        gallery = FeatureSet([0, 1, 2, 3], rng.normal(size=(4, 3)))
+        probes = FeatureSet([0, 7, 2], np.vstack([gallery.vectors[0], [0.1, 0.2, 0.3],
+                                                   gallery.vectors[2]]))
+        write = write_features_csv if fmt == "csv" else write_features_binary
+        gpath, ppath = tmp_path / f"gallery.{fmt}", tmp_path / f"probes.{fmt}"
+        write(gallery, gpath)
+        write(probes, ppath)
+        assert run(*self.shared_id_argv(command, gpath, ppath, tmp_path)) == 0
 
     @pytest.mark.parametrize(
         "command, code",

@@ -420,8 +420,8 @@ class TestJaccard:
         assert jaccard_distance(set(), set()) == 1.0
 
     def test_accepts_neighbor_sets(self):
-        a = NeighborSet(0, 2, frozenset({1, 2}))
-        b = NeighborSet(5, 2, frozenset({2, 3}))
+        a = NeighborSet(frozenset({1, 2}))
+        b = NeighborSet(frozenset({2, 3}))
         assert jaccard_distance(a, b) == pytest.approx(1 - 1 / 3)
 
     def test_pseudometric_exhaustive_five_element_universe(self):
@@ -559,12 +559,20 @@ class TestRankByRnn:
         assert seen > 0
 
 
-@pytest.mark.parametrize("fn", [inn, rnn, rank_by_inn, rank_by_rnn])
+@pytest.mark.parametrize("fn", [knn, inn, rnn, rank_by_inn, rank_by_rnn])
 @pytest.mark.parametrize("k", [0, -1])
 def test_k_below_one_rejected(euclidean, fn, k):
     gallery = FeatureSet(np.arange(5), [[0.0], [0.1], [0.3], [0.6], [1.0]])
     with pytest.raises(InvalidParams):
         fn(9, [0.2], gallery, euclidean, k)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_gallery_neighbor_set_k_below_one_rejected(euclidean, k):
+    gallery = FeatureSet(np.arange(5), [[0.0], [0.1], [0.3], [0.6], [1.0]])
+    row = pool_row(9, [0.2], gallery, euclidean)
+    with pytest.raises(InvalidParams, match="k must be >= 1"):
+        gallery_neighbor_set(1, 9, row, gallery, euclidean, k)
 
 
 @pytest.mark.parametrize(

@@ -154,7 +154,7 @@ class TestRerankFacade:
     def test_unknown_policy_mode_rejected(self, euclidean, small_batch, mode):
         # A misspelled mode must not silently augment with the probes.
         gallery, probes = small_batch
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="unknown augmentation mode"):
             rerank("bi_dakr", probes, gallery, euclidean, k_sigma=2, policy=mode)
 
     def test_default_k_sigma_applied(self, euclidean):
@@ -213,8 +213,8 @@ class TestDecisionLog:
         ]
 
     def test_with_probes_fallback_logged(self, caplog, euclidean):
-        # reported once, as a RuntimeWarning; the CLI logs warnings through
-        # the "py.warnings" logger, so a dakr record would repeat it
+        # reported once, as a RuntimeWarning; the CLI logs each warning as
+        # a dakr line, so a dakr record would repeat it
         gallery = FeatureSet([0, 1], [[0.0], [1.0]])
         probes = FeatureSet([5], [[0.4]])
         with caplog.at_level(logging.INFO, logger="dakr"):
