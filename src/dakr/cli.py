@@ -3,7 +3,9 @@ re-ranking, evaluation, parameter sweeps, and timing benchmarks.
 
 Exit codes: 0 success, 2 usage, 3 data/format, 4 internal error.  A
 probe file whose id names a gallery sample with another vector is a data
-error: probe and gallery ids share one namespace.
+error: probe and gallery ids share one namespace.  So is a truth file
+whose match id is not a gallery id; its rows for probes absent from the
+probe file are not scored, with one warning.
 Set DAKR_LOG=debug|info|warning|error to control verbosity.  Data outputs
 are byte-stable for a fixed seed; wall-clock figures go to stdout or to a
 separate timings file, never into data files.
@@ -207,8 +209,29 @@ def _load_eval_data(parser, args):
         parser.error("need --gallery, --probes and --truth (or --scenario)")
     gallery = read_features(_existing(parser, args.gallery, "gallery"))
     probes = _read_probes(parser, args.probes, gallery)
-    truth = read_truth_csv(_existing(parser, args.truth, "truth"))
+    truth_path = _existing(parser, args.truth, "truth")
+    truth = read_truth_csv(truth_path)
+    _check_truth(truth_path, truth, gallery, probes)
     return gallery, probes, truth
+
+
+def _check_truth(path: Path, truth, gallery: FeatureSet, probes: FeatureSet) -> None:
+    """A match id that is not a gallery id can never be ranked, so it is a
+    data error; rows for probes absent from the probe file are not scored,
+    which one warning reports."""
+    gallery_ids = set(gallery.ids.tolist())
+    for probe_id in sorted(truth.matches):
+        absent = truth.matches[probe_id] - gallery_ids
+        if absent:
+            raise FormatError(
+                f"{path}: match id {min(absent)} of probe {probe_id} is not a gallery id"
+            )
+    unscored = truth.matches.keys() - set(probes.ids.tolist())
+    if unscored:
+        log.warning(
+            "%s: rows for %d probe id(s) absent from the probe file are not scored (first: %d)",
+            path, len(unscored), min(unscored),
+        )
 
 
 def cmd_gen(parser, args) -> int:

@@ -95,7 +95,7 @@ def thread_map(fn, items, n_threads=None) -> list:
 def _has_duplicates(ids: np.ndarray) -> bool:
     # Sort and compare neighbours; numpy 2's unique() hashes first, ~10x slower.
     ordered = np.sort(ids)
-    return bool(np.any(ordered[1:] == ordered[:-1]))
+    return bool((ordered[1:] == ordered[:-1]).any())
 
 
 @dataclass(frozen=True)
@@ -190,6 +190,7 @@ class DistanceMetric:
             _freeze(self, matrix=m)
         elif self.matrix is not None:
             raise InvalidMetric(f"{self.kind} metric takes no matrix")
+        object.__setattr__(self, "_digest", None)
 
     @classmethod
     def euclidean(cls) -> "DistanceMetric":
@@ -204,13 +205,16 @@ class DistanceMetric:
         return cls(MAHALANOBIS, matrix)
 
     def content_digest(self) -> bytes:
-        h = hashlib.sha256()
-        h.update(b"METR")
-        h.update(self.kind.encode())
-        if self.matrix is not None:
-            h.update(struct.pack("<QQ", *self.matrix.shape))
-            h.update(self.matrix.astype("<f8").tobytes())
-        return h.digest()
+        """SHA-256 over the kind and matrix bytes; cached after first call."""
+        if self._digest is None:
+            h = hashlib.sha256()
+            h.update(b"METR")
+            h.update(self.kind.encode())
+            if self.matrix is not None:
+                h.update(struct.pack("<QQ", *self.matrix.shape))
+                h.update(self.matrix.astype("<f8").tobytes())
+            object.__setattr__(self, "_digest", h.digest())
+        return self._digest
 
 
 def pairwise(metric: DistanceMetric, queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
@@ -462,9 +466,9 @@ class RankedList:
         if np.isnan(values).any():
             raise NonFiniteValue("ranking values contain NaN")
         # Compared, not subtracted: inf - inf would warn.
-        if self.order == ASCENDING_DISTANCE and np.any(values[1:] < values[:-1]):
+        if self.order == ASCENDING_DISTANCE and (values[1:] < values[:-1]).any():
             raise InvalidParams("values are not sorted ascending")
-        if self.order == DESCENDING_SCORE and np.any(values[1:] > values[:-1]):
+        if self.order == DESCENDING_SCORE and (values[1:] > values[:-1]).any():
             raise InvalidParams("values are not sorted descending")
         _freeze(self, gallery_ids=gallery_ids, values=values)
 

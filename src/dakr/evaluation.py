@@ -1,8 +1,10 @@
 """Evaluation harness: CMC curves, mean average precision, parameter
 sweeps against the plain nearest-neighbor baseline, and a synthetic
 scenario generator for desk-scale verification.  CMC and mAP judge the
-probes that :func:`_judged_probes` picks; every method run, sweeps
-included, goes through :func:`evaluate_methods`.
+probes that :func:`_judged_probes` picks, which finds a ranking's hits by
+binary search of its ids in the probe's sorted match ids; a match id
+outside int64 never hits, but still counts among the probe's matches.
+Every method run, sweeps included, goes through :func:`evaluate_methods`.
 
 The generator covers the three matching regimes seen in re-identification
 benchmarks: perfect single-shot (every gallery sample has a probe),
@@ -53,10 +55,28 @@ class GroundTruth:
         return float(np.mean(sizes)) if sizes else 0.0
 
 
+def _hit_positions(ids: np.ndarray, match_ids: frozenset) -> np.ndarray:
+    """1-based positions of the ``ids`` that are in ``match_ids``: the ids
+    whose slot in the sorted match ids (one ``searchsorted``) holds them.
+    Match ids outside int64 are left out, as no ranking can hold one."""
+    try:
+        matches = np.fromiter(match_ids, np.int64, len(match_ids))
+    except OverflowError:
+        matches = np.fromiter((g for g in match_ids if -(2**63) <= g < 2**63), np.int64)
+        if not len(matches):
+            return np.empty(0, dtype=np.intp)
+    matches.sort()
+    hits = matches.take(matches.searchsorted(ids), mode="clip") == ids
+    return hits.nonzero()[0] + 1
+
+
 def _judged_probes(rankings: list[RankedList], truth: GroundTruth, score: str) -> list:
     """(match ids, 1-based hit positions) for every probe that ``score``
     judges: the one place that excludes a probe with an empty match set
-    (with a warning) and refuses rankings with no probe left to judge."""
+    (with a warning) and refuses rankings with no probe left to judge.
+
+    Hits come from :func:`_hit_positions`; a match id outside int64 never
+    hits, but stays in the match ids, mAP's denominator."""
     judged = []
     for ranking in rankings:
         match_ids = truth.matches_of(ranking.probe_id)
@@ -67,8 +87,7 @@ def _judged_probes(rankings: list[RankedList], truth: GroundTruth, score: str) -
                 stacklevel=3,
             )
             continue
-        hits = np.isin(ranking.gallery_ids, list(match_ids))
-        judged.append((match_ids, np.nonzero(hits)[0] + 1))
+        judged.append((match_ids, _hit_positions(ranking.gallery_ids, match_ids)))
     if not judged:
         raise InvalidParams("no probes with non-empty match sets")
     return judged

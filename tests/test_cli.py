@@ -236,6 +236,72 @@ class TestEval:
         assert err.value.code == 2
 
 
+class TestTruthFile:
+    """The truth file is checked against the gallery and probe files."""
+
+    @staticmethod
+    def repro(tmp_path, rows):
+        """Gallery ids 0-3 at 0.0-3.0, probes 7 -> 0.1 and 8 -> 2.9, and a
+        truth file of ``rows``."""
+        gpath, ppath = tmp_path / "gallery.csv", tmp_path / "probes.csv"
+        write_features_csv(FeatureSet([0, 1, 2, 3], [[0.0], [1.0], [2.0], [3.0]]), gpath)
+        write_features_csv(FeatureSet([7, 8], [[0.1], [2.9]]), ppath)
+        tpath = tmp_path / "truth.csv"
+        tpath.write_text("probe_id,gallery_id\n" + "".join(f"{row}\n" for row in rows))
+        return ["--gallery", gpath, "--probes", ppath, "--truth", tpath]
+
+    @pytest.mark.parametrize("match", ["99", "1" * 23])
+    @pytest.mark.parametrize("command", [["eval"], ["sweep", "--k-values", "1"]], ids=" ".join)
+    def test_match_id_outside_the_gallery_is_data_error(self, tmp_path, capsys, command, match):
+        files = self.repro(tmp_path, ["7,0", f"8,{match}", "55,1"])
+        code = run(command[0], *files, "--method", "knn", "--ranks", "1,2", *command[1:],
+                   "--out", tmp_path / "r")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{files[-1]}: match id {match} of probe 8 is not a gallery id" in err
+        assert "internal error" not in err and "Traceback" not in err
+
+    def test_row_for_a_probe_outside_the_probe_file_is_one_warning(self, tmp_path):
+        # In a fresh process, so that the warning reaches stderr as dakr logs it.
+        env = {**os.environ, "PYTHONPATH": str(Path(dakr.__file__).resolve().parents[1])}
+        reports = {}
+        for name, rows in (("extra", ["7,0", "8,3", "55,1"]), ("plain", ["7,0", "8,3"])):
+            (tmp_path / name).mkdir()
+            files = self.repro(tmp_path / name, rows)
+            argv = ["eval", *files, "--method", "knn", "--ranks", "1,2",
+                    "--out", tmp_path / name / "r"]
+            done = subprocess.run([sys.executable, "-m", "dakr.cli", *map(str, argv)],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            reports[name] = ((tmp_path / name / "r.json").read_bytes(), done.stderr.splitlines())
+        assert reports["extra"][0] == reports["plain"][0]
+        assert reports["plain"][1] == []
+        assert reports["extra"][1] == [
+            f"WARNING dakr: {tmp_path / 'extra' / 'truth.csv'}: rows for 1 probe id(s) "
+            "absent from the probe file are not scored (first: 55)"
+        ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            ["perfect_single_shot"],
+            ["imperfect_single_shot", "--n-distractors", "3"],
+            ["multi_shot", "--shots-per-id", "2", "--n-distractors", "2"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_generated_scenarios_pass_the_checks(self, tmp_path, scenario, fmt):
+        data = tmp_path / "data"
+        assert run("gen", "--scenario", *scenario, "--n-identities", "6", "--dim", "3",
+                   "--format", fmt, "--out", data) == 0
+        ext = "csv" if fmt == "csv" else "fst"
+        code = run("eval", "--gallery", data / f"gallery.{ext}", "--probes", data / f"probes.{ext}",
+                   "--truth", data / "truth.csv", "--method", "knn", "--ranks", "1",
+                   "--out", tmp_path / "r")
+        assert code == 0
+
+
 class TestSweep:
     def test_sweep_outputs(self, tmp_path):
         out = tmp_path / "sweep"

@@ -26,6 +26,36 @@ def ranking(probe_id, ordered_ids):
     return RankedList(probe_id, ordered_ids, values, ASCENDING_DISTANCE)
 
 
+def sparse_judging_case():
+    """Rankings of unsorted ids above 2**40, judged against match sets that
+    also name ids no ranking holds, one empty set, and ids past int64."""
+    rng = np.random.default_rng(17)
+    pool = 2**40 + 7 * rng.choice(2**30, size=60, replace=False)
+    absent = int(pool.max()) + 1
+    rankings, matches = [], {}
+    for probe in range(8):
+        ids = rng.permutation(pool)[:40]
+        rankings.append(ranking(probe, ids))
+        found = rng.choice(ids, size=probe % 4, replace=False).tolist()
+        matches[probe] = {*found, absent + probe}
+    matches[3] = {2**63}
+    matches[5] = {*matches[5], -(2**64)}
+    matches[6] = set()
+    return rankings, GroundTruth(matches)
+
+
+def isin_map(rankings, truth):
+    """mAP's arithmetic over hit positions taken from np.isin."""
+    aps = []
+    for r in rankings:
+        match_ids = truth.matches_of(r.probe_id)
+        if match_ids:
+            positions = np.nonzero(np.isin(r.gallery_ids, list(match_ids)))[0] + 1
+            precisions = np.arange(1, len(positions) + 1, dtype=np.float64) / positions
+            aps.append(float(precisions.sum()) / len(match_ids))
+    return float(np.mean(aps))
+
+
 class TestCmc:
     def test_perfect_ranking(self):
         truth = GroundTruth({0: {7}, 1: {8}})
@@ -62,18 +92,23 @@ class TestCmc:
         assert curve[-1] == 1.0  # every probe has a match somewhere
 
     def test_matches_bruteforce(self):
-        rng = np.random.default_rng(11)
         gallery, probes, truth = generate_scenario(
             "perfect_single_shot", 12, dim=3, cluster_spread=0.4, seed=8
         )
-        rankings = rerank("knn", probes, gallery, DistanceMetric.euclidean())
-        got = cmc(rankings, truth, 5)
-        expected = brute_cmc(
-            {r.probe_id: r.gallery_ids.tolist() for r in rankings},
-            {p: set(g) for p, g in truth.matches.items()},
-            5,
-        )
-        assert got.tolist() == pytest.approx(expected)
+        cases = [
+            (rerank("knn", probes, gallery, DistanceMetric.euclidean()), truth),
+            sparse_judging_case(),
+        ]
+        for rankings, truth in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the empty match set
+                got = cmc(rankings, truth, 40)
+            expected = brute_cmc(
+                {r.probe_id: r.gallery_ids.tolist() for r in rankings},
+                {p: set(g) for p, g in truth.matches.items()},
+                40,
+            )
+            assert got.tolist() == pytest.approx(expected)
 
 
 class TestMeanAveragePrecision:
@@ -99,17 +134,24 @@ class TestMeanAveragePrecision:
         assert got == 1.0
 
     def test_matches_bruteforce(self):
-        rng = np.random.default_rng(2)
         gallery, probes, truth = generate_scenario(
             "multi_shot", 8, shots_per_id=3, dim=3, cluster_spread=0.4, seed=5
         )
-        rankings = rerank("knn", probes, gallery, DistanceMetric.euclidean())
-        got = mean_average_precision(rankings, truth)
-        aps = [
-            brute_ap(r.gallery_ids.tolist(), set(truth.matches_of(r.probe_id)))
-            for r in rankings
+        cases = [
+            (rerank("knn", probes, gallery, DistanceMetric.euclidean()), truth),
+            sparse_judging_case(),
         ]
-        assert got == pytest.approx(float(np.mean(aps)))
+        for rankings, truth in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the empty match set
+                got = mean_average_precision(rankings, truth)
+            aps = [
+                brute_ap(r.gallery_ids.tolist(), set(truth.matches_of(r.probe_id)))
+                for r in rankings
+                if truth.matches_of(r.probe_id)
+            ]
+            assert got == pytest.approx(float(np.mean(aps)))
+            assert got == isin_map(rankings, truth)
 
     def test_ap_lower_bound_when_first_hit_is_rank_one(self):
         # a probe whose first match lands at rank 1 has AP >= 1/|matches|

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dakr.evaluation
 import dakr.kernels
 import dakr.neighbors
 from dakr import (
@@ -62,6 +63,24 @@ def test_rank_by_rnn_looks_up_gallery_neighbor_set_per_member(monkeypatch):
         assert sorted(calls) == sorted(members)
         seen += len(members)
     assert seen > 0
+
+
+def test_evaluate_methods_scores_each_token_through_the_module_names(monkeypatch):
+    # The benchmark's evaluation.cmc and evaluation.mean_average_precision
+    # layers wrap these names; merging the two, or calling them another
+    # way, would leave the traced run without those layers.
+    gallery, probes, truth = generate_scenario("perfect_single_shot", 10, dim=3, seed=4)
+    calls = {"cmc": 0, "mean_average_precision": 0}
+    for name in calls:
+        inner = getattr(dakr.evaluation, name)
+
+        def counting(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(dakr.evaluation, name, counting)
+    evaluate_methods(gallery, probes, truth, ["knn", "inv_dakr", "bi_dakr"], ranks=(1, 5))
+    assert calls == {"cmc": 3, "mean_average_precision": 3}
 
 
 @pytest.fixture

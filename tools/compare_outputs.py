@@ -8,8 +8,9 @@ once, under PARENT_SRC; then the same command matrix (``gen --format
 csv`` and ``gen --format bin`` of each scenario, ``sigma``, ``sigma
 --with-probes``, ``sigma --k-sigma 4``, ``rerank`` for every method
 token and with all three sidecars, Mahalanobis ``rerank``s, a squared
-euclidean ``sigma`` and two such ``rerank``s, two ``eval``s and three
-``sweep``s per scenario) runs through ``python -m dakr.cli`` under each tree, with
+euclidean ``sigma`` and two such ``rerank``s, three ``eval``s, the third on a
+truth file with an extra row for a probe id absent from the probe file, and
+three ``sweep``s per scenario) runs through ``python -m dakr.cli`` under each tree, with
 ``--threads 1`` wherever the command takes it.  Every data file that
 differs is listed, ``*.timings.json`` skipped (wall-clock figures), and
 the exit status is 1 on any difference or failed command.  ``--work``
@@ -57,6 +58,16 @@ def psd_matrix(path: Path, seed: int = 7) -> None:
     path.write_text("".join(",".join(repr(v) for v in row) + "\n" for row in rows))
 
 
+def extra_truth(inputs: Path) -> None:
+    """``truth_extra.csv``: ``truth.csv`` plus a row for a probe id that the
+    probe file lacks, matched to the first row's gallery id."""
+    lines = (inputs / "probes.csv").read_text().splitlines()[1:]
+    absent = max(int(line.split(",", 1)[0]) for line in lines if line) + 1
+    truth = (inputs / "truth.csv").read_text()
+    match = truth.splitlines()[1].split(",")[1]
+    (inputs / "truth_extra.csv").write_text(f"{truth}{absent},{match}\n")
+
+
 def commands(inputs: Path, out: Path, scenario_flags: list[str]):
     """Every command of one scenario, writing under ``out``."""
     files = ["--gallery", inputs / "gallery.csv", "--probes", inputs / "probes.csv"]
@@ -85,6 +96,8 @@ def commands(inputs: Path, out: Path, scenario_flags: list[str]):
            "--out", out / "eval_plain"]
     yield ["eval", *truth, "--method", "inn+,rnn+,inv_dakr+,bi_dakr+", "--k", "5",
            "--k-sigma", "4", "--ranks", "1,3,10", "--out", out / "eval_augmented"]
+    yield ["eval", *files, "--truth", inputs / "truth_extra.csv", "--method", "knn,bi_dakr",
+           "--out", out / "eval_extra_truth"]
     yield ["sweep", *truth, "--method", "knn,inv_dakr,bi_dakr", "--k-values", "1,3,6",
            "--out", out / "sweep_kernels"]
     yield ["sweep", *truth, "--method", "inn+,inv_dakr+,bi_dakr+", "--k-values", "2,4",
@@ -119,6 +132,7 @@ def main(argv=None) -> int:
             if made.returncode != 0:
                 raise SystemExit(f"compare_outputs: gen {scenario} failed:\n{made.stderr}")
             psd_matrix(inputs / "metric.csv")
+            extra_truth(inputs)
             for side, root in trees.items():
                 out = work / side / scenario
                 out.mkdir(parents=True, exist_ok=True)
