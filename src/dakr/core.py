@@ -221,7 +221,9 @@ def pairwise(metric: DistanceMetric, queries: np.ndarray, refs: np.ndarray) -> n
     """Distance rows between raw query vectors and raw reference vectors.
 
     Works on plain (q, d) and (r, d) arrays so the neighbor layers can
-    build augmented candidate pools.
+    build augmented candidate pools.  ``cdist`` squares before it takes
+    the root, so a euclidean distance above about 1.34e154 (the root of
+    float64's largest value) comes out as +inf.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     refs = np.atleast_2d(np.asarray(refs, dtype=np.float64))
@@ -282,7 +284,8 @@ class SelfBlock:
     ``approx`` holds exact :func:`pairwise` rows when ``exact``; otherwise
     ``approx[i, j]`` is within ``eps[i]`` of the exact distance, or of its
     square under the euclidean metric.  ``spare``, of ``approx``'s shape,
-    is :meth:`kth_smallest`'s scratch space.  A GEMM block runs on the
+    is :meth:`kth_smallest`'s scratch space: it holds ``approx`` clamped at
+    0, partitioned as int64.  A GEMM block runs on the
     calling thread in the scan's one buffer pair, which the next block
     overwrites; an exact-row block, on the pool of ``n_threads``, has its
     own.  The selections below return exact :func:`pairwise` values, never
@@ -327,18 +330,26 @@ class SelfBlock:
     def kth_smallest(self, k: int) -> np.ndarray:
         """Each row's exact k-th smallest distance, 1 <= k < len(vectors).
 
-        Entries more than 2 eps below or above the approximate k-th value
-        are decided by the approximation; the exact k-th is the
+        ``spare`` takes ``approx`` clamped at 0, which keeps every entry
+        within its bound of the exact distance, and is partitioned as
+        int64: non-negative float64s, +inf included, order as their bit
+        patterns.  Entries more than 2 eps below or above the approximate
+        k-th value are decided by the approximation; the exact k-th is the
         (k - sure-below)-th smallest of the re-scored band between.
         """
         approx, part, eps2 = self.approx, self.spare, 2.0 * self.eps
-        np.copyto(part, approx)
-        part.partition(k - 1, axis=1)
+        np.maximum(approx, 0.0, out=part)
+        # A -0.0 left by the clamp sorts first as int64, as 0 sorts first.
+        part.view(np.int64).partition(k - 1, axis=1)
         kth = part[:, k - 1].copy()
-        lo, hi = kth - eps2, kth + eps2
+        # At or below 0 the clamped copy cannot tell which entries lie
+        # under the band's low edge, so such a band reaches down to -inf.
+        lo = np.where(kth > eps2, kth - eps2, -np.inf)
+        hi = kth + eps2
         below = np.count_nonzero(part[:, : k - 1] < lo[:, None], axis=1)
-        # Lone rows: the k-th entry is the only one in its band.
-        lone = (below == k - 1) & (part[:, k:].min(axis=1) > hi)
+        # Lone rows: the k-th entry is the only one in its band.  A k-th of
+        # 0 may be a clamped entry, absent from approx.
+        lone = (below == k - 1) & (part[:, k:].min(axis=1) > hi) & (kth > 0)
         lone_rows, wide = np.flatnonzero(lone), np.flatnonzero(~lone)
         out = np.empty(len(approx), dtype=np.float64)
         lone_cols = np.argmax(approx == kth[:, None], axis=1)[lone_rows]

@@ -37,9 +37,7 @@ from .core import (
     DistanceMetric,
     FeatureSet,
     RankedList,
-    # pairwise is not called here; it stays importable because
-    # perfbench/tracing.py wraps dakr.kernels.pairwise.
-    pairwise,  # noqa: F401
+    pairwise,
     scan_self_distances,
 )
 from .errors import EmptyGallery, InvalidParams, NonPositiveSigma, OutOfRange, StaleSigmaTable
@@ -125,7 +123,11 @@ def compute_sigma_table(
     the reference set (self excluded).  k_sigma larger than the pool clamps
     to the pool size with a warning.  Duplicate points would give sigma = 0,
     which is floored at a tiny fraction of the largest pairwise distance
-    so kernels stay finite and coincident samples still win.  Each table
+    so kernels stay finite and coincident samples still win.  Exact-row
+    blocks find that distance in the scan.  After a GEMM scan one exact
+    row bounds it, and a second scan finds it only if some sigma lies
+    under the floor of that bound, or the bound's square overflows (a
+    distance past float64 is :class:`OutOfRange`).  Each table
     logs one info line: samples scanned, k_sigma and whether it was
     clamped, floor hits, and pairs re-scored at the selection boundary.
     GEMM blocks run on the calling thread in one buffer pair per scan;
@@ -148,11 +150,27 @@ def compute_sigma_table(
         k_eff = pool
 
     def kth_and_max(block):
-        return block.kth_smallest(k_eff), block.maximum(), block.rescored
+        # Exact-row blocks take their maximum now: a second scan would redo their rows.
+        return block.kth_smallest(k_eff), block.maximum() if block.exact else None, block.rescored
 
     blocks = scan_self_distances(metric, ref_vectors, kth_and_max, n_threads)
     sigmas = np.concatenate([kth for kth, _, _ in blocks])
-    floor = _sigma_floor(max(top for _, top, _ in blocks))
+    tops = [top for _, top, _ in blocks]
+    rescored = sum(r for _, _, r in blocks)
+    if tops[0] is None:
+        # No distance exceeds twice (squared: four times) the largest one
+        # from sample 0; 8x leaves room for rounding, and a bound of at
+        # least 1 for squares that underflow.  While the bound's square is
+        # finite, no distance overflows; while no sigma lies under the
+        # bound's floor, the largest distance's floor, no higher, moves no
+        # sigma, and the bound's floor stands in for it.
+        bound = max(8.0 * float(pairwise(metric, ref_vectors[:1], ref_vectors).max()), 1.0)
+        tops = [bound]
+        if not (np.isfinite(bound * bound) and sigmas.min() >= _sigma_floor(bound)):
+            maxima = scan_self_distances(metric, ref_vectors, lambda b: (b.maximum(), b.rescored))
+            tops = [top for top, _ in maxima]
+            rescored += sum(r for _, r in maxima)
+    floor = _sigma_floor(max(tops))
     floor_hits = int(np.count_nonzero(sigmas < floor))
     sigmas = np.maximum(sigmas, floor)
     log.info(
@@ -162,7 +180,7 @@ def compute_sigma_table(
         k_eff,
         f" (clamped from {k_sigma})" if k_eff < k_sigma else "",
         floor_hits,
-        sum(rescored for _, _, rescored in blocks),
+        rescored,
     )
 
     if policy.mode == WITH_PROBES:

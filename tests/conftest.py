@@ -46,8 +46,13 @@ def reciprocal_gallery() -> FeatureSet:
 
 # Inputs for the GEMM scan's boundary selection: ties, duplicates,
 # an offset from the origin, three scales (at 1e-160 the squared
-# distances are subnormal) and two samples too far out for the GEMM.
-SCAN_DATA = ["gaussian", "lattice", "duplicates", "offset", "1e-3", "1e3", "1e-160", "far"]
+# distances are subnormal), two samples too far out for the GEMM, and
+# near-duplicates whose GEMM entries fall below 0.  New kinds go last,
+# so that the others keep their seeds.
+SCAN_DATA = [
+    "gaussian", "lattice", "duplicates", "offset", "1e-3", "1e3", "1e-160", "far",
+    "near_duplicates",
+]
 
 
 def scan_data(name: str, rng: np.random.Generator) -> np.ndarray:
@@ -60,6 +65,10 @@ def scan_data(name: str, rng: np.random.Generator) -> np.ndarray:
     if name == "duplicates":
         # the sigma floor path: k-th distances of 0
         return np.repeat(rng.normal(size=(30, 4)), 3, axis=0)
+    if name == "near_duplicates":
+        # sigmas positive but under the floor, and negative GEMM entries
+        # that the selection clamps to 0
+        return np.repeat(rng.normal(size=(30, 4)), 3, axis=0) + 1e-14 * rng.normal(size=(90, 4))
     if name == "offset":
         return 1e3 + 1e-3 * rng.normal(size=(90, 6))
     if name == "far":

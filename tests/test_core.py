@@ -305,6 +305,22 @@ class TestBoundarySelection:
                 np.testing.assert_array_equal(counts, np.sum(full <= kth[:, None], axis=1))
                 assert largest == top
 
+    def test_entries_below_a_band_edge_under_zero(self):
+        # a hand-made block within its bound of 1: row 0's squared
+        # distances are 0 and 1.5, approximated as -0.9 and 1.5, so the
+        # -0.9 lies under the band's low edge 1.5 - 2 while its clamped
+        # copy, 0, does not
+        vectors = np.array([[0.0], [0.0], [math.sqrt(1.5)]])
+        approx = np.array([[np.inf, -0.9, 1.5], [0.0, np.inf, 1.5], [1.5, 1.5, np.inf]])
+        block = dakr.core.SelfBlock(
+            DistanceMetric.euclidean(), vectors, 0, approx, np.ones(3), False, np.empty((3, 3))
+        )
+        full = cdist(vectors, vectors)
+        np.fill_diagonal(full, np.inf)
+        for k in (1, 2):
+            kth = np.partition(full, k - 1, axis=1)[:, k - 1]
+            assert block.kth_smallest(k).tobytes() == kth.tobytes(), k
+
     def test_ties_widen_the_band(self):
         # on the lattice several entries tie with the k-th, so they are
         # re-scored; on spread-out data only the k-th entry itself is

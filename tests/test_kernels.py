@@ -8,6 +8,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import dakr.core
+import dakr.kernels
 from dakr import (
     AugmentationPolicy,
     DistanceMetric,
@@ -255,6 +256,44 @@ class TestSigmaTableLog:
         with caplog.at_level(logging.WARNING, logger="dakr"):
             compute_sigma_table(line_gallery, euclidean, 1)
         assert [r for r in caplog.records if r.name == "dakr"] == []
+
+
+class TestLargestDistanceScan:
+    """The sigma floor needs the largest distance.  Exact-row scans find it
+    in their one scan; after a GEMM scan a second scan finds it only when
+    the floor could act."""
+
+    @pytest.mark.parametrize(
+        "data, metric, k, scans, hits",
+        [
+            ("gaussian", DistanceMetric.euclidean(), 3, 1, 0),
+            ("gaussian", DistanceMetric.squared_euclidean(), 3, 1, 0),
+            # sigmas under 1e-12, though not under the floor
+            ("1e-160", DistanceMetric.euclidean(), 3, 2, 0),
+            ("duplicates", DistanceMetric.euclidean(), 1, 2, 90),
+            ("duplicates", DistanceMetric.squared_euclidean(), 2, 2, 90),
+            ("near_duplicates", DistanceMetric.euclidean(), 1, 2, 90),
+            ("near_duplicates", DistanceMetric.euclidean(), 3, 1, 0),
+            ("gaussian", DistanceMetric.mahalanobis(np.diag([1.0, 2, 3, 4, 5, 6])), 3, 1, 0),
+            ("duplicates", DistanceMetric.mahalanobis(np.eye(4)), 1, 1, 90),
+            ("far", DistanceMetric.euclidean(), 3, 1, 88),
+        ],
+    )
+    def test_scans_per_table(self, monkeypatch, caplog, data, metric, k, scans, hits):
+        vectors = scan_data(data, np.random.default_rng(7))
+        calls = []
+        inner = dakr.kernels.scan_self_distances
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(dakr.kernels, "scan_self_distances", counted)
+        with caplog.at_level(logging.INFO, logger="dakr"):
+            compute_sigma_table(FeatureSet(np.arange(90), vectors), metric, k)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "dakr"]
+        assert len(calls) == scans
+        assert re.search(r", (\d+) sigma floor hits", line).group(1) == str(hits)
 
 
 class TestInvDakr:

@@ -3,7 +3,8 @@
     python tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--work DIR]
 
 Each tree is a directory holding the ``dakr`` package (a checkout's
-``src``).  The input scenarios and a Mahalanobis matrix are generated
+``src``).  The input scenarios (one of them with coincident shots, for
+the sigma floor) and a Mahalanobis matrix are generated
 once, under PARENT_SRC; then the same command matrix (``gen --format
 csv`` and ``gen --format bin`` of each scenario, ``sigma``, ``sigma
 --with-probes``, ``sigma --k-sigma 4``, ``rerank`` for every method
@@ -34,6 +35,11 @@ SCENARIOS = {
     "imperfect_single_shot": ["--scenario", "imperfect_single_shot", "--n-identities", "30",
                               "--n-distractors", "20", "--dim", "6", "--cluster-spread", "0.25",
                               "--seed", "5"],
+    # Every identity's four samples coincide, and the default k_sigma is 3,
+    # so the sigma floor acts in sigma, rerank, eval and sweep.
+    "multi_shot_duplicates": ["--scenario", "multi_shot", "--n-identities", "12",
+                              "--shots-per-id", "3", "--n-distractors", "5", "--dim", "6",
+                              "--cluster-spread", "0", "--seed", "7"],
 }
 TOKENS = ("knn", "inn", "rnn", "inn+", "rnn+", "inv_dakr", "inv_dakr+", "bi_dakr", "bi_dakr+")
 MAHALANOBIS_TOKENS = ("knn", "inv_dakr", "bi_dakr")
