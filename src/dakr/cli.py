@@ -66,9 +66,6 @@ def _configure_logging() -> None:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    # A warning a command raises is one dakr log line, its message alone,
-    # so DAKR_LOG governs it and no library path or source line shows.
-    warnings.showwarning = lambda message, *_: log.warning("%s", message)
 
 
 def _non_negative_int(text: str) -> int:
@@ -450,82 +447,101 @@ def cmd_bench(parser, args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _gen_flags(sub: argparse.ArgumentParser) -> None:
+    _add_scenario_flags(sub)
+    sub.add_argument("--format", choices=["csv", "bin"], default="csv")
+    sub.add_argument("--out", required=True, help="output directory")
+
+
+def _sigma_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--gallery", required=True)
+    sub.add_argument("--probes")
+    sub.add_argument("--with-probes", action="store_true")
+    sub.add_argument("--k-sigma", type=_positive_int)
+    _add_compute_flags(sub)
+    sub.add_argument("--out", required=True)
+
+
+def _rerank_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--gallery", required=True)
+    sub.add_argument("--probes", required=True)
+    sub.add_argument("--method", default="knn")
+    sub.add_argument("--k", type=_positive_int)
+    sub.add_argument("--k-sigma", type=_positive_int)
+    sub.add_argument("--sigma-table")
+    _add_compute_flags(sub)
+    sub.add_argument("--out", required=True)
+
+
+def _eval_flags(sub: argparse.ArgumentParser) -> None:
+    _add_report_flags(sub)
+    sub.add_argument("--method", default="knn")
+    sub.add_argument("--k", type=_positive_int)
+    sub.add_argument("--k-sigma", type=_positive_int)
+
+
+def _sweep_flags(sub: argparse.ArgumentParser) -> None:
+    _add_report_flags(sub)
+    sub.add_argument("--trials", type=_positive_int, help="scenario trials (default 10)")
+    sub.add_argument("--method", default="inv_dakr,bi_dakr")
+    sub.add_argument("--k-values", type=_positive_int_list, default=[1, 2, 5, 10, 20])
+
+
+def _bench_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--sizes", type=_positive_int_list, default=[1000, 2000, 4000, 8000])
+    sub.add_argument("--dim", type=_positive_int, default=64)
+    sub.add_argument("--method", default=",".join(_BENCH_METHODS))
+    sub.add_argument("--k", type=_positive_int)
+    sub.add_argument("--k-sigma", type=_positive_int)
+    sub.add_argument("--bench-probes", type=_positive_int, default=5)
+    sub.add_argument("--seed", type=_non_negative_int, default=0)
+    sub.add_argument("--out", required=True)
+
+
+# Each command's help line, flags and handler, in the order --help lists them.
+COMMANDS = {
+    "gen": ("write a synthetic scenario to files", _gen_flags, cmd_gen),
+    "sigma": ("precompute the bandwidth sidecar", _sigma_flags, cmd_sigma),
+    "rerank": ("rank the gallery for every probe", _rerank_flags, cmd_rerank),
+    "eval": ("CMC/mAP report for one or more methods", _eval_flags, cmd_eval),
+    "sweep": ("per-rank gain over the k-NN baseline vs k", _sweep_flags, cmd_sweep),
+    "bench": ("offline/online wall-clock table", _bench_flags, cmd_bench),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Every command's sub-parser, or only ``command``'s if it names one, with a metavar
+    that keeps the usage line (on all six it would rename the choice errors)."""
     parser = argparse.ArgumentParser(
         prog="dakr",
         description="Density-adaptive kernel re-ranking toolkit",
     )
     parser.add_argument("--version", action="version", version=f"dakr {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="write a synthetic scenario to files")
-    _add_scenario_flags(gen)
-    gen.add_argument("--format", choices=["csv", "bin"], default="csv")
-    gen.add_argument("--out", required=True, help="output directory")
-
-    sigma = sub.add_parser("sigma", help="precompute the bandwidth sidecar")
-    sigma.add_argument("--gallery", required=True)
-    sigma.add_argument("--probes")
-    sigma.add_argument("--with-probes", action="store_true")
-    sigma.add_argument("--k-sigma", type=_positive_int)
-    _add_compute_flags(sigma)
-    sigma.add_argument("--out", required=True)
-
-    rrk = sub.add_parser("rerank", help="rank the gallery for every probe")
-    rrk.add_argument("--gallery", required=True)
-    rrk.add_argument("--probes", required=True)
-    rrk.add_argument("--method", default="knn")
-    rrk.add_argument("--k", type=_positive_int)
-    rrk.add_argument("--k-sigma", type=_positive_int)
-    rrk.add_argument("--sigma-table")
-    _add_compute_flags(rrk)
-    rrk.add_argument("--out", required=True)
-
-    ev = sub.add_parser("eval", help="CMC/mAP report for one or more methods")
-    _add_report_flags(ev)
-    ev.add_argument("--method", default="knn")
-    ev.add_argument("--k", type=_positive_int)
-    ev.add_argument("--k-sigma", type=_positive_int)
-
-    sw = sub.add_parser("sweep", help="per-rank gain over the k-NN baseline vs k")
-    _add_report_flags(sw)
-    sw.add_argument("--trials", type=_positive_int, help="scenario trials (default 10)")
-    sw.add_argument("--method", default="inv_dakr,bi_dakr")
-    sw.add_argument("--k-values", type=_positive_int_list, default=[1, 2, 5, 10, 20])
-
-    bench = sub.add_parser("bench", help="offline/online wall-clock table")
-    bench.add_argument("--sizes", type=_positive_int_list, default=[1000, 2000, 4000, 8000])
-    bench.add_argument("--dim", type=_positive_int, default=64)
-    bench.add_argument("--method", default=",".join(_BENCH_METHODS))
-    bench.add_argument("--k", type=_positive_int)
-    bench.add_argument("--k-sigma", type=_positive_int)
-    bench.add_argument("--bench-probes", type=_positive_int, default=5)
-    bench.add_argument("--seed", type=_non_negative_int, default=0)
-    bench.add_argument("--out", required=True)
-
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    metavar = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_flags, _ = COMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "gen": cmd_gen,
-        "sigma": cmd_sigma,
-        "rerank": cmd_rerank,
-        "eval": cmd_eval,
-        "sweep": cmd_sweep,
-        "bench": cmd_bench,
-    }
-    try:
-        return handlers[args.command](parser, args)
-    except (FormatError, StaleSigmaTable, MissingTruth, EmptyGallery, OutOfRange, OSError) as exc:
-        print(f"dakr: error: {exc}", file=sys.stderr)
-        return 3
-    except DakrError as exc:
-        print(f"dakr: internal error: {exc}", file=sys.stderr)
-        return 4
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
+    with warnings.catch_warnings():
+        # Each warning is one dakr log line, its message alone, until the command returns.
+        warnings.showwarning = lambda message, *_: log.warning("%s", message)
+        args = parser.parse_args(argv)
+        try:
+            return COMMANDS[args.command][2](parser, args)
+        except (FormatError, StaleSigmaTable, MissingTruth, EmptyGallery, OutOfRange, OSError) as exc:
+            print(f"dakr: error: {exc}", file=sys.stderr)
+            return 3
+        except DakrError as exc:
+            print(f"dakr: internal error: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

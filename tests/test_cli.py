@@ -11,6 +11,7 @@ import pytest
 
 import dakr
 from dakr import DistanceMetric, FeatureSet, compute_sigma_table, rerank
+from dakr import cli
 from dakr.cli import main
 from dakr.fileio import (
     read_features,
@@ -39,6 +40,84 @@ def run(*argv):
 
 
 SCENARIO = ["--scenario", "perfect_single_shot", "--n-identities", "4"]
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``; argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def command_parsers(parser) -> dict:
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+class TestOneCommandParser:
+    """``main`` builds only the named command's sub-parser; what it prints
+    must be what the parser with all six prints."""
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_usage_and_help_match_the_full_parser(self, name):
+        full, narrow = cli.build_parser(), cli.build_parser(name)
+        assert list(command_parsers(full)) == list(cli.COMMANDS)
+        assert list(command_parsers(narrow)) == [name]
+        assert narrow.format_usage() == full.format_usage()
+        assert command_parsers(narrow)[name].format_help() == command_parsers(full)[name].format_help()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["--version"], ["-h", "sigma"], ["bogus"], ["sigma", "--help"],
+        ["eval", "--help"], ["sigma", "--gallery", "x", "--out", "y", "--bogus"],
+        ["eval", "--out", "z", "--method", "nope"], ["sigma"],
+        ["rerank", "--gallery", "a", "--probes", "b", "--out", "c", "--threads", "0"],
+    ], ids=lambda argv: "_".join(argv) or "no-arguments")
+    def test_main_prints_what_the_full_parser_prints(self, argv, monkeypatch, capsys, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        narrowed = outcome(capsys, argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert outcome(capsys, argv) == narrowed
+        assert narrowed[0] in (0, 2) and (narrowed[1] or narrowed[2])
+        assert not any(tmp_path.iterdir())
+
+
+class TestWarningHook:
+    """A command's warnings are dakr log lines while it runs, and the host
+    process's own ``warnings.showwarning`` is back once it returns."""
+
+    @pytest.mark.parametrize("outcome_of_run, code", [("success", 0), ("usage-error", 2), ("data-error", 3)])
+    def test_hook_restored_after_the_command(
+        self, line_fixture, tmp_path, monkeypatch, caplog, outcome_of_run, code
+    ):
+        _, _, gpath, _ = line_fixture
+        wide = tmp_path / "wide_probes.csv"
+        write_features_csv(FeatureSet([9], [[2.1, 0.0]]), wide)
+        extra = {"success": [], "usage-error": ["--bogus"],
+                 "data-error": ["--probes", wide, "--with-probes"]}[outcome_of_run]
+        seen = []
+        monkeypatch.setattr(warnings, "showwarning", lambda message, *_: seen.append(str(message)))
+        try:
+            result = run("sigma", "--gallery", gpath, "--k-sigma", "5000",
+                         "--out", tmp_path / "t.sgt", *extra)
+        except SystemExit as exc:
+            result = exc.code
+        assert result == code
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.warn("unrelated library warning")
+        assert seen == ["unrelated library warning"]
+        dakr_lines = [r.getMessage() for r in caplog.records if r.name == "dakr"]
+        assert dakr_lines == (["k_sigma=5000 exceeds pool size 2; clamping"] if code == 0 else [])
+
+    def test_repeated_command_warns_each_time(self, line_fixture, tmp_path, caplog):
+        _, _, gpath, _ = line_fixture
+        for _ in range(2):
+            assert run("sigma", "--gallery", gpath, "--k-sigma", "5000", "--out", tmp_path / "t.sgt") == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "dakr"] == [
+            "k_sigma=5000 exceeds pool size 2; clamping"] * 2
 
 
 class TestGen:

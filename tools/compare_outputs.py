@@ -1,4 +1,4 @@
-"""Byte-for-byte comparison of dakr's CLI outputs between two source trees.
+"""Byte-for-byte comparison of dakr's CLI outputs and text between two source trees.
 
     python tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--work DIR]
 
@@ -12,11 +12,16 @@ token and with all three sidecars, Mahalanobis ``rerank``s, a squared
 euclidean ``sigma`` and two such ``rerank``s, three ``eval``s, the third on a
 truth file with an extra row for a probe id absent from the probe file, and
 three ``sweep``s per scenario) runs through ``python -m dakr.cli`` under each tree, with
-``--threads 1`` wherever the command takes it.  Every data file that
-differs is listed, ``*.timings.json`` skipped (wall-clock figures), and
-the exit status is 1 on any difference or failed command.  ``--work``
-keeps the files for inspection; it must be empty or absent.  Standard
-library only.
+``--threads 1`` wherever the command takes it.  So do the commands that
+only print, once per tree from an empty directory: every help text, the
+version, and parse errors (no arguments, an unknown command or flag, a
+missing required flag, a bad method or thread count).  Every data file
+that differs is listed, ``*.timings.json`` skipped (wall-clock figures),
+and so is every command whose exit code, stdout or stderr differs, with
+the wall-clock ``offline_ms=`` figure and the tree's own output directory
+masked.  The exit status is 1 on any difference or failed data command.
+``--work`` keeps the files for inspection; it must be empty or absent.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,6 +50,13 @@ SCENARIOS = {
 TOKENS = ("knn", "inn", "rnn", "inn+", "rnn+", "inv_dakr", "inv_dakr+", "bi_dakr", "bi_dakr+")
 MAHALANOBIS_TOKENS = ("knn", "inv_dakr", "bi_dakr")
 DIM = 6
+COMMAND_NAMES = ("gen", "sigma", "rerank", "eval", "sweep", "bench")
+TEXT_ONLY = [[], ["--help"], ["--version"], ["-h", "sigma"], ["bogus"],
+             *([name, "--help"] for name in COMMAND_NAMES),
+             ["sigma", "--gallery", "x", "--out", "y", "--bogus"],
+             ["eval", "--out", "z", "--method", "nope"], ["sigma"],
+             ["rerank", "--gallery", "a", "--probes", "b", "--out", "c", "--threads", "0"]]
+OFFLINE_MS = re.compile(r"offline_ms=[0-9.]+")
 
 
 def package_root(path: str) -> Path:
@@ -112,11 +125,15 @@ def commands(inputs: Path, out: Path, scenario_flags: list[str]):
            "--ranks", "1,5", "--out", out / "sweep_trials"]
 
 
-def dakr(root: Path, argv: list) -> subprocess.CompletedProcess:
-    argv = [str(a) for a in argv] + (["--threads", "1"] if argv[0] != "gen" else [])
+def dakr(root: Path, argv: list, cwd: Path | None = None) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(root)}
-    return subprocess.run([sys.executable, "-m", "dakr.cli", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "dakr.cli", *map(str, argv)], env=env, cwd=cwd,
                           capture_output=True, text=True)
+
+
+def masked(text: str, out: Path) -> str:
+    """``text`` with the tree's output directory and wall-clock figures masked."""
+    return OFFLINE_MS.sub("offline_ms=<ms>", text.replace(str(out), "<out>"))
 
 
 def main(argv=None) -> int:
@@ -132,6 +149,14 @@ def main(argv=None) -> int:
         if any(work.glob("*")):
             raise SystemExit(f"compare_outputs: {work} is not empty")
         problems = []
+        # {side: {command as run, its output directory masked: (exit code, stdout, stderr)}}
+        texts = {side: {} for side in trees}
+        for side, root in trees.items():
+            cwd = work / side / "text_only"
+            cwd.mkdir(parents=True)
+            for argv in TEXT_ONLY:
+                run = dakr(root, argv, cwd)
+                texts[side][" ".join(["dakr", *argv])] = (run.returncode, run.stdout, run.stderr)
         for scenario, flags in SCENARIOS.items():
             inputs = work / "inputs" / scenario
             made = dakr(trees["parent"], ["gen", *flags, "--out", inputs])
@@ -143,10 +168,13 @@ def main(argv=None) -> int:
                 out = work / side / scenario
                 out.mkdir(parents=True, exist_ok=True)
                 for command in commands(inputs, out, flags):
-                    run = dakr(root, command)
+                    argv = command + ([] if command[0] == "gen" else ["--threads", "1"])
+                    run = dakr(root, argv)
                     if run.returncode != 0:
                         problems.append(f"{side} {scenario}: dakr {command[0]} exited "
                                         f"{run.returncode}: {run.stderr.strip()[-300:]}")
+                    key = masked(" ".join(["dakr", *map(str, argv)]), out)
+                    texts[side][key] = (run.returncode, masked(run.stdout, out), masked(run.stderr, out))
         outputs = {
             side: {p.relative_to(work / side): p for p in (work / side).rglob("*")
                    if p.is_file() and not p.name.endswith(".timings.json")}
@@ -156,7 +184,14 @@ def main(argv=None) -> int:
             a, b = outputs["parent"].get(name), outputs["change"].get(name)
             if a is None or b is None or a.read_bytes() != b.read_bytes():
                 problems.append(f"differs: {name}")
-        print(f"compared {len(outputs['change'])} data files under each tree")
+        for key in sorted(texts["parent"].keys() | texts["change"].keys()):
+            a, b = texts["parent"].get(key), texts["change"].get(key)
+            if a != b:
+                parts = ("exit code", "stdout", "stderr")
+                which = [part for part, x, y in zip(parts, a, b) if x != y] if a and b else ["missing"]
+                problems.append(f"text differs ({', '.join(which)}): {key}")
+        print(f"compared {len(outputs['change'])} data files and the text of "
+              f"{len(texts['change'])} commands under each tree")
         for line in problems:
             print(line)
         return 1 if problems else 0
