@@ -24,7 +24,6 @@ from .kernels import (
 )
 from .neighbors import (
     AugmentationPolicy,
-    NeighborSet,
     inn,
     jaccard_distance,
     knn,
@@ -45,7 +44,6 @@ __all__ = [
     "FeatureSet",
     "GroundTruth",
     "MethodEval",
-    "NeighborSet",
     "RankedList",
     "SigmaTable",
     "bi_dakr_rank",

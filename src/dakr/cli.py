@@ -180,7 +180,7 @@ def _add_report_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", required=True, help="report base path")
 
 
-def _scenario_from_args(parser: argparse.ArgumentParser, args):
+def _scenario_from_args(parser: argparse.ArgumentParser, args, trial: int = 0):
     try:
         return generate_scenario(
             args.scenario,
@@ -189,7 +189,7 @@ def _scenario_from_args(parser: argparse.ArgumentParser, args):
             n_distractors=args.n_distractors,
             dim=args.dim,
             cluster_spread=args.cluster_spread,
-            seed=args.seed,
+            seed=args.seed + trial,
         )
     except InvalidParams as exc:
         parser.error(str(exc))
@@ -337,11 +337,7 @@ def cmd_sweep(parser, args) -> int:
     methods = _method_tokens(parser, args.method)
     k_values = args.k_values
     if args.scenario:
-        trials = []
-        for trial in range(args.trials or 10):
-            scenario_args = argparse.Namespace(**vars(args))
-            scenario_args.seed = args.seed + trial
-            trials.append(_scenario_from_args(parser, scenario_args))
+        trials = [_scenario_from_args(parser, args, t) for t in range(args.trials or 10)]
     elif args.trials is not None:
         parser.error("--trials is used only with --scenario")
     else:
@@ -527,14 +523,16 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv else None)
+    root = logging.getLogger()
+    host_logging = root.handlers[:], root.level
+    _configure_logging()
     with warnings.catch_warnings():
         # Each warning is one dakr log line, its message alone, until the command returns.
         warnings.showwarning = lambda message, *_: log.warning("%s", message)
-        args = parser.parse_args(argv)
         try:
+            args = parser.parse_args(argv)
             return COMMANDS[args.command][2](parser, args)
         except (FormatError, StaleSigmaTable, MissingTruth, EmptyGallery, OutOfRange, OSError) as exc:
             print(f"dakr: error: {exc}", file=sys.stderr)
@@ -542,6 +540,9 @@ def main(argv=None) -> int:
         except DakrError as exc:
             print(f"dakr: internal error: {exc}", file=sys.stderr)
             return 4
+        finally:
+            # The host's root logging is as it was, whichever way the command ends.
+            root.handlers[:], root.level = host_logging
 
 
 if __name__ == "__main__":

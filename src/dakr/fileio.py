@@ -177,9 +177,7 @@ def write_sigma_sidecar(table: SigmaTable, path) -> None:
     reference digest, then count float64 bandwidths (gallery first, then
     cached probe bandwidths under with_probes)."""
     path = Path(path)
-    sigmas = table.gallery_sigmas
-    if table.probe_sigmas is not None:
-        sigmas = np.concatenate([sigmas, table.probe_sigmas])
+    sigmas = np.concatenate([table.gallery_sigmas, table.probe_sigmas])
     with path.open("wb") as fh:
         fh.write(SIGMA_MAGIC)
         fh.write(struct.pack("<II", len(sigmas), table.k_sigma))

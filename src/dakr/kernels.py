@@ -79,8 +79,8 @@ class SigmaTable:
 
     Correctness silently breaks if bandwidths and data drift apart, so
     scoring re-derives the digest and :func:`check_policy` refuses any
-    other policy.  Under with_probes the probes' own bandwidths are cached
-    too, keeping the online phase free of quadratic work.
+    other policy.  The probes' own bandwidths are cached under with_probes
+    (empty under gallery_only), keeping the online phase free of quadratic work.
     """
 
     k_sigma: int
@@ -89,8 +89,8 @@ class SigmaTable:
     gallery_ids: np.ndarray
     gallery_sigmas: np.ndarray
     probes_digest: bytes = b""
-    probe_ids: np.ndarray | None = None
-    probe_sigmas: np.ndarray | None = None
+    probe_ids: np.ndarray = ()
+    probe_sigmas: np.ndarray = ()
 
     def __post_init__(self):
         if self.k_sigma < 1:
@@ -98,8 +98,6 @@ class SigmaTable:
         if self.policy_mode not in (GALLERY_ONLY, WITH_PROBES):
             raise InvalidParams(f"unknown policy mode {self.policy_mode!r}")
         for side, what in (("gallery", "gallery sample"), ("probe", "probe")):
-            if side == "probe" and self.probe_sigmas is None:
-                continue
             ids = np.asarray(getattr(self, f"{side}_ids"), dtype=np.int64)
             sigmas = np.asarray(getattr(self, f"{side}_sigmas"), dtype=np.float64)
             if ids.shape != sigmas.shape:
@@ -204,7 +202,7 @@ def bind_sigma_table(
     """A table over ``sigmas`` (one per gallery sample, then under
     with_probes one per probe), bound by digest to the data they describe."""
     n = len(gallery)
-    probes = policy.probes if policy.mode == WITH_PROBES else None
+    probes = policy.probes
     probes_digest = b"" if probes is None else probes.content_digest()
     return SigmaTable(
         k_sigma=k_sigma,
@@ -215,8 +213,8 @@ def bind_sigma_table(
         gallery_ids=gallery.ids.copy(),
         gallery_sigmas=sigmas[:n],
         probes_digest=probes_digest,
-        probe_ids=None if probes is None else probes.ids.copy(),
-        probe_sigmas=None if probes is None else sigmas[n:],
+        probe_ids=() if probes is None else probes.ids.copy(),
+        probe_sigmas=sigmas[n:],
     )
 
 
@@ -278,7 +276,7 @@ def probe_sigma(
     A policy that does not fit the table fails :func:`check_policy`.
     """
     check_policy(table, policy)
-    if table.probe_sigmas is not None:
+    if len(table.probe_ids):
         cached = table.probe_sigmas[table.probe_ids == int(probe_id)]
         if len(cached):
             return float(cached[0])

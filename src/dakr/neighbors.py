@@ -63,21 +63,6 @@ class AugmentationPolicy:
         return cls(WITH_PROBES, probes)
 
 
-_GALLERY_ONLY = AugmentationPolicy()
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """Top-k neighborhood of one anchor sample.
-
-    ``members`` may contain offset probe ids when the pool was augmented.
-    The anchor sample itself is never a member: :func:`candidate_pool`
-    drops it.
-    """
-
-    members: frozenset
-
-
 def probe_id_offset(gallery: FeatureSet) -> int:
     """Base of the disjoint id range used for augmentation probes."""
     return int(gallery.ids.max()) + 1
@@ -122,7 +107,7 @@ def reference_set(gallery: FeatureSet, policy: AugmentationPolicy):
 
 
 def candidate_pool(
-    probe_id: int, gallery: FeatureSet, policy: AugmentationPolicy = _GALLERY_ONLY
+    probe_id: int, gallery: FeatureSet, policy: AugmentationPolicy = AugmentationPolicy()
 ):
     """The reference set (vectors, ids), uncopied under gallery_only, and
     a keep mask over its rows that drops the probe itself; the first
@@ -141,7 +126,7 @@ def candidate_pool(
     return vectors, ids, keep
 
 
-def pool_row(probe_id: int, probe_vector, gallery, metric, policy=_GALLERY_ONLY):
+def pool_row(probe_id: int, probe_vector, gallery, metric, policy=AugmentationPolicy()):
     """The probe's candidate pool and its one distance row over the
     whole reference set: (vectors, ids, keep, dists)."""
     vectors, ids, keep = candidate_pool(probe_id, gallery, policy)
@@ -177,10 +162,10 @@ def knn(
     metric: DistanceMetric,
     k: int,
     policy: AugmentationPolicy = AugmentationPolicy(),
-) -> NeighborSet:
+) -> frozenset:
     """The k candidates nearest to the probe, ties by ascending id."""
     _, ids, keep, dists = pool_row(probe_id, probe_vector, gallery, metric, policy)
-    return NeighborSet(_nearest(ids[keep], dists[keep], k))
+    return _nearest(ids[keep], dists[keep], k)
 
 
 def _inn_members(
@@ -270,8 +255,7 @@ def rnn(
 def jaccard_distance(a, b) -> float:
     """1 - |A∩B| / |A∪B| over neighbor sets; 1.0 when the union is empty
     (no shared evidence is treated as maximal dissimilarity)."""
-    set_a = a.members if isinstance(a, NeighborSet) else frozenset(a)
-    set_b = b.members if isinstance(b, NeighborSet) else frozenset(b)
+    set_a, set_b = frozenset(a), frozenset(b)
     union = len(set_a | set_b)
     if union == 0:
         return 1.0
@@ -285,7 +269,7 @@ def gallery_neighbor_set(
     gallery: FeatureSet,
     metric: DistanceMetric,
     k: int,
-) -> NeighborSet:
+) -> frozenset:
     """k-NN of one gallery sample over the probe's candidate pool ``row``
     (from :func:`pool_row`) with that sample swapped for the probe at its
     offset id, the pool k-INN searches, so Jaccard overlaps compare like
@@ -299,7 +283,7 @@ def gallery_neighbor_set(
     anchor_dists[anchor] = dists[anchor]
     ids = ids.copy()
     ids[anchor] = offset_ids(probe_id, gallery)
-    return NeighborSet(_nearest(ids[keep], anchor_dists[keep], k))
+    return _nearest(ids[keep], anchor_dists[keep], k)
 
 
 def rank_by_distance(

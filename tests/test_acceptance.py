@@ -99,7 +99,7 @@ def test_criterion_1_oracle_equivalence():
         pid = int(probes.ids[0])
         pvec = [float(v) for v in probes.vectors[0]]
 
-        if knn(pid, pvec, gallery, EUCLID, k, policy).members != frozenset(
+        if knn(pid, pvec, gallery, EUCLID, k, policy) != frozenset(
             brute_knn(pid, pvec, gdict, k, oracle_probes)
         ):
             mismatches += 1
@@ -128,7 +128,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_reciprocal_fixture():
     gallery = reciprocal_feature_set()
     forward = knn(RECIPROCAL_PROBE_ID, RECIPROCAL_PROBE, gallery, EUCLID, 3)
-    assert forward.members == frozenset({1, 2, 3})
+    assert forward == frozenset({1, 2, 3})
     inverse = inn(RECIPROCAL_PROBE_ID, RECIPROCAL_PROBE, gallery, EUCLID, 3)
     assert inverse == frozenset({2, 3})
     reciprocal = rnn(RECIPROCAL_PROBE_ID, RECIPROCAL_PROBE, gallery, EUCLID, 3)
@@ -146,7 +146,7 @@ def test_criterion_3_extra_probe_fixture():
     # the dummy probe is farther from the probe than its three neighbors,
     # so the forward set is unchanged
     forward_plus = knn(RECIPROCAL_PROBE_ID, RECIPROCAL_PROBE, gallery, EUCLID, 3, policy)
-    assert forward_plus.members == frozenset({1, 2, 3})
+    assert forward_plus == frozenset({1, 2, 3})
 
 
 @criterion(4, "uniform bandwidths reduce every method to the distance order")

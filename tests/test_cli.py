@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import logging
 import os
 import struct
 import subprocess
@@ -118,6 +120,42 @@ class TestWarningHook:
             assert run("sigma", "--gallery", gpath, "--k-sigma", "5000", "--out", tmp_path / "t.sgt") == 0
         assert [r.getMessage() for r in caplog.records if r.name == "dakr"] == [
             "k_sigma=5000 exceeds pool size 2; clamping"] * 2
+
+
+class TestHostLogging:
+    """``main`` logs through the root logger while a command runs, and the
+    host process's root handlers and level are back once it returns."""
+
+    HOST = """if True:
+        import logging, sys
+        from dakr.cli import main
+        try:
+            code = main(sys.argv[1:])
+        except SystemExit as exc:
+            code = exc.code
+        root = logging.getLogger()
+        print(code, root.handlers, root.level)
+        logging.getLogger("host").warning("host library message")
+    """
+
+    @pytest.mark.parametrize("outcome_of_run, code", [("success", 0), ("usage-error", 2), ("data-error", 3)])
+    def test_root_logger_restored_after_the_command(self, line_fixture, tmp_path, outcome_of_run, code):
+        # In a fresh process: pytest installs root handlers of its own.
+        _, _, gpath, _ = line_fixture
+        wide = tmp_path / "wide_probes.csv"
+        write_features_csv(FeatureSet([9], [[2.1, 0.0]]), wide)
+        extra = {"success": [], "usage-error": ["--bogus"],
+                 "data-error": ["--probes", wide, "--with-probes"]}[outcome_of_run]
+        argv = ["sigma", "--gallery", gpath, "--k-sigma", "5000", "--out", tmp_path / "t.sgt", *extra]
+        env = {**os.environ, "DAKR_LOG": "info",
+               "PYTHONPATH": str(Path(dakr.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", self.HOST, *map(str, argv)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == f"{code} [] {logging.WARNING}"
+        assert done.stderr.splitlines()[-1] == "host library message", done.stderr
+        if code == 0:
+            assert "WARNING dakr: k_sigma=5000 exceeds pool size 2; clamping" in done.stderr
 
 
 class TestGen:
@@ -757,3 +795,23 @@ class TestBench:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "method,n,dim,offline_ms,online_ms_per_probe"
         assert len(lines) == 5
+
+
+def test_compare_outputs_prepares_every_input_its_commands_read(tmp_path):
+    # tools/compare_outputs.py and tools/traffic_coverage.py both make their
+    # inputs through compare_outputs.prepare, so neither can miss one.
+    path = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def gen(argv):
+        assert run(*argv) == 0
+
+    for scenario, flags in tool.SCENARIOS.items():
+        inputs = tmp_path / scenario
+        tool.prepare(inputs, flags, gen)
+        named = {arg for command in tool.commands(inputs, tmp_path / "out", flags)
+                 for arg in command if isinstance(arg, Path) and arg.parent == inputs}
+        assert {"truth_extra.csv", "metric.csv"} <= {p.name for p in named}
+        assert [p.name for p in named if not p.is_file()] == [], scenario

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from dakr import (
     DistanceMetric,
     FeatureSet,
     GroundTruth,
+    SigmaTable,
     compute_sigma_table,
     rerank,
 )
@@ -170,18 +172,32 @@ class TestTruthFiles:
             read_truth_csv(path)
 
 
+def assert_same_table(a: SigmaTable, b: SigmaTable) -> None:
+    """Every field equal, arrays by dtype and bytes."""
+    for field in dataclasses.fields(SigmaTable):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            x, y = (x.dtype, x.shape, x.tobytes()), (y.dtype, y.shape, y.tobytes())
+        assert x == y, field.name
+
+
 class TestSigmaSidecar:
     def test_roundtrip_gallery_only(self, tmp_path):
         gallery = FeatureSet([0, 1, 2], [[0.0], [1.0], [3.0]])
         metric = DistanceMetric.euclidean()
         table = compute_sigma_table(gallery, metric, 2)
+        # A gallery-only table has an empty probe side, and its sidecar
+        # holds the gallery's bandwidths alone.
+        assert len(table.probe_ids) == len(table.probe_sigmas) == 0
         path = tmp_path / "table.sgt"
         write_sigma_sidecar(table, path)
+        assert path.stat().st_size == 45 + 8 * len(gallery)
         record = read_sigma_sidecar(path)
         back = sigma_table_from_sidecar(record, gallery, metric)
         assert back.k_sigma == 2
         np.testing.assert_array_equal(back.gallery_sigmas, table.gallery_sigmas)
         assert back.reference_digest == table.reference_digest
+        assert_same_table(back, table)
 
     def test_roundtrip_with_probes(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -195,6 +211,7 @@ class TestSigmaSidecar:
         back = sigma_table_from_sidecar(read_sigma_sidecar(path), gallery, metric, policy)
         np.testing.assert_array_equal(back.gallery_sigmas, table.gallery_sigmas)
         np.testing.assert_array_equal(back.probe_sigmas, table.probe_sigmas)
+        assert_same_table(back, table)
 
     def test_identical_bytes_across_writes(self, tmp_path):
         gallery = FeatureSet([0, 1, 2], [[0.0], [1.0], [3.0]])

@@ -221,9 +221,7 @@ class TestSigmaTableAgainstCdist:
             ):
                 for k in (1, 3, 20):
                     table = compute_sigma_table(gallery, metric, k, policy, n_threads=n_threads)
-                    got = table.gallery_sigmas
-                    if table.probe_sigmas is not None:
-                        got = np.concatenate([got, table.probe_sigmas])
+                    got = np.concatenate([table.gallery_sigmas, table.probe_sigmas])
                     assert got.tobytes() == self.reference(refs, k, name).tobytes(), (name, k)
 
 
@@ -663,7 +661,7 @@ class TestMahalanobisOracle:
                 table = compute_sigma_table(gallery, metric, k_sigma, policy)
                 for pid, vec in pdict.items():
                     got = {
-                        "knn": set(knn(pid, vec, gallery, metric, k, policy).members),
+                        "knn": set(knn(pid, vec, gallery, metric, k, policy)),
                         "inn": set(inn(pid, vec, gallery, metric, k, policy)),
                         "rnn": set(rnn(pid, vec, gallery, metric, k, policy)),
                         "inv_dakr": inv_dakr_rank(

@@ -28,7 +28,6 @@ from dakr import (
 from dakr.errors import EmptyGallery, InvalidParams, OutOfRange
 from dakr.kernels import bind_sigma_table
 from dakr.neighbors import (
-    NeighborSet,
     candidate_pool,
     gallery_neighbor_set,
     offset_ids,
@@ -46,6 +45,11 @@ from conftest import (
     two_probe_set,
 )
 from oracles import brute_inn, brute_knn, brute_rnn, brute_rnn_ranking, float_euclid
+
+
+def assert_plain_ids(members):
+    """A neighbor set is a frozenset of Python ints, never numpy scalars."""
+    assert type(members) is frozenset and all(type(i) is int for i in members), members
 
 
 class TestBlockedInnScan:
@@ -231,35 +235,36 @@ class TestPoolRuleOracle:
                     for k in (1, 3, 6):
                         args = (pid, pvec, gallery, euclidean, k, policy)
                         oracle = (pid, list(pvec), gdict, k)
-                        assert knn(*args).members == brute_knn(*oracle, probes=pool_probes)
-                        assert inn(*args) == brute_inn(*oracle, probes=pool_probes)
-                        assert rnn(*args) == brute_rnn(*oracle, probes=pool_probes)
+                        for fn, brute in ((knn, brute_knn), (inn, brute_inn), (rnn, brute_rnn)):
+                            got = fn(*args)
+                            assert got == brute(*oracle, probes=pool_probes)
+                            assert_plain_ids(got)
 
 
 class TestKnn:
     def test_hand_distances(self, euclidean):
         gallery = FeatureSet([0, 1, 2], [[0.0], [1.0], [3.0]])
         out = knn(99, [0.9], gallery, euclidean, 2)
-        assert out.members == frozenset({0, 1})
+        assert out == frozenset({0, 1})
 
     def test_zero_distance_wins(self, euclidean):
         gallery = FeatureSet([0, 1], [[0.0, 0.0], [5.0, 5.0]])
         out = knn(7, [5.0, 5.0], gallery, euclidean, 1)
-        assert out.members == frozenset({1})
+        assert out == frozenset({1})
 
     def test_three_nearest(self, euclidean, reciprocal_gallery):
         out = knn(RECIPROCAL_PROBE_ID, RECIPROCAL_PROBE, reciprocal_gallery, euclidean, 3)
-        assert out.members == frozenset({1, 2, 3})
+        assert out == frozenset({1, 2, 3})
 
     def test_k_truncates_to_pool(self, euclidean):
         gallery = FeatureSet([0, 1], [[0.0], [1.0]])
         out = knn(9, [0.5], gallery, euclidean, 10)
-        assert out.members == frozenset({0, 1})
+        assert out == frozenset({0, 1})
 
     def test_own_gallery_copy_excluded(self, euclidean):
         gallery = FeatureSet([0, 1], [[0.0], [1.0]])
         out = knn(0, [0.0], gallery, euclidean, 1)
-        assert out.members == frozenset({1})
+        assert out == frozenset({1})
 
     def test_augmented_members_use_offset_ids(self, euclidean):
         gallery = FeatureSet([0, 1], [[0.0], [10.0]])
@@ -268,7 +273,7 @@ class TestKnn:
         out = knn(10, [0.1], gallery, euclidean, 2, policy)
         offset = probe_id_offset(gallery)
         # nearest are the other probe (0.2) and gallery 0
-        assert out.members == frozenset({0, offset + 11})
+        assert out == frozenset({0, offset + 11})
 
     def test_probe_ids_matching_gallery_ids_are_same_sample(self, euclidean):
         # shared id namespace: a probe with a gallery id IS that gallery
@@ -277,7 +282,7 @@ class TestKnn:
         probes = FeatureSet([0, 1], [[0.0], [10.0]])
         policy = AugmentationPolicy.with_probes(probes)
         out = knn(0, [0.0], gallery, euclidean, 5, policy)
-        assert out.members == frozenset({1})
+        assert out == frozenset({1})
 
     def test_probe_never_in_own_pool(self, euclidean):
         gallery = FeatureSet([0], [[0.0]])
@@ -286,12 +291,12 @@ class TestKnn:
         offset = probe_id_offset(gallery)
         for row, pid in enumerate((5, 6)):
             out = knn(pid, probes.vectors[row], gallery, euclidean, 3, policy)
-            assert offset + pid not in out.members
+            assert offset + pid not in out
 
     def test_tie_broken_by_ascending_id(self, euclidean):
         gallery = FeatureSet([3, 1], [[1.0], [-1.0]])
         out = knn(9, [0.0], gallery, euclidean, 1)
-        assert out.members == frozenset({1})
+        assert out == frozenset({1})
 
 
 class TestInn:
@@ -326,7 +331,7 @@ class TestInn:
         probe = [0.0]
         members = inn(9, probe, gallery, euclidean, 2)
         assert members == frozenset({3})
-        forward = knn(9, probe, gallery, euclidean, 2).members
+        forward = knn(9, probe, gallery, euclidean, 2)
         assert forward == frozenset({0, 1})
         assert not members & forward
 
@@ -362,7 +367,7 @@ class TestRnn:
             for k in (1, 2, 4):
                 r = rnn(pid, pvec, gallery, euclidean, k)
                 i = inn(pid, pvec, gallery, euclidean, k)
-                f = knn(pid, pvec, gallery, euclidean, k).members
+                f = knn(pid, pvec, gallery, euclidean, k)
                 assert r <= i
                 assert r <= f
 
@@ -376,7 +381,7 @@ class TestMonotonicityInK:
             pvec = probes.vectors[0]
             prev_knn, prev_inn, prev_rnn = frozenset(), frozenset(), frozenset()
             for k in range(1, len(gallery) + 1):
-                cur_knn = knn(pid, pvec, gallery, euclidean, k).members
+                cur_knn = knn(pid, pvec, gallery, euclidean, k)
                 cur_inn = inn(pid, pvec, gallery, euclidean, k)
                 cur_rnn = rnn(pid, pvec, gallery, euclidean, k)
                 assert prev_knn <= cur_knn
@@ -420,8 +425,8 @@ class TestJaccard:
         assert jaccard_distance(set(), set()) == 1.0
 
     def test_accepts_neighbor_sets(self):
-        a = NeighborSet(frozenset({1, 2}))
-        b = NeighborSet(frozenset({2, 3}))
+        a = frozenset({1, 2})
+        b = frozenset({2, 3})
         assert jaccard_distance(a, b) == pytest.approx(1 - 1 / 3)
 
     def test_pseudometric_exhaustive_five_element_universe(self):
@@ -483,6 +488,7 @@ class TestRankByRnn:
             neighborhood = gallery_neighbor_set(
                 gid, RECIPROCAL_PROBE_ID, row, reciprocal_gallery, euclidean, 3
             )
+            assert_plain_ids(neighborhood)
             expected[gid] = jaccard_distance(neighborhood, probe_nn)
         first, second = ranked.gallery_ids.tolist()[:2]
         assert expected[first] <= expected[second]

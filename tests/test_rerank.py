@@ -86,8 +86,8 @@ class TestRerankFacade:
         offset = probe_id_offset(gallery)
         a = knn(10, probes.vectors[0], gallery, euclidean, 5, policy)
         b = knn(11, probes.vectors[1], gallery, euclidean, 5, policy)
-        assert offset + 11 in a.members and offset + 10 not in a.members
-        assert offset + 10 in b.members and offset + 11 not in b.members
+        assert offset + 11 in a and offset + 10 not in a
+        assert offset + 10 in b and offset + 11 not in b
 
     def test_single_probe_with_probes_degrades(self, euclidean):
         gallery = FeatureSet([0, 1], [[0.0], [1.0]])

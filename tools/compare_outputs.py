@@ -87,6 +87,14 @@ def extra_truth(inputs: Path) -> None:
     (inputs / "truth_extra.csv").write_text(f"{truth}{absent},{match}\n")
 
 
+def prepare(inputs: Path, scenario_flags: list[str], gen) -> None:
+    """One scenario's inputs under ``inputs``: ``gen(argv)`` runs ``dakr gen``
+    into it, then :func:`psd_matrix` and :func:`extra_truth` add theirs."""
+    gen(["gen", *scenario_flags, "--out", inputs])
+    psd_matrix(inputs / "metric.csv")
+    extra_truth(inputs)
+
+
 def commands(inputs: Path, out: Path, scenario_flags: list[str]):
     """Every command of one scenario, writing under ``out``."""
     files = ["--gallery", inputs / "gallery.csv", "--probes", inputs / "probes.csv"]
@@ -157,13 +165,16 @@ def main(argv=None) -> int:
             for argv in TEXT_ONLY:
                 run = dakr(root, argv, cwd)
                 texts[side][" ".join(["dakr", *argv])] = (run.returncode, run.stdout, run.stderr)
+
+        def gen(argv):
+            made = dakr(trees["parent"], argv)
+            if made.returncode != 0:
+                raise SystemExit(f"compare_outputs: dakr {' '.join(map(str, argv))} failed:\n"
+                                 f"{made.stderr}")
+
         for scenario, flags in SCENARIOS.items():
             inputs = work / "inputs" / scenario
-            made = dakr(trees["parent"], ["gen", *flags, "--out", inputs])
-            if made.returncode != 0:
-                raise SystemExit(f"compare_outputs: gen {scenario} failed:\n{made.stderr}")
-            psd_matrix(inputs / "metric.csv")
-            extra_truth(inputs)
+            prepare(inputs, flags, gen)
             for side, root in trees.items():
                 out = work / side / scenario
                 out.mkdir(parents=True, exist_ok=True)

@@ -2,9 +2,10 @@
 
     python tools/traffic_coverage.py
 
-Traffic is the command matrix of ``tools/compare_outputs.py`` (both
-scenarios, ``--threads`` 1 and 2), a small ``dakr bench``, and the three
-perfbench workloads at ``.tiny()`` size, all run in this process under
+Traffic is the command matrix of ``tools/compare_outputs.py`` (every
+scenario, its inputs made by ``compare_outputs.prepare``, ``--threads`` 1
+and 2), a small ``dakr bench``, and the three perfbench workloads at
+``.tiny()`` size, all run in this process under
 ``sys.settrace``/``threading.settrace``, which start before ``dakr`` is
 imported.  For every function of ``src/dakr`` it prints the lines no
 traffic reached, or ``never`` for a function no traffic called; fully
@@ -21,7 +22,6 @@ import sys
 import tempfile
 import threading
 import types
-import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,15 +85,19 @@ def drive(work: Path) -> None:
 
     def dakr(argv) -> None:
         argv = [str(a) for a in argv]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
         if code != 0:
-            raise SystemExit(f"traffic_coverage: dakr {' '.join(argv)} exited {code}")
+            raise SystemExit(f"traffic_coverage: dakr {' '.join(argv)} exited {code}:\n"
+                             f"{stderr.getvalue()}")
 
     for scenario, flags in compare_outputs.SCENARIOS.items():
         inputs = work / "inputs" / scenario
-        dakr(["gen", *flags, "--out", inputs])
-        compare_outputs.psd_matrix(inputs / "metric.csv")
+        compare_outputs.prepare(inputs, flags, dakr)
         for threads in ("1", "2"):
             out = work / f"threads{threads}" / scenario
             out.mkdir(parents=True)
@@ -116,8 +120,7 @@ def main() -> int:
     sys.settrace(trace)
     threading.settrace(trace)
     try:
-        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with tempfile.TemporaryDirectory() as tmp:
             drive(Path(tmp))
     finally:
         sys.settrace(None)
