@@ -15,8 +15,8 @@ euclidean metrics means scipy ``cdist``'s bytes.  The self-distance scan
 (:func:`scan_self_distances`) takes its euclidean rows from one GEMM per
 row block, ||x||^2 + ||y||^2 - 2 x.y on mean-centred vectors, with a
 rounding bound per row; that approximation only *selects*.
-:class:`SelfBlock` decides each k-th smallest value, count under a limit
-and maximum from it where the bound allows, and re-scores the entries
+:class:`SelfBlock` decides each k-th smallest value and count under a
+limit from it where the bound allows, and re-scores the entries
 within twice the bound of the boundary with :func:`pairwise`, so the
 values it returns are the ones full ``cdist`` rows would give.
 """
@@ -381,18 +381,6 @@ class SelfBlock:
         rows, exact = self._band(wide, lo[wide, None], hi[wide, None])
         np.add.at(counts, rows[exact <= limits[rows]], 1)
         return counts
-
-    def maximum(self) -> float:
-        """The block's exact largest distance, own entries excluded."""
-        approx, eps = self.approx, self.eps
-        own = (np.arange(len(approx)), np.arange(self.start, self.stop))
-        approx[own] = -np.inf
-        top = approx.max(axis=1)
-        approx[own] = np.inf
-        # The exact maximum is at least top_i - eps_i for every row i.
-        floor = float(np.max(top - eps))
-        wide = np.flatnonzero(top + eps >= floor)
-        return float(self._band(wide, floor - eps[wide, None], np.inf)[1].max())
 
 
 def scan_self_distances(metric: DistanceMetric, vectors, per_block, n_threads=None) -> list:

@@ -37,6 +37,8 @@ from .core import (
     DistanceMetric,
     FeatureSet,
     RankedList,
+    # pairwise is not called here; it stays importable because
+    # perfbench/tracing.py wraps dakr.kernels.pairwise.
     pairwise,
     scan_self_distances,
 )
@@ -52,6 +54,7 @@ from .neighbors import (
 
 # Relative floor for degenerate (duplicate-point) bandwidths.
 _SIGMA_FLOOR_SCALE = 1e-12
+_OVERFLOW = "distances overflow float64, so the bandwidths are not finite"
 
 log = logging.getLogger("dakr")
 
@@ -81,6 +84,10 @@ class SigmaTable:
     scoring re-derives the digest and :func:`check_policy` refuses any
     other policy.  The probes' own bandwidths are cached under with_probes
     (empty under gallery_only), keeping the online phase free of quadratic work.
+
+    ``_floor`` floors a probe's own bandwidth: :func:`_sigma_floor` of the
+    gallery bandwidths, the floor they were built with unless over half
+    of them were 0 and floored to 1e-12, which makes it 1e-24.
     """
 
     k_sigma: int
@@ -106,6 +113,9 @@ class SigmaTable:
                 raise NonPositiveSigma("bandwidths must be positive and finite")
             object.__setattr__(self, f"{side}_ids", ids)
             object.__setattr__(self, f"{side}_sigmas", sigmas)
+        if not len(self.gallery_ids):
+            raise InvalidParams("a bandwidth table needs gallery samples")
+        object.__setattr__(self, "_floor", _sigma_floor(self.gallery_sigmas))
 
 
 def compute_sigma_table(
@@ -120,16 +130,14 @@ def compute_sigma_table(
     sigma_j is the k_sigma-th nearest-neighbor distance of sample j inside
     the reference set (self excluded).  k_sigma larger than the pool clamps
     to the pool size with a warning.  Duplicate points would give sigma = 0,
-    which is floored at a tiny fraction of the largest pairwise distance
-    so kernels stay finite and coincident samples still win.  Exact-row
-    blocks find that distance in the scan.  After a GEMM scan one exact
-    row bounds it, and a second scan finds it only if some sigma lies
-    under the floor of that bound, or the bound's square overflows (a
-    distance past float64 is :class:`OutOfRange`).  Each table
-    logs one info line: samples scanned, k_sigma and whether it was
-    clamped, floor hits, and pairs re-scored at the selection boundary.
-    GEMM blocks run on the calling thread in one buffer pair per scan;
-    ``n_threads`` sizes only the pool of exact-row blocks, as under Mahalanobis.
+    which is floored at :func:`_sigma_floor` of the gallery's bandwidths
+    so kernels stay finite and coincident samples still win.  A sigma
+    past float64 is :class:`OutOfRange`; other distances that overflow
+    only score 0.  Each table logs one info line: samples scanned,
+    k_sigma and whether it was clamped, floor hits, and pairs re-scored
+    at the selection boundary.  GEMM blocks run on the calling thread in
+    one buffer pair per scan; ``n_threads`` sizes only the pool of
+    exact-row blocks, as under Mahalanobis.
     """
     if k_sigma < 1:
         raise InvalidParams("k_sigma must be >= 1")
@@ -147,28 +155,14 @@ def compute_sigma_table(
         )
         k_eff = pool
 
-    def kth_and_max(block):
-        # Exact-row blocks take their maximum now: a second scan would redo their rows.
-        return block.kth_smallest(k_eff), block.maximum() if block.exact else None, block.rescored
-
-    blocks = scan_self_distances(metric, ref_vectors, kth_and_max, n_threads)
-    sigmas = np.concatenate([kth for kth, _, _ in blocks])
-    tops = [top for _, top, _ in blocks]
-    rescored = sum(r for _, _, r in blocks)
-    if tops[0] is None:
-        # No distance exceeds twice (squared: four times) the largest one
-        # from sample 0; 8x leaves room for rounding, and a bound of at
-        # least 1 for squares that underflow.  While the bound's square is
-        # finite, no distance overflows; while no sigma lies under the
-        # bound's floor, the largest distance's floor, no higher, moves no
-        # sigma, and the bound's floor stands in for it.
-        bound = max(8.0 * float(pairwise(metric, ref_vectors[:1], ref_vectors).max()), 1.0)
-        tops = [bound]
-        if not (np.isfinite(bound * bound) and sigmas.min() >= _sigma_floor(bound)):
-            maxima = scan_self_distances(metric, ref_vectors, lambda b: (b.maximum(), b.rescored))
-            tops = [top for top, _ in maxima]
-            rescored += sum(r for _, r in maxima)
-    floor = _sigma_floor(max(tops))
+    blocks = scan_self_distances(
+        metric, ref_vectors, lambda block: (block.kth_smallest(k_eff), block.rescored), n_threads
+    )
+    sigmas = np.concatenate([kth for kth, _ in blocks])
+    rescored = sum(r for _, r in blocks)
+    if not np.isfinite(sigmas).all():
+        raise OutOfRange(_OVERFLOW)
+    floor = _sigma_floor(sigmas[: len(gallery)])
     floor_hits = int(np.count_nonzero(sigmas < floor))
     sigmas = np.maximum(sigmas, floor)
     log.info(
@@ -286,15 +280,17 @@ def probe_sigma(
         raise EmptyGallery("no reference samples to derive the probe bandwidth")
     k_eff = min(table.k_sigma, len(d))
     sigma = float(np.partition(d, k_eff - 1)[k_eff - 1])
-    return max(sigma, _sigma_floor(float(d.max())))
+    if not np.isfinite(sigma):
+        raise OutOfRange(_OVERFLOW)
+    return max(sigma, table._floor)
 
 
-def _sigma_floor(top: float) -> float:
-    """The floor for degenerate bandwidths, a tiny fraction of the largest
-    distance ``top``; a ``top`` past float64 is :class:`OutOfRange`."""
-    if not np.isfinite(top):
-        raise OutOfRange("distances overflow float64, so the bandwidths are not finite")
-    return _SIGMA_FLOOR_SCALE * (top if top > 0 else 1.0)
+def _sigma_floor(sigmas: np.ndarray) -> float:
+    """The floor for degenerate bandwidths: 1e-12 times the upper median m
+    of ``sigmas``, or 1e-12 when m is 0.  Floored values stay under m, so
+    floored bandwidths give the same floor (an averaged median would not)."""
+    m = float(np.partition(sigmas, len(sigmas) // 2)[len(sigmas) // 2])
+    return _SIGMA_FLOOR_SCALE * (m if m > 0 else 1.0)
 
 
 def bi_dakr_rank(

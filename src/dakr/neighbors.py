@@ -55,10 +55,6 @@ class AugmentationPolicy:
             raise InvalidParams("gallery_only policy takes no probe set")
 
     @classmethod
-    def gallery_only(cls) -> "AugmentationPolicy":
-        return cls(GALLERY_ONLY)
-
-    @classmethod
     def with_probes(cls, probes: FeatureSet) -> "AugmentationPolicy":
         return cls(WITH_PROBES, probes)
 

@@ -93,7 +93,7 @@ def test_criterion_1_oracle_equivalence():
         policy = (
             AugmentationPolicy.with_probes(probes)
             if with_probes
-            else AugmentationPolicy.gallery_only()
+            else AugmentationPolicy()
         )
         oracle_probes = pdict if with_probes else None
         pid = int(probes.ids[0])
@@ -173,7 +173,7 @@ def test_criterion_5_scale_invariance():
     for trial in range(20):
         gallery, probes, _, _ = random_instance(rng, min_n=5)
         pid = int(probes.ids[0])
-        policies = [AugmentationPolicy.gallery_only()]
+        policies = [AugmentationPolicy()]
         if len(probes) > 1:
             policies.append(AugmentationPolicy.with_probes(probes))
         for policy in policies:

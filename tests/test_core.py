@@ -177,11 +177,10 @@ _GEMM_METRICS = [
 
 
 def _cdist_reference(vectors, name):
-    """Full cdist matrix with inf on the diagonal, and its largest entry."""
+    """Full cdist matrix with inf on the diagonal."""
     full = cdist(vectors, vectors, metric=name)
-    top = full.max()
     np.fill_diagonal(full, np.inf)
-    return full, top
+    return full
 
 
 class TestScanSelfDistances:
@@ -193,7 +192,7 @@ class TestScanSelfDistances:
         rng = np.random.default_rng(17)
         features = FeatureSet(np.arange(60), rng.normal(size=(60, 3)))
         for metric, name in _GEMM_METRICS:
-            expected, top = _cdist_reference(features.vectors, name)
+            expected = _cdist_reference(features.vectors, name)
             kth = np.partition(expected, 4, axis=1)[:, 4]
             key = expected**2 if metric.kind == "euclidean" else expected
             for n_threads in (None, 1, 4):
@@ -206,7 +205,6 @@ class TestScanSelfDistances:
                         b.eps.copy(),
                         b.kth_smallest(5),
                         b.count_within(kth[b.start:b.stop]),
-                        b.maximum(),
                     ),
                     n_threads,
                 )
@@ -219,7 +217,6 @@ class TestScanSelfDistances:
                 assert np.concatenate([b[3] for b in blocks]).tobytes() == kth.tobytes()
                 counts = np.concatenate([b[4] for b in blocks])
                 np.testing.assert_array_equal(counts, np.sum(expected <= kth[:, None], axis=1))
-                assert max(b[5] for b in blocks) == top
 
     def test_mahalanobis_blocks_are_exact_rows(self, monkeypatch):
         monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 600)
@@ -227,14 +224,13 @@ class TestScanSelfDistances:
         vectors = rng.integers(-2, 3, size=(60, 3)).astype(np.float64)
         metric = DistanceMetric.mahalanobis(np.diag([1.0, 2.0, 3.0]))
         expected = pairwise(metric, vectors, vectors)
-        top = expected.max()
         np.fill_diagonal(expected, np.inf)
         kth = np.partition(expected, 2, axis=1)[:, 2]
         blocks = scan_self_distances(
             metric,
             vectors,
             lambda b: (b.approx.copy(), b.eps.copy(), b.kth_smallest(3),
-                       b.count_within(kth[b.start:b.stop]), b.maximum(), b.rescored),
+                       b.count_within(kth[b.start:b.stop]), b.rescored),
         )
         np.testing.assert_array_equal(np.vstack([b[0] for b in blocks]), expected)
         assert not np.concatenate([b[1] for b in blocks]).any()
@@ -242,12 +238,11 @@ class TestScanSelfDistances:
         np.testing.assert_array_equal(
             np.concatenate([b[3] for b in blocks]), np.sum(expected <= kth[:, None], axis=1)
         )
-        assert max(b[4] for b in blocks) == top
-        assert sum(b[5] for b in blocks) == 0
+        assert sum(b[4] for b in blocks) == 0
 
 
 class TestBoundarySelection:
-    """Exact k-th values, counts and maxima from the GEMM scan, bit for bit
+    """Exact k-th values and counts from the GEMM scan, bit for bit
     against a full cdist matrix and np.partition."""
 
     @pytest.mark.parametrize("n_threads", [None, 1, 4])
@@ -259,7 +254,7 @@ class TestBoundarySelection:
         vectors = scan_data(data, rng)
         probes = vectors[rng.choice(len(vectors), 4)] + rng.normal(size=(4, vectors.shape[1]))
         for metric, name in _GEMM_METRICS:
-            full, top = _cdist_reference(vectors, name)
+            full = _cdist_reference(vectors, name)
             for k in (1, 4, 89):
                 kth = np.partition(full, k - 1, axis=1)[:, k - 1]
                 limits = [kth] + [cdist(p[None, :], vectors, metric=name)[0] for p in probes]
@@ -269,7 +264,6 @@ class TestBoundarySelection:
                     lambda b: (
                         b.kth_smallest(k),
                         [b.count_within(t[b.start:b.stop]) for t in limits],
-                        b.maximum(),
                     ),
                     n_threads,
                 )
@@ -278,7 +272,6 @@ class TestBoundarySelection:
                 for i, t in enumerate(limits):
                     counts = np.concatenate([b[1][i] for b in blocks])
                     np.testing.assert_array_equal(counts, np.sum(full <= t[:, None], axis=1))
-                assert max(b[2] for b in blocks) == top
 
     def test_near_ties_inside_the_bound(self):
         # sample 0 is the centre of a sphere of antipodal pairs: its
@@ -293,17 +286,14 @@ class TestBoundarySelection:
         # error outgrows the distances' spread
         far = np.vstack([sphere, np.full((1, 8), 400.0)])
         for (metric, name), vectors in itertools.product(_GEMM_METRICS, (sphere, far)):
-            full, top = _cdist_reference(vectors, name)
+            full = _cdist_reference(vectors, name)
             for k in (1, 2, 7):
                 kth = np.partition(full, k - 1, axis=1)[:, k - 1]
-                ((got, counts, largest),) = scan_self_distances(
-                    metric,
-                    vectors,
-                    lambda b: (b.kth_smallest(k), b.count_within(kth), b.maximum()),
+                ((got, counts),) = scan_self_distances(
+                    metric, vectors, lambda b: (b.kth_smallest(k), b.count_within(kth))
                 )
                 assert got.tobytes() == kth.tobytes(), (name, k)
                 np.testing.assert_array_equal(counts, np.sum(full <= kth[:, None], axis=1))
-                assert largest == top
 
     def test_entries_below_a_band_edge_under_zero(self):
         # a hand-made block within its bound of 1: row 0's squared
@@ -370,15 +360,14 @@ class TestBlockBuffers:
         for metric in [m for m, _ in _GEMM_METRICS] + [mahalanobis]:
             # cdist's matrix under the GEMM metrics
             full = pairwise(metric, vectors, vectors)
-            top = full.max()
             np.fill_diagonal(full, np.inf)
             kth = np.partition(full, 2, axis=1)[:, 2]
 
             def select(b):
                 before = b.approx.tobytes()
-                got = (b.kth_smallest(3), b.count_within(kth[b.start:b.stop]), b.maximum())
+                got = (b.kth_smallest(3), b.count_within(kth[b.start:b.stop]))
                 assert b.approx.tobytes() == before
-                assert not any(np.shares_memory(r, b.approx) for r in got[:2])
+                assert not any(np.shares_memory(r, b.approx) for r in got)
                 return b.start, *got
 
             blocks = scan_self_distances(metric, vectors, select, n_threads)
@@ -387,7 +376,6 @@ class TestBlockBuffers:
             np.testing.assert_array_equal(
                 np.concatenate([b[2] for b in blocks]), np.sum(full <= kth[:, None], axis=1)
             )
-            assert max(b[3] for b in blocks) == top
 
     def test_single_thread_reuses_one_pair(self, monkeypatch):
         # 600 entries per block: six blocks of ten rows of 60

@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from dakr import (
     rank_by_distance,
     rnn,
 )
-from dakr.errors import NonPositiveSigma, StaleSigmaTable
+from dakr.errors import InvalidParams, NonPositiveSigma, StaleSigmaTable
+from dakr.fileio import read_sigma_sidecar, sigma_table_from_sidecar, write_sigma_sidecar
 from dakr.kernels import SigmaTable, reference_digest
 
 from conftest import SCAN_DATA, random_instance, scan_data
@@ -34,7 +36,6 @@ from oracles import (
     brute_knn,
     brute_rnn,
     brute_sigmas,
-    euclid,
     make_dist,
     offset_for,
 )
@@ -150,6 +151,16 @@ class TestSigmaTable:
                 gallery_sigmas=np.array([1.0, 0.0, 1.0]),
             )
 
+    def test_rejects_an_empty_gallery(self):
+        with pytest.raises(InvalidParams, match="gallery samples"):
+            SigmaTable(
+                k_sigma=1,
+                policy_mode="gallery_only",
+                reference_digest=b"\x00" * 32,
+                gallery_ids=[],
+                gallery_sigmas=[],
+            )
+
 
 class TestBlockedSigmaTable:
     """Reference sets spanning several row blocks of the self-distance
@@ -167,7 +178,7 @@ class TestBlockedSigmaTable:
         # distance is 0, so the sigma floor applies
         gvecs[47] = gvecs[3]
         gvecs[58] = gvecs[3]
-        # the farthest pair, which scales the floor, sits in middle blocks
+        # a far pair in middle blocks
         gvecs[15] = 10.0
         gvecs[45] = -10.0
         pvecs = rng.normal(size=(8, 3))
@@ -179,8 +190,7 @@ class TestBlockedSigmaTable:
 
         table = compute_sigma_table(gallery, euclidean, 2, policy, n_threads=n_threads)
         expected = brute_sigmas(gdict, 2, probes=pdict)
-        refs = list(gdict.values()) + (list(pdict.values()) if pdict else [])
-        floor = 1e-12 * max(euclid(a, b) for a in refs for b in refs)
+        floor = 1e-12 * sorted(expected[i] for i in range(60))[30]
         got = dict(zip(table.gallery_ids.tolist(), table.gallery_sigmas))
         if with_probes:
             offset = offset_for(gdict)
@@ -197,11 +207,13 @@ class TestSigmaTableAgainstCdist:
 
     @staticmethod
     def reference(refs, k, name):
+        # The floor is 1e-12 times the upper median of the 80 gallery
+        # bandwidths, or 1e-12 when that is 0.
         full = cdist(refs, refs, metric=name)
-        top = full.max()
         np.fill_diagonal(full, np.inf)
         kth = np.partition(full, k - 1, axis=1)[:, k - 1]
-        return np.maximum(kth, 1e-12 * (top if top > 0 else 1.0))
+        median = np.sort(kth[:80])[40]
+        return np.maximum(kth, 1e-12 * (median if median > 0 else 1.0))
 
     @pytest.mark.parametrize("n_threads", [None, 1, 4])
     @pytest.mark.parametrize("data", SCAN_DATA)
@@ -216,7 +228,7 @@ class TestSigmaTableAgainstCdist:
             (DistanceMetric.squared_euclidean(), "sqeuclidean"),
         ):
             for policy, refs in (
-                (AugmentationPolicy.gallery_only(), vectors[:80]),
+                (AugmentationPolicy(), vectors[:80]),
                 (AugmentationPolicy.with_probes(probes), vectors),
             ):
                 for k in (1, 3, 20):
@@ -256,42 +268,105 @@ class TestSigmaTableLog:
         assert [r for r in caplog.records if r.name == "dakr"] == []
 
 
-class TestLargestDistanceScan:
-    """The sigma floor needs the largest distance.  Exact-row scans find it
-    in their one scan; after a GEMM scan a second scan finds it only when
-    the floor could act."""
+def counted_scans(monkeypatch) -> list:
+    """The calls compute_sigma_table makes to scan_self_distances from now on."""
+    calls = []
+    inner = dakr.kernels.scan_self_distances
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dakr.kernels, "scan_self_distances", counted)
+    return calls
+
+
+def floor_hits(caplog) -> list[int]:
+    """The floor-hit count of each sigma table logged so far."""
+    lines = [r.getMessage() for r in caplog.records if r.name == "dakr"]
+    return [int(re.search(r", (\d+) sigma floor hits", line).group(1)) for line in lines]
+
+
+class TestSigmaFloor:
+    """Degenerate bandwidths are floored at 1e-12 times the upper median
+    of the gallery's bandwidths, which the table's one scan selects."""
+
+    @pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean", "mahalanobis"])
+    @pytest.mark.parametrize("data", SCAN_DATA)
+    def test_one_scan_per_table(self, monkeypatch, data, metric):
+        vectors = scan_data(data, np.random.default_rng(7))
+        if metric == "mahalanobis":
+            metric = DistanceMetric.mahalanobis(np.diag(np.arange(1.0, vectors.shape[1] + 1)))
+        else:
+            metric = DistanceMetric(metric)
+        calls = counted_scans(monkeypatch)
+        compute_sigma_table(FeatureSet(np.arange(90), vectors), metric, 3)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "data, metric, k, scans, hits",
+        "data, metric, k, hits",
         [
-            ("gaussian", DistanceMetric.euclidean(), 3, 1, 0),
-            ("gaussian", DistanceMetric.squared_euclidean(), 3, 1, 0),
-            # sigmas under 1e-12, though not under the floor
-            ("1e-160", DistanceMetric.euclidean(), 3, 2, 0),
-            ("duplicates", DistanceMetric.euclidean(), 1, 2, 90),
-            ("duplicates", DistanceMetric.squared_euclidean(), 2, 2, 90),
-            ("near_duplicates", DistanceMetric.euclidean(), 1, 2, 90),
-            ("near_duplicates", DistanceMetric.euclidean(), 3, 1, 0),
-            ("gaussian", DistanceMetric.mahalanobis(np.diag([1.0, 2, 3, 4, 5, 6])), 3, 1, 0),
-            ("duplicates", DistanceMetric.mahalanobis(np.eye(4)), 1, 1, 90),
-            ("far", DistanceMetric.euclidean(), 3, 1, 88),
+            ("gaussian", DistanceMetric.euclidean(), 3, 0),
+            ("duplicates", DistanceMetric.euclidean(), 1, 90),
+            ("duplicates", DistanceMetric.squared_euclidean(), 2, 90),
+            ("duplicates", DistanceMetric.mahalanobis(np.eye(4)), 1, 90),
+            # positive bandwidths, though under 1e-12 times the diameter
+            ("near_duplicates", DistanceMetric.euclidean(), 1, 0),
+            ("near_duplicates", DistanceMetric.euclidean(), 3, 0),
+            # two samples at 1e154 set no floor for the other 88
+            ("far", DistanceMetric.euclidean(), 3, 0),
         ],
     )
-    def test_scans_per_table(self, monkeypatch, caplog, data, metric, k, scans, hits):
+    def test_floor_hits(self, caplog, data, metric, k, hits):
         vectors = scan_data(data, np.random.default_rng(7))
-        calls = []
-        inner = dakr.kernels.scan_self_distances
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(dakr.kernels, "scan_self_distances", counted)
         with caplog.at_level(logging.INFO, logger="dakr"):
             compute_sigma_table(FeatureSet(np.arange(90), vectors), metric, k)
-        (line,) = [r.getMessage() for r in caplog.records if r.name == "dakr"]
-        assert len(calls) == scans
-        assert re.search(r", (\d+) sigma floor hits", line).group(1) == str(hits)
+        assert floor_hits(caplog) == [hits]
+
+    @pytest.mark.parametrize("metric", [DistanceMetric.euclidean(), DistanceMetric.squared_euclidean()])
+    def test_a_far_sample_moves_no_other_bandwidth(self, caplog, metric):
+        vectors = scan_data("gaussian", np.random.default_rng(7))
+        far = np.vstack([vectors, np.full((1, vectors.shape[1]), 1e13)])
+        with caplog.at_level(logging.INFO, logger="dakr"):
+            base = compute_sigma_table(FeatureSet(np.arange(90), vectors), metric, 3)
+            table = compute_sigma_table(FeatureSet(np.arange(91), far), metric, 3)
+        assert table.gallery_sigmas[:90].tobytes() == base.gallery_sigmas.tobytes()
+        assert floor_hits(caplog) == [0, 0]
+
+    def test_coincident_probe_takes_the_tables_floor(self, tmp_path, euclidean):
+        # samples 0-3 coincide, so at k_sigma 3 half the gallery's
+        # bandwidths, and a probe's at their point, are 0 before the floor
+        vectors = np.random.default_rng(11).normal(size=(8, 4))
+        vectors[1:4] = vectors[0]
+        gallery = FeatureSet(np.arange(8), vectors)
+        fresh = compute_sigma_table(gallery, euclidean, 3)
+        path = tmp_path / "gallery.sgt"
+        write_sigma_sidecar(fresh, path)
+        loaded = sigma_table_from_sidecar(read_sigma_sidecar(path), gallery, euclidean)
+        # the upper median, not the mean of the two middle values
+        floor = 1e-12 * np.sort(fresh.gallery_sigmas)[4]
+        assert fresh.gallery_sigmas[:4].tolist() == [floor] * 4
+        for table in (fresh, loaded):
+            assert table._floor == floor
+            assert probe_sigma(99, vectors[0], gallery, euclidean, table) == floor
+
+    @pytest.mark.parametrize("rank", [inv_dakr_rank, bi_dakr_rank])
+    def test_clusters_too_far_apart_for_float64(self, euclidean, rank):
+        # every distance between the clusters overflows; each cluster's
+        # own bandwidths at k_sigma 2 are finite, so the table builds
+        rng = np.random.default_rng(13)
+        near, far = rng.normal(size=(2, 5, 2))
+        far[:, 0] += 1e200
+        gallery = FeatureSet(np.arange(10), np.vstack([far, near]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = compute_sigma_table(gallery, euclidean, 2)
+            ranked = rank(99, [0.0, 0.0], gallery, euclidean, table)
+        assert np.all(np.isfinite(table.gallery_sigmas))
+        # infinite kernel arguments tie, so ids ascend, as under knn
+        assert ranked.gallery_ids[5:].tolist() == [0, 1, 2, 3, 4]
+        assert ranked.values[5:].tolist() == [0.0] * 5
+        assert np.all(ranked.values[:5] > 0)
 
 
 class TestInvDakr:
@@ -470,7 +545,7 @@ class TestBiDakr:
     def test_policy_mode_must_match_table(self, euclidean, line_gallery, fn, table_mode):
         probes = FeatureSet([50, 51], [[0.2], [2.0]])
         policies = {
-            "gallery_only": AugmentationPolicy.gallery_only(),
+            "gallery_only": AugmentationPolicy(),
             "with_probes": AugmentationPolicy.with_probes(probes),
             # The same probe ids with other vectors: another reference set.
             "other_probes": AugmentationPolicy.with_probes(FeatureSet([50, 51], [[0.2], [7.0]])),
@@ -655,7 +730,7 @@ class TestMahalanobisOracle:
                 policy = (
                     AugmentationPolicy.with_probes(probes)
                     if with_probes
-                    else AugmentationPolicy.gallery_only()
+                    else AugmentationPolicy()
                 )
                 oracle_probes = pdict if with_probes else None
                 table = compute_sigma_table(gallery, metric, k_sigma, policy)

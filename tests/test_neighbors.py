@@ -65,7 +65,7 @@ class TestBlockedInnScan:
         gdict = {i: list(v) for i, v in enumerate(gvecs)}
         pdict = {100 + i: list(v) for i, v in enumerate(pvecs)}
         for policy, pool_probes in (
-            (AugmentationPolicy.gallery_only(), None),
+            (AugmentationPolicy(), None),
             (AugmentationPolicy.with_probes(probes), pdict),
         ):
             for row, pid in enumerate(probes.ids.tolist()):
@@ -228,7 +228,7 @@ class TestPoolRuleOracle:
             gdict = {i: list(v) for i, v in enumerate(gvecs)}
             pdict = {pid: list(v) for pid, v in zip(ids, pvecs)}
             for policy, pool_probes in (
-                (AugmentationPolicy.gallery_only(), None),
+                (AugmentationPolicy(), None),
                 (AugmentationPolicy.with_probes(probes), pdict),
             ):
                 for pid, pvec in zip(ids, pvecs):
@@ -423,11 +423,6 @@ class TestJaccard:
 
     def test_empty_union_is_maximal(self):
         assert jaccard_distance(set(), set()) == 1.0
-
-    def test_accepts_neighbor_sets(self):
-        a = frozenset({1, 2})
-        b = frozenset({2, 3})
-        assert jaccard_distance(a, b) == pytest.approx(1 - 1 / 3)
 
     def test_pseudometric_exhaustive_five_element_universe(self):
         universe = range(5)

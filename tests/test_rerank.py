@@ -133,7 +133,7 @@ class TestRerankFacade:
                                          requested):
         gallery, probes = small_batch
         policies = {
-            "gallery_only": AugmentationPolicy.gallery_only(),
+            "gallery_only": AugmentationPolicy(),
             "with_probes": AugmentationPolicy.with_probes(probes),
             # The same probe ids with other vectors: another reference set.
             "other_probes": AugmentationPolicy.with_probes(

@@ -7,7 +7,8 @@ Each tree is a directory holding the ``dakr`` package (a checkout's
 the sigma floor) and a Mahalanobis matrix are generated
 once, under PARENT_SRC; then the same command matrix (``gen --format
 csv`` and ``gen --format bin`` of each scenario, ``sigma``, ``sigma
---with-probes``, ``sigma --k-sigma 4``, ``rerank`` for every method
+--with-probes``, ``sigma --k-sigma 4``, on one scenario a ``sigma`` whose
+``--k-sigma`` exceeds the pool and so warns, ``rerank`` for every method
 token and with all three sidecars, Mahalanobis ``rerank``s, a squared
 euclidean ``sigma`` and two such ``rerank``s, three ``eval``s, the third on a
 truth file with an extra row for a probe id absent from the probe file, and
@@ -104,6 +105,10 @@ def commands(inputs: Path, out: Path, scenario_flags: list[str]):
     yield ["sigma", "--gallery", inputs / "gallery.csv", "--out", out / "gallery.sgt"]
     yield ["sigma", *files, "--with-probes", "--out", out / "with_probes.sgt"]
     yield ["sigma", "--gallery", inputs / "gallery.csv", "--k-sigma", "4", "--out", out / "k4.sgt"]
+    if "imperfect_single_shot" in scenario_flags:
+        # k_sigma past the pool: the clamp warning, through cli.main's hook
+        yield ["sigma", "--gallery", inputs / "gallery.csv", "--k-sigma", "100000",
+               "--out", out / "clamped.sgt"]
     for token in TOKENS:
         yield ["rerank", *files, "--method", token, "--k", "4", "--out", out / f"rerank_{token}.csv"]
     for token, table in (("bi_dakr", "gallery.sgt"), ("bi_dakr+", "with_probes.sgt")):
