@@ -424,6 +424,13 @@ class TestJaccard:
     def test_empty_union_is_maximal(self):
         assert jaccard_distance(set(), set()) == 1.0
 
+    def test_accepts_neighbor_sets(self, euclidean, reciprocal_gallery):
+        # The sets knn and inn return, not hand-built ones: {1, 2, 3} and {2, 3}.
+        args = (RECIPROCAL_PROBE_ID, RECIPROCAL_PROBE, reciprocal_gallery, euclidean, 3)
+        a, b = knn(*args), inn(*args)
+        assert jaccard_distance(a, b) == pytest.approx(1 - 2 / 3)
+        assert jaccard_distance(a, a) == 0.0
+
     def test_pseudometric_exhaustive_five_element_universe(self):
         universe = range(5)
         subsets = [
