@@ -19,6 +19,7 @@ import os
 import sys
 import time
 import warnings
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -373,26 +374,34 @@ def cmd_sweep(parser, args) -> int:
     return 0
 
 
-def _bench_methods(tokens, gallery, probes, metric, k, k_sigma):
-    """(offline_ms, median online ms per probe) of every method token.
+def _bench_methods(tokens, cases, metric):
+    """(offline_ms, median online ms per probe) of every method token at
+    every size, size-major.
 
-    Each token goes through the same offline phase as ``eval`` first.  The
-    tokens then take turns probe by probe, so a drift in host speed lands
-    on all of them alike.  A probe is ranked by the library's per-probe API,
-    so inverse neighbor scans pay their full online cost on each probe; it
-    counts its fastest of up to 5 calls, stopping once 50 ms are spent.
+    ``cases`` holds one (gallery, probes, k, k_sigma) per size.  Every
+    (size, token) goes through the same offline phase as ``eval`` first.
+    Then, probe row by probe row, the sizes take turns and within each size
+    the tokens do, so a drift in host speed lands on all of them alike
+    rather than on one size.  A probe is ranked by the library's per-probe
+    API, so inverse neighbor scans pay their full online cost on each
+    probe; it counts its fastest of up to 5 calls, stopping once 50 ms are
+    spent.
     """
-    phases = [offline_phase(token, probes, gallery, metric, k_sigma) for token in tokens]
+    phases = [
+        (gallery, probes, k, *offline_phase(token, probes, gallery, metric, k_sigma))
+        for gallery, probes, k, k_sigma in cases
+        for token in tokens
+    ]
 
     def run(phase, row):
-        method, policy, table, _ = phase
+        gallery, probes, k, method, policy, table, _ = phase
         pid, vec = int(probes.ids[row]), probes.vectors[row]
         rank_probe(method, pid, vec, gallery, metric, k, table, policy)
 
     for phase in phases:
         run(phase, 0)  # warmup, excluded from timing
     samples = [[] for _ in phases]
-    for row in range(len(probes)):
+    for row in range(len(phases[0][1])):
         for phase, best in zip(phases, samples):
             calls = []
             while len(calls) < 5 and sum(calls) < 0.05:
@@ -400,7 +409,7 @@ def _bench_methods(tokens, gallery, probes, metric, k, k_sigma):
                 run(phase, row)
                 calls.append(time.perf_counter() - started)
             best.append(min(calls) * 1e3)
-    return [(phase[3], float(np.median(best))) for phase, best in zip(phases, samples)]
+    return [(phase[-1], float(np.median(best))) for phase, best in zip(phases, samples)]
 
 
 def cmd_bench(parser, args) -> int:
@@ -408,34 +417,34 @@ def cmd_bench(parser, args) -> int:
     if min(args.sizes) < 2:
         parser.error("--sizes must be at least 2: a bandwidth needs two reference samples")
     rng = np.random.default_rng(args.seed)
-    rows = []
+    cases = []
     for n in args.sizes:
         gallery = FeatureSet(np.arange(n), rng.standard_normal((n, args.dim)))
         probes = FeatureSet(
             n + np.arange(args.bench_probes),
             rng.standard_normal((args.bench_probes, args.dim)),
         )
-        metric = DistanceMetric.euclidean()
         k = args.k or max(1, round(0.01 * n))
-        k_sigma = args.k_sigma or default_k_sigma(n)
-        timings = _bench_methods(methods, gallery, probes, metric, k, k_sigma)
-        for method, (offline_ms, online_ms) in zip(methods, timings):
-            rows.append(
-                {
-                    "method": method,
-                    "n": n,
-                    "dim": args.dim,
-                    "offline_ms": f"{offline_ms:.6f}",
-                    "online_ms_per_probe": f"{online_ms:.6f}",
-                }
-            )
-            log.info(
-                "bench %s n=%d offline=%.2fms online=%.4fms/probe",
-                method,
-                n,
-                offline_ms,
-                online_ms,
-            )
+        cases.append((gallery, probes, k, args.k_sigma or default_k_sigma(n)))
+    timings = _bench_methods(methods, cases, DistanceMetric.euclidean())
+    rows = []
+    for (n, method), (offline_ms, online_ms) in zip(product(args.sizes, methods), timings):
+        rows.append(
+            {
+                "method": method,
+                "n": n,
+                "dim": args.dim,
+                "offline_ms": f"{offline_ms:.6f}",
+                "online_ms_per_probe": f"{online_ms:.6f}",
+            }
+        )
+        log.info(
+            "bench %s n=%d offline=%.2fms online=%.4fms/probe",
+            method,
+            n,
+            offline_ms,
+            online_ms,
+        )
     write_csv_rows(
         rows, ["method", "n", "dim", "offline_ms", "online_ms_per_probe"], args.out
     )
