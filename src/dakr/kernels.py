@@ -87,7 +87,9 @@ class SigmaTable:
 
     ``_floor`` floors a probe's own bandwidth: :func:`_sigma_floor` of the
     gallery bandwidths, the floor they were built with unless over half
-    of them were 0 and floored to 1e-12, which makes it 1e-24.
+    of them were 0 and floored to 1e-12, which makes it 1e-24.  ``_unit``
+    is the power of two at their upper median, and ``_unit_sigmas`` the
+    gallery bandwidths in that unit, for :func:`bi_dakr_rank`.
     """
 
     k_sigma: int
@@ -116,6 +118,9 @@ class SigmaTable:
         if not len(self.gallery_ids):
             raise InvalidParams("a bandwidth table needs gallery samples")
         object.__setattr__(self, "_floor", _sigma_floor(self.gallery_sigmas))
+        unit = np.ldexp(1.0, np.frexp(_upper_median(self.gallery_sigmas))[1])
+        object.__setattr__(self, "_unit", unit)
+        object.__setattr__(self, "_unit_sigmas", self.gallery_sigmas / unit)
 
 
 def compute_sigma_table(
@@ -238,7 +243,10 @@ def _rank_by_kernel(probe_id: int, probe_vector, gallery, metric, table, argumen
     kernel argument t = argument(d) of its distance row d, scores exp(-t)."""
     _check_table(table, gallery, metric)
     _, ids, keep, d = pool_row(probe_id, probe_vector, gallery, metric)
-    t = argument(d)[keep]
+    # An argument past float64 is inf, and ranks last with score 0.  Set
+    # here, not in rerank(): pool threads do not inherit numpy's errstate.
+    with np.errstate(over="ignore"):
+        t = argument(d)[keep]
     return ranking(probe_id, ids[keep], np.exp(-t), DESCENDING_SCORE, t)
 
 
@@ -285,12 +293,20 @@ def probe_sigma(
     return max(sigma, table._floor)
 
 
+def _upper_median(sigmas: np.ndarray) -> float:
+    return float(np.partition(sigmas, len(sigmas) // 2)[len(sigmas) // 2])
+
+
 def _sigma_floor(sigmas: np.ndarray) -> float:
     """The floor for degenerate bandwidths: 1e-12 times the upper median m
-    of ``sigmas``, or 1e-12 when m is 0.  Floored values stay under m, so
-    floored bandwidths give the same floor (an averaged median would not)."""
-    m = float(np.partition(sigmas, len(sigmas) // 2)[len(sigmas) // 2])
-    return _SIGMA_FLOOR_SCALE * (m if m > 0 else 1.0)
+    of ``sigmas``, but no less than the smallest positive float64 (a
+    subnormal m would underflow it to 0), or 1e-12 when m is 0.  Floored
+    values stay at most m, so floored bandwidths give the same floor (an
+    averaged median would not)."""
+    m = _upper_median(sigmas)
+    if m > 0:
+        return max(_SIGMA_FLOOR_SCALE * m, np.finfo(np.float64).smallest_subnormal)
+    return _SIGMA_FLOOR_SCALE
 
 
 def bi_dakr_rank(
@@ -312,7 +328,11 @@ def bi_dakr_rank(
 
     def argument(d):
         sigma_i = probe_sigma(probe_id, probe_vector, gallery, metric, table, policy)
-        return d * d / (sigma_i * table.gallery_sigmas)
+        # In the table's power-of-two unit, which scales exactly: the bits
+        # of d*d / (sigma_i*sigma_j) wherever those products stay normal,
+        # and no 0/0 where both would underflow (subnormal bandwidths).
+        d = d / table._unit
+        return d * d / (sigma_i / table._unit * table._unit_sigmas)
 
     return _rank_by_kernel(probe_id, probe_vector, gallery, metric, table, argument)
 

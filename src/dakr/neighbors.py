@@ -140,12 +140,39 @@ def _nearest(ids: np.ndarray, dists: np.ndarray, k: int) -> frozenset:
     return frozenset(int(i) for i in ids[order[:k]])
 
 
+def _sort_one_key(ids: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The rows of ``np.lexsort((ids, key))``, from one ``argsort`` of
+    ``key``: only the runs of equal keys (a tie, -0.0 beside 0.0, repeated
+    inf) are re-sorted, by id, in place.  A NaN key takes the ``lexsort``."""
+    rows = np.argsort(key)
+    ordered = key[rows]
+    if np.isnan(ordered[-1]):  # argsort puts NaN last
+        return np.lexsort((ids, key))
+    tied = ordered[1:] == ordered[:-1]
+    if not tied.any():
+        return rows
+    in_run = np.zeros(len(rows), dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    runs = np.flatnonzero(in_run)
+    members = rows[runs]
+    rows[runs] = members[np.lexsort((ids[members], ordered[runs]))]
+    return rows
+
+
 def ranking(probe_id: int, ids, values, order: str, *sort_keys) -> RankedList:
     """The one place rankings are built: ``ids`` with their ``values``,
-    sorted by ``sort_keys`` (the last one primary), ties by ascending id."""
+    sorted by ``sort_keys`` (the last one primary), ties by ascending id.
+
+    Several keys go through one ``lexsort``; one key through
+    :func:`_sort_one_key`, which orders it the same way.
+    """
     if len(ids) == 0:
         raise EmptyGallery("no gallery candidates for this probe")
-    rows = np.lexsort((ids, *sort_keys))
+    if len(sort_keys) == 1:
+        rows = _sort_one_key(ids, sort_keys[0])
+    else:
+        rows = np.lexsort((ids, *sort_keys))
     return RankedList(
         probe_id=int(probe_id), gallery_ids=ids[rows], values=values[rows], order=order
     )

@@ -192,6 +192,34 @@ class TestSigma:
         assert record["sigmas"].tolist() == [3.0, 2.0, 3.0]
         assert record["k_sigma"] == 2
 
+    def test_subnormal_bandwidths_build(self, tmp_path, capsys):
+        # squared distances and their median are subnormal; 1e-12 of that
+        # median would underflow to a floor of 0 and exit 4
+        gpath = tmp_path / "gallery.csv"
+        write_features_csv(FeatureSet(np.arange(5), [[0.0, 0.0], [0.0, 0.0], [1e-160, 0.0],
+                                                      [2e-160, 0.0], [3e-160, 0.0]]), gpath)
+        out = tmp_path / "table.sgt"
+        code = run("sigma", "--gallery", gpath, "--metric", "squared_euclidean",
+                   "--k-sigma", "1", "--out", out)
+        assert code == 0, capsys.readouterr().err
+        assert np.all(read_sigma_sidecar(out)["sigmas"] > 0)
+
+    @pytest.mark.parametrize("method", ["inv_dakr", "bi_dakr"])
+    def test_subnormal_bandwidths_rank(self, tmp_path, capsys, method):
+        # sigma_i*sigma_j and d*d underflow to 0 together: bi_dakr took
+        # 0/0 = NaN and exited 4
+        gpath, ppath = tmp_path / "gallery.csv", tmp_path / "probes.csv"
+        write_features_csv(FeatureSet(np.arange(5), [[0.0, 0.0], [0.0, 0.0], [1e-160, 0.0],
+                                                      [2e-160, 0.0], [3e-160, 0.0]]), gpath)
+        write_features_csv(FeatureSet([9], [[1.2e-160, 0.0]]), ppath)
+        out = tmp_path / "ranks.csv"
+        code = run("rerank", "--gallery", gpath, "--probes", ppath, "--method", method,
+                   "--metric", "squared_euclidean", "--k-sigma", "1", "--out", out)
+        assert code == 0, capsys.readouterr().err
+        ranked = read_rankings_csv(out)[9]
+        assert sorted(g for _, g, _, _ in ranked) == [0, 1, 2, 3, 4]
+        assert all(np.isfinite(v) for _, _, v, _ in ranked)
+
     def test_rerun_identical_bytes(self, line_fixture, tmp_path):
         _, _, gpath, _ = line_fixture
         a, b = tmp_path / "a.sgt", tmp_path / "b.sgt"

@@ -368,6 +368,69 @@ class TestSigmaFloor:
         assert ranked.values[5:].tolist() == [0.0] * 5
         assert np.all(ranked.values[:5] > 0)
 
+    # Five samples within 3e-160: squared distances and their upper median
+    # are subnormal, and 1e-12 of that median underflows to 0.
+    SUBNORMAL = np.array([[0.0, 0.0], [0.0, 0.0], [1e-160, 0.0], [2e-160, 0.0], [3e-160, 0.0]])
+
+    def test_a_subnormal_median_keeps_the_floor_positive(self, caplog):
+        gallery = FeatureSet(np.arange(5), self.SUBNORMAL)
+        with caplog.at_level(logging.INFO, logger="dakr"):
+            table = compute_sigma_table(gallery, DistanceMetric.squared_euclidean(), 1)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        assert floor_hits(caplog) == [2]
+        assert table._floor == tiny
+        assert table.gallery_sigmas[:2].tolist() == [tiny, tiny]
+        assert np.all(table.gallery_sigmas[2:] > tiny)
+
+    @pytest.mark.parametrize("rank", [inv_dakr_rank, bi_dakr_rank])
+    def test_a_subnormal_gallery_ranks_as_its_scaled_copy(self, rank):
+        # sigma_i*sigma_j and d*d both underflow to 0 here; in the table's
+        # power-of-two unit they do not, so no 0/0 reaches the ranking.
+        squared = DistanceMetric.squared_euclidean()
+        probe = [1.2e-160, 0.0]
+        got = {}
+        for scale in (1.0, 2.0**540):
+            gallery = FeatureSet(np.arange(5), self.SUBNORMAL * scale)
+            table = compute_sigma_table(gallery, squared, 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got[scale] = rank(99, np.multiply(probe, scale), gallery, squared, table)
+        subnormal, normal = got.values()
+        assert np.all(np.isfinite(subnormal.values))
+        assert subnormal.gallery_ids.tolist() == normal.gallery_ids.tolist()
+        # the subnormal distances carry about 11 significant bits, and so do
+        # the kernel arguments -log(score) of the nonzero scores
+        nonzero = normal.values > 0
+        assert (subnormal.values > 0).tolist() == nonzero.tolist()
+        np.testing.assert_allclose(
+            -np.log(subnormal.values[nonzero]), -np.log(normal.values[nonzero]), rtol=1e-2
+        )
+
+    @pytest.mark.parametrize("rank", [inv_dakr_rank, bi_dakr_rank])
+    def test_kernel_arguments_past_float64(self, euclidean, rank):
+        # Clusters 1e150 apart with spread 1e-150: the far cluster's
+        # coordinates round to one point, so its bandwidths take the floor
+        # (about 6e-163), and d/sigma_j and d^2/(sigma_i*sigma_j) overflow.
+        rng = np.random.default_rng(13)
+        near, far = rng.normal(size=(2, 5, 2)) * 1e-150
+        gallery = FeatureSet(np.arange(10), np.vstack([far + 1e150, near]))
+        table = compute_sigma_table(gallery, euclidean, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ranked = rank(99, [0.0, 0.0], gallery, euclidean, table)
+        d = cdist([[0.0, 0.0]], gallery.vectors)[0]
+        sigma_i = probe_sigma(99, [0.0, 0.0], gallery, euclidean, table)
+        with np.errstate(over="ignore"):
+            if rank is inv_dakr_rank:
+                t = d / table.gallery_sigmas
+            else:
+                t = d * d / (sigma_i * table.gallery_sigmas)
+        assert np.isinf(t[:5]).all() and np.isfinite(t[5:]).all()
+        # infinite arguments tie, so the far cluster follows by ascending id
+        assert ranked.gallery_ids.tolist() == np.lexsort((gallery.ids, t)).tolist()
+        assert ranked.gallery_ids[5:].tolist() == [0, 1, 2, 3, 4]
+        assert ranked.values.tolist() == np.exp(-np.sort(t)).tolist()
+
 
 class TestInvDakr:
     def test_coincident_probe_scores_one(self, euclidean, line_gallery):

@@ -25,7 +25,8 @@ from dakr import (
     rank_by_rnn,
     rnn,
 )
-from dakr.errors import EmptyGallery, InvalidParams, OutOfRange
+from dakr.core import ASCENDING_DISTANCE, DESCENDING_SCORE
+from dakr.errors import EmptyGallery, InvalidParams, NonFiniteValue, OutOfRange
 from dakr.kernels import bind_sigma_table
 from dakr.neighbors import (
     candidate_pool,
@@ -33,6 +34,7 @@ from dakr.neighbors import (
     offset_ids,
     pool_row,
     probe_id_offset,
+    ranking,
 )
 
 from conftest import (
@@ -50,6 +52,41 @@ from oracles import brute_inn, brute_knn, brute_rnn, brute_rnn_ranking, float_eu
 def assert_plain_ids(members):
     """A neighbor set is a frozenset of Python ints, never numpy scalars."""
     assert type(members) is frozenset and all(type(i) is int for i in members), members
+
+
+# A small pool makes ties common, -0.0 beside 0.0 and repeated inf among them.
+TIED_KEYS = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.5, np.inf])
+
+
+@st.composite
+def sort_cases(draw):
+    """(ids, key) for one ranking: distinct ids in a drawn order, and keys
+    drawn either from the tie-heavy pool or from all floats but NaN."""
+    ids = draw(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=40, unique=True))
+    keys = draw(st.sampled_from([TIED_KEYS, st.floats(allow_nan=False)]))
+    key = draw(st.lists(keys, min_size=len(ids), max_size=len(ids)))
+    return np.array(ids, dtype=np.int64), np.array(key, dtype=np.float64)
+
+
+class TestRankingSort:
+    """``ranking`` sorts one key by ``argsort`` and falls back to
+    ``lexsort`` on ties; either way its bytes are ``lexsort``'s."""
+
+    @given(case=sort_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lexsort(self, case):
+        ids, key = case
+        rows = np.lexsort((ids, key))
+        for values, order in ((key, ASCENDING_DISTANCE), (-key, DESCENDING_SCORE)):
+            ranked = ranking(7, ids, values, order, key)
+            assert ranked.gallery_ids.tobytes() == ids[rows].tobytes()
+            assert ranked.values.tobytes() == values[rows].tobytes()
+
+    @pytest.mark.parametrize("key", [[np.nan], [1.0, np.nan, 0.5], [np.nan, np.nan, 2.0]])
+    def test_nan_key_raises(self, key):
+        key = np.array(key)
+        with pytest.raises(NonFiniteValue):
+            ranking(0, np.arange(len(key)) * 5 % 7, key, ASCENDING_DISTANCE, key)
 
 
 class TestBlockedInnScan:
