@@ -462,13 +462,18 @@ class RankedList:
             raise InvalidParams("gallery ids must be unique within a ranking")
         if self.order not in (ASCENDING_DISTANCE, DESCENDING_SCORE):
             raise InvalidParams(f"unknown ranking order {self.order!r}")
-        if np.isnan(values).any():
-            raise NonFiniteValue("ranking values contain NaN")
-        # Compared, not subtracted: inf - inf would warn.
-        if self.order == ASCENDING_DISTANCE and (values[1:] < values[:-1]).any():
-            raise InvalidParams("values are not sorted ascending")
-        if self.order == DESCENDING_SCORE and (values[1:] > values[:-1]).any():
-            raise InvalidParams("values are not sorted descending")
+        # Compared, not subtracted: inf - inf would warn.  A NaN fails every
+        # comparison, so one pass finds it too, bar a lone entry.
+        if self.order == ASCENDING_DISTANCE:
+            in_order = (values[1:] >= values[:-1]).all()
+        else:
+            in_order = (values[1:] <= values[:-1]).all()
+        if not in_order or len(values) == 1:
+            if np.isnan(values).any():
+                raise NonFiniteValue("ranking values contain NaN")
+            if not in_order:
+                direction = "ascending" if self.order == ASCENDING_DISTANCE else "descending"
+                raise InvalidParams(f"values are not sorted {direction}")
         _freeze(self, gallery_ids=gallery_ids, values=values)
 
     def __len__(self) -> int:

@@ -146,11 +146,11 @@ def _sort_one_key(ids: np.ndarray, key: np.ndarray) -> np.ndarray:
     inf) are re-sorted, by id, in place.  A NaN key takes the ``lexsort``."""
     rows = np.argsort(key)
     ordered = key[rows]
+    if (ordered[1:] > ordered[:-1]).all():
+        return rows
     if np.isnan(ordered[-1]):  # argsort puts NaN last
         return np.lexsort((ids, key))
     tied = ordered[1:] == ordered[:-1]
-    if not tied.any():
-        return rows
     in_run = np.zeros(len(rows), dtype=bool)
     in_run[1:] = tied
     in_run[:-1] |= tied
