@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -334,7 +335,7 @@ class TestBoundarySelection:
             fulls = [(m, cdist(vectors, vectors, metric=name)) for m, name in _GEMM_METRICS]
             fulls.append((mahalanobis, pairwise(mahalanobis, vectors, vectors)))
             # scattered rows, then runs of about a hundred and a thousand
-            # pairs per row, the latter longer than one pairwise() call
+            # pairs per row
             for rows in (scattered, np.sort(scattered % 20), np.sort(scattered % 2)):
                 for metric, full in fulls:
                     got = dakr.core._pair_distances(metric, vectors, rows, cols)
@@ -345,6 +346,71 @@ class TestBoundarySelection:
                     rows, col = np.array(pair[:1]), np.array(pair[1:])
                     got = dakr.core._pair_distances(metric, vectors, rows, col)
                     assert got.tobytes() == full[rows, col].tobytes(), (metric.kind, dim)
+
+    @pytest.mark.parametrize("pairs", [0, 1, 1024, 1025, 5000])
+    @pytest.mark.parametrize("dim", [1, 8, 64])
+    def test_pair_rescoring_calls_pairwise_once_per_chunk(self, monkeypatch, pairs, dim):
+        calls = []
+
+        def counting(metric, queries, refs):
+            calls.append(len(refs))
+            return pairwise(metric, queries, refs)
+
+        monkeypatch.setattr(dakr.core, "pairwise", counting)
+        rng = np.random.default_rng(pairs + dim)
+        vectors = rng.normal(size=(50, dim))
+        rows, cols = rng.integers(0, 50, size=(2, pairs))
+        for chunk in (dakr.core._PAIR_BUDGET, 64):
+            monkeypatch.setattr(dakr.core, "_PAIR_BUDGET", chunk)
+            calls.clear()
+            dakr.core._pair_distances(DistanceMetric.euclidean(), vectors, rows, cols)
+            assert len(calls) == math.ceil(pairs * dim / chunk), chunk
+            assert sum(calls) == pairs
+
+    def test_overflowing_differences_are_inf_without_a_warning(self):
+        # each coordinate's difference is +-2e308, past float64, which numpy's
+        # subtraction warns about and cdist does not
+        vectors = np.array([[1e308, -1e308, 0.0], [-1e308, 1e308, 0.0], [0.0, 0.0, 1e-300]])
+        rows, cols = np.array([0, 1, 0, 2]), np.array([1, 0, 0, 2])
+        for metric, name in _GEMM_METRICS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = dakr.core._pair_distances(metric, vectors, rows, cols)
+            assert got.tolist() == [math.inf, math.inf, 0.0, 0.0], name
+
+
+_MAGNITUDES = st.floats(-150.0, 150.0)
+
+
+@given(
+    dim=st.integers(1, 130),
+    exponents=st.lists(_MAGNITUDES, min_size=1, max_size=6),
+    pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30),
+    chunk=st.integers(1, 300),
+    kind=st.sampled_from(dakr.core.METRIC_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_pair_rescoring_matches_full_rows(dim, exponents, pairs, chunk, kind, seed):
+    # per-row magnitudes from 1e-150 to 1e150; pairs repeat, include (i, i)
+    # whenever a row index wraps onto itself, and may be none at all; a
+    # chunk of a few entries splits one call into several
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(len(exponents), dim)) * 10.0 ** np.array(exponents)[:, None]
+    index = np.array(pairs, dtype=np.int64).reshape(-1, 2) % len(exponents)
+    rows, cols = index[:, 0], index[:, 1]
+    if kind == dakr.core.MAHALANOBIS:
+        basis = rng.normal(size=(dim, dim))
+        metric = DistanceMetric.mahalanobis(basis @ basis.T + np.eye(dim))
+    else:
+        metric = DistanceMetric(kind)
+    with np.errstate(all="ignore"):
+        full = pairwise(metric, vectors, vectors)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dakr.core, "_PAIR_BUDGET", chunk)
+        with np.errstate(all="ignore"):
+            got = dakr.core._pair_distances(metric, vectors, rows, cols)
+    assert got.tobytes() == full[rows, cols].tobytes()
 
 
 class TestBlockBuffers:
