@@ -13,6 +13,7 @@ row's free-form fields (probe id, method) are quoted once through
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import struct
@@ -30,7 +31,7 @@ from .kernels import SigmaTable, bind_sigma_table, reference_digest
 from .neighbors import GALLERY_ONLY, WITH_PROBES, AugmentationPolicy
 
 FEATURE_MAGIC = b"FST1"
-SIGMA_MAGIC = b"SGT1"
+SIGMA_MAGIC = b"SGT2"
 _POLICY_TO_BYTE = {GALLERY_ONLY: 0, WITH_PROBES: 1}
 _BYTE_TO_POLICY = {v: k for k, v in _POLICY_TO_BYTE.items()}
 # Feature rows per %-format and write.
@@ -175,15 +176,16 @@ def write_sigma_sidecar(table: SigmaTable, path) -> None:
     """Versioned binary sidecar so the offline phase survives across
     process runs: magic, u32 count, u32 k_sigma, u8 policy, 32-byte
     reference digest, then count float64 bandwidths (gallery first, then
-    cached probe bandwidths under with_probes)."""
-    path = Path(path)
+    cached probe bandwidths under with_probes), then the SHA-256 of all
+    the bytes before it."""
     sigmas = np.concatenate([table.gallery_sigmas, table.probe_sigmas])
-    with path.open("wb") as fh:
-        fh.write(SIGMA_MAGIC)
-        fh.write(struct.pack("<II", len(sigmas), table.k_sigma))
-        fh.write(struct.pack("<B", _POLICY_TO_BYTE[table.policy_mode]))
-        fh.write(table.reference_digest)
-        fh.write(sigmas.astype("<f8").tobytes())
+    body = b"".join([
+        SIGMA_MAGIC,
+        struct.pack("<IIB", len(sigmas), table.k_sigma, _POLICY_TO_BYTE[table.policy_mode]),
+        table.reference_digest,
+        sigmas.astype("<f8").tobytes(),
+    ])
+    Path(path).write_bytes(body + hashlib.sha256(body).digest())
 
 
 def read_sigma_sidecar(path) -> dict:
@@ -191,18 +193,24 @@ def read_sigma_sidecar(path) -> dict:
     :func:`sigma_table_from_sidecar` once the reference data is at hand."""
     path = Path(path)
     blob = path.read_bytes()
+    if blob[:4] == b"SGT1":
+        raise FormatError(
+            f"{path}: an SGT1 sidecar, whose bandwidths carry no checksum; "
+            "re-run `dakr sigma` to rebuild it"
+        )
     if blob[:4] != SIGMA_MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {SIGMA_MAGIC!r}")
     if len(blob) < 45:
         raise FormatError(f"{path}: truncated header")
-    count, k_sigma = struct.unpack("<II", blob[4:12])
-    policy_byte = blob[12]
+    count, k_sigma, policy_byte = struct.unpack("<IIB", blob[4:13])
+    expected = 45 + 8 * count + 32
+    if len(blob) != expected:
+        raise FormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
+    if hashlib.sha256(blob[:-32]).digest() != blob[-32:]:
+        raise FormatError(f"{path}: checksum mismatch, the header or bandwidths were altered")
     if policy_byte not in _BYTE_TO_POLICY:
         raise FormatError(f"{path}: unknown policy byte {policy_byte}")
     digest = blob[13:45]
-    expected = 45 + 8 * count
-    if len(blob) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
     if k_sigma < 1:
         raise FormatError(f"{path}: k_sigma must be >= 1, got {k_sigma}")
     sigmas = np.frombuffer(blob, dtype="<f8", count=count, offset=45).copy()

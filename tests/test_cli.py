@@ -315,6 +315,25 @@ class TestRerank:
         )
         assert code == 0
 
+    def test_altered_bandwidth_is_refused(self, tmp_path, capsys):
+        # a gallery-only sidecar whose first bandwidth is set to 1e308 would
+        # rank by the altered value; its checksum refuses it
+        data = tmp_path / "data"
+        assert run("gen", "--scenario", "imperfect_single_shot", "--n-identities", "20",
+                   "--n-distractors", "10", "--out", data) == 0
+        files = ["--gallery", data / "gallery.csv", "--probes", data / "probes.csv"]
+        sidecar = tmp_path / "gallery.sgt"
+        assert run("sigma", *files[:2], "--out", sidecar) == 0
+        rerank = ["rerank", *files, "--method", "inv_dakr", "--sigma-table", sidecar]
+        assert run(*rerank, "--out", tmp_path / "intact.csv") == 0
+        blob = bytearray(sidecar.read_bytes())
+        blob[45:53] = struct.pack("<d", 1e308)
+        sidecar.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run(*rerank, "--out", tmp_path / "altered.csv") == 3
+        assert "gallery.sgt: checksum mismatch" in capsys.readouterr().err
+        assert not (tmp_path / "altered.csv").exists()
+
     @pytest.mark.parametrize("level, lines", [("info", 1), ("warning", 1), ("error", 0)])
     def test_with_probes_fallback_reported_once(self, line_fixture, tmp_path, level, lines):
         # In a fresh process, so that DAKR_LOG configures the logging: the

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -191,7 +192,8 @@ class TestSigmaSidecar:
         assert len(table.probe_ids) == len(table.probe_sigmas) == 0
         path = tmp_path / "table.sgt"
         write_sigma_sidecar(table, path)
-        assert path.stat().st_size == 45 + 8 * len(gallery)
+        # 45-byte header, the bandwidths, then their 32-byte SHA-256
+        assert path.stat().st_size == 45 + 8 * len(gallery) + 32
         record = read_sigma_sidecar(path)
         back = sigma_table_from_sidecar(record, gallery, metric)
         assert back.k_sigma == 2
@@ -230,6 +232,53 @@ class TestSigmaSidecar:
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="table.sgt"):
+            read_sigma_sidecar(path)
+
+    def test_sgt1_sidecar_asks_for_a_rebuild(self, tmp_path):
+        gallery = FeatureSet([0, 1], [[0.0], [1.0]])
+        path = tmp_path / "old.sgt"
+        write_sigma_sidecar(compute_sigma_table(gallery, DistanceMetric.euclidean(), 1), path)
+        # the version 1 layout: no checksum after the bandwidths
+        path.write_bytes(b"SGT1" + path.read_bytes()[4:-32])
+        with pytest.raises(FormatError, match=r"old\.sgt: an SGT1 sidecar.*re-run `dakr sigma`"):
+            read_sigma_sidecar(path)
+
+    @pytest.mark.parametrize("offset", [4, 8, 12, 13, 44, 45, 52, 61, -1])
+    def test_any_altered_byte_is_refused(self, tmp_path, offset):
+        gallery = FeatureSet([0, 1], [[0.0], [1.0]])
+        path = tmp_path / "table.sgt"
+        write_sigma_sidecar(compute_sigma_table(gallery, DistanceMetric.euclidean(), 1), path)
+        blob = bytearray(path.read_bytes())
+        blob[offset] ^= 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="table.sgt: (checksum mismatch|expected)"):
+            read_sigma_sidecar(path)
+
+    @pytest.mark.parametrize("size", [0, 4, 44, 45, 60, 92])
+    def test_truncated_sidecar_is_refused(self, tmp_path, size):
+        gallery = FeatureSet([0, 1], [[0.0], [1.0]])
+        path = tmp_path / "table.sgt"
+        write_sigma_sidecar(compute_sigma_table(gallery, DistanceMetric.euclidean(), 1), path)
+        assert path.stat().st_size == 93
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(FormatError, match="table.sgt"):
+            read_sigma_sidecar(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        (slice(8, 12), struct.pack("<I", 0), "k_sigma must be >= 1"),
+        (slice(12, 13), b"\x07", "unknown policy byte 7"),
+        (slice(45, 53), struct.pack("<d", 0.0), "bandwidths must be positive"),
+        (slice(45, 53), struct.pack("<d", float("nan")), "bandwidths must be positive"),
+    ])
+    def test_resealed_fields_are_still_checked(self, tmp_path, field, value, message):
+        # a sidecar whose checksum matches its altered bytes
+        gallery = FeatureSet([0, 1], [[0.0], [1.0]])
+        path = tmp_path / "table.sgt"
+        write_sigma_sidecar(compute_sigma_table(gallery, DistanceMetric.euclidean(), 1), path)
+        body = bytearray(path.read_bytes()[:-32])
+        body[field] = value
+        path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+        with pytest.raises(FormatError, match=message):
             read_sigma_sidecar(path)
 
     def test_stale_against_different_gallery(self, tmp_path):
