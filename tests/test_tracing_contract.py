@@ -5,6 +5,7 @@ the test suite."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ from dakr import (
 from dakr.cli import main
 from dakr.neighbors import GALLERY_ONLY, WITH_PROBES
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_every_traced_name_resolves():
@@ -150,3 +152,21 @@ def test_bench_builds_one_table_per_kernel_token_and_size(table_builds, tmp_path
         (n, 4, mode) for n in (20, 30) for mode in (GALLERY_ONLY, WITH_PROBES)
     ]
     assert len(bound) == len(traced)
+
+
+def test_traced_benchmark_runs_hold_the_seed_counts(monkeypatch):
+    # perfbench/selftest.py asserts each count in run.SEED_STATE on tiny
+    # traced runs of every workload; a change that moves one fails here.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    loaded = set(sys.modules)
+    spec = importlib.util.spec_from_file_location("perfbench_selftest", PERFBENCH / "selftest.py")
+    selftest = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(selftest)
+        selftest.test_traced_runs_emit_every_layer_and_hold_the_seed_counts()
+    finally:
+        # selftest.py imports the harness's modules (run, tracing, ...) by
+        # their bare names
+        for name in set(sys.modules) - loaded:
+            if PERFBENCH in Path(getattr(sys.modules[name], "__file__", None) or "/").parents:
+                del sys.modules[name]
