@@ -379,12 +379,9 @@ class TestBoundarySelection:
             assert got.tolist() == [math.inf, math.inf, 0.0, 0.0], name
 
 
-_MAGNITUDES = st.floats(-150.0, 150.0)
-
-
 @given(
     dim=st.integers(1, 130),
-    exponents=st.lists(_MAGNITUDES, min_size=1, max_size=6),
+    exponents=st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=6),
     pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30),
     chunk=st.integers(1, 300),
     kind=st.sampled_from(dakr.core.METRIC_KINDS),

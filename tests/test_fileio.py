@@ -234,20 +234,23 @@ class TestSigmaSidecar:
         with pytest.raises(FormatError, match="table.sgt"):
             read_sigma_sidecar(path)
 
-    def test_sgt1_sidecar_asks_for_a_rebuild(self, tmp_path):
-        gallery = FeatureSet([0, 1], [[0.0], [1.0]])
-        path = tmp_path / "old.sgt"
-        write_sigma_sidecar(compute_sigma_table(gallery, DistanceMetric.euclidean(), 1), path)
-        # the version 1 layout: no checksum after the bandwidths
-        path.write_bytes(b"SGT1" + path.read_bytes()[4:-32])
-        with pytest.raises(FormatError, match=r"old\.sgt: an SGT1 sidecar.*re-run `dakr sigma`"):
-            read_sigma_sidecar(path)
-
-    @pytest.mark.parametrize("offset", [4, 8, 12, 13, 44, 45, 52, 61, -1])
-    def test_any_altered_byte_is_refused(self, tmp_path, offset):
+    @pytest.fixture
+    def two_sample_sidecar(self, tmp_path):
         gallery = FeatureSet([0, 1], [[0.0], [1.0]])
         path = tmp_path / "table.sgt"
         write_sigma_sidecar(compute_sigma_table(gallery, DistanceMetric.euclidean(), 1), path)
+        return path
+
+    def test_sgt1_sidecar_asks_for_a_rebuild(self, two_sample_sidecar):
+        path = two_sample_sidecar
+        # the version 1 layout: no checksum after the bandwidths
+        path.write_bytes(b"SGT1" + path.read_bytes()[4:-32])
+        with pytest.raises(FormatError, match=r"table\.sgt: an SGT1 sidecar.*re-run `dakr sigma`"):
+            read_sigma_sidecar(path)
+
+    @pytest.mark.parametrize("offset", [4, 8, 12, 13, 44, 45, 52, 61, -1])
+    def test_any_altered_byte_is_refused(self, two_sample_sidecar, offset):
+        path = two_sample_sidecar
         blob = bytearray(path.read_bytes())
         blob[offset] ^= 1
         path.write_bytes(bytes(blob))
@@ -255,10 +258,8 @@ class TestSigmaSidecar:
             read_sigma_sidecar(path)
 
     @pytest.mark.parametrize("size", [0, 4, 44, 45, 60, 92])
-    def test_truncated_sidecar_is_refused(self, tmp_path, size):
-        gallery = FeatureSet([0, 1], [[0.0], [1.0]])
-        path = tmp_path / "table.sgt"
-        write_sigma_sidecar(compute_sigma_table(gallery, DistanceMetric.euclidean(), 1), path)
+    def test_truncated_sidecar_is_refused(self, two_sample_sidecar, size):
+        path = two_sample_sidecar
         assert path.stat().st_size == 93
         path.write_bytes(path.read_bytes()[:size])
         with pytest.raises(FormatError, match="table.sgt"):
@@ -270,11 +271,9 @@ class TestSigmaSidecar:
         (slice(45, 53), struct.pack("<d", 0.0), "bandwidths must be positive"),
         (slice(45, 53), struct.pack("<d", float("nan")), "bandwidths must be positive"),
     ])
-    def test_resealed_fields_are_still_checked(self, tmp_path, field, value, message):
+    def test_resealed_fields_are_still_checked(self, two_sample_sidecar, field, value, message):
         # a sidecar whose checksum matches its altered bytes
-        gallery = FeatureSet([0, 1], [[0.0], [1.0]])
-        path = tmp_path / "table.sgt"
-        write_sigma_sidecar(compute_sigma_table(gallery, DistanceMetric.euclidean(), 1), path)
+        path = two_sample_sidecar
         body = bytearray(path.read_bytes()[:-32])
         body[field] = value
         path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
