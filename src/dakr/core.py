@@ -61,8 +61,8 @@ _BLOCK_ELEMENTS = 1 << 20
 # about 5, so 16 leaves room; s covers rounding below the normal range,
 # which is absolute.
 _EPS_FACTOR = 16.0
-# Entries (pairs times the dimension) per pairwise() call when
-# re-scoring pairs.
+# Entries (pairs times d) per pairwise() call when re-scoring pairs: on
+# far-sample sigma tables 2^14 to 2^17 timed alike, 2^20 24% slower.
 _PAIR_BUDGET = 1 << 16
 
 
