@@ -438,11 +438,11 @@ def scan_self_distances(metric: DistanceMetric, vectors, per_block, n_threads=No
 
 @dataclass(frozen=True)
 class RankedList:
-    """Per-probe ordered candidates with their sort values.
-
-    ``values`` must already be sorted according to ``order``
-    (non-decreasing for ascending_distance, non-increasing for
-    descending_score); within equal values, ids ascend.
+    """Per-probe candidates ordered by their sort keys, ties by ascending
+    id; ``values`` follow that order, non-decreasing for ascending_distance
+    and non-increasing for descending_score.  Equal values whose keys
+    differ keep the keys' order, so their ids need not ascend (a score
+    exp(-t) underflowed to 0.0, two k-INN values rounded alike).
     """
 
     probe_id: int

@@ -136,43 +136,37 @@ def _nearest(ids: np.ndarray, dists: np.ndarray, k: int) -> frozenset:
         raise EmptyGallery("candidate pool is empty")
     if k < 1:
         raise InvalidParams("k must be >= 1")
-    order = np.lexsort((ids, dists))
-    return frozenset(int(i) for i in ids[order[:k]])
+    return frozenset(int(i) for i in ids[_sort_one_key(ids, dists)[:k]])
 
 
-def _sort_one_key(ids: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """The rows of ``np.lexsort((ids, key))``, from one ``argsort`` of
-    ``key``: only the runs of equal keys (a tie, -0.0 beside 0.0, repeated
-    inf) are re-sorted, by id, in place.  A NaN key takes the ``lexsort``."""
+def _sort_one_key(ids: np.ndarray, key: np.ndarray, *tie_keys) -> np.ndarray:
+    """The rows of ``np.lexsort((ids, *reversed(tie_keys), key))``, from one
+    ``argsort`` of ``key``: only the runs of equal keys (a tie, -0.0 beside
+    0.0, repeated inf, the NaNs ``argsort`` puts last) are re-sorted, by
+    ``tie_keys`` in turn and then by id, in place."""
     rows = np.argsort(key)
     ordered = key[rows]
     if (ordered[1:] > ordered[:-1]).all():
         return rows
-    if np.isnan(ordered[-1]):  # argsort puts NaN last
-        return np.lexsort((ids, key))
-    tied = ordered[1:] == ordered[:-1]
+    tied = (ordered[1:] == ordered[:-1]) | np.isnan(ordered[1:])
     in_run = np.zeros(len(rows), dtype=bool)
     in_run[1:] = tied
     in_run[:-1] |= tied
     runs = np.flatnonzero(in_run)
     members = rows[runs]
-    rows[runs] = members[np.lexsort((ids[members], ordered[runs]))]
+    ties = [tie[members] for tie in reversed(tie_keys)]
+    rows[runs] = members[np.lexsort((ids[members], *ties, ordered[runs]))]
     return rows
 
 
-def ranking(probe_id: int, ids, values, order: str, *sort_keys) -> RankedList:
-    """The one place rankings are built: ``ids`` with their ``values``,
-    sorted by ``sort_keys`` (the last one primary), ties by ascending id.
-
-    Several keys go through one ``lexsort``; one key through
-    :func:`_sort_one_key`, which orders it the same way.
-    """
+def ranking(probe_id: int, ids, values, order: str, key, *tie_keys) -> RankedList:
+    """The one place rankings are built: ``ids`` sorted by ``key``, equal
+    keys by ``tie_keys`` in turn, then by ascending id, with their
+    ``values`` in that order; equal values keep their keys' order
+    (:class:`~dakr.core.RankedList`)."""
     if len(ids) == 0:
         raise EmptyGallery("no gallery candidates for this probe")
-    if len(sort_keys) == 1:
-        rows = _sort_one_key(ids, sort_keys[0])
-    else:
-        rows = np.lexsort((ids, *sort_keys))
+    rows = _sort_one_key(ids, key, *tie_keys)
     return RankedList(
         probe_id=int(probe_id), gallery_ids=ids[rows], values=values[rows], order=order
     )
@@ -323,8 +317,8 @@ def rank_by_distance(
 
 
 def _bounded(dists: np.ndarray) -> np.ndarray:
-    # Monotone map of [0, inf] into [0, 1]; keeps composite sort keys of
-    # member and appended blocks in disjoint bands.
+    # Monotone map of [0, inf] into [0, 1], NaN to 1; keeps composite sort
+    # keys of member and appended blocks in disjoint bands.
     return np.divide(dists, 1.0 + dists, out=np.ones_like(dists), where=dists < np.inf)
 
 
@@ -345,7 +339,7 @@ def rank_by_inn(
     row = pool_row(probe_id, probe_vector, gallery, metric, policy)
     ids, dists, members = _inn_members(probe_id, gallery, metric, k, row)
     keys = np.where(members, _bounded(dists), 2.0 + _bounded(dists))
-    return ranking(probe_id, ids, keys, ASCENDING_DISTANCE, dists, ~members)
+    return ranking(probe_id, ids, keys, ASCENDING_DISTANCE, keys, dists)
 
 
 def rank_by_rnn(
@@ -375,4 +369,4 @@ def rank_by_rnn(
         jaccard[member] = jaccard_distance(neighborhood, probe_nn)
 
     keys = np.where(members, jaccard, 2.0 + _bounded(dists))
-    return ranking(probe_id, gal_ids, keys, ASCENDING_DISTANCE, dists, keys, ~members)
+    return ranking(probe_id, gal_ids, keys, ASCENDING_DISTANCE, keys, dists)

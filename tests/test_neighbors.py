@@ -29,6 +29,7 @@ from dakr.core import ASCENDING_DISTANCE, DESCENDING_SCORE
 from dakr.errors import EmptyGallery, InvalidParams, NonFiniteValue, OutOfRange
 from dakr.kernels import bind_sigma_table
 from dakr.neighbors import (
+    _sort_one_key,
     candidate_pool,
     gallery_neighbor_set,
     offset_ids,
@@ -54,31 +55,47 @@ def assert_plain_ids(members):
     assert type(members) is frozenset and all(type(i) is int for i in members), members
 
 
-# A small pool makes ties common, -0.0 beside 0.0 and repeated inf among them.
-TIED_KEYS = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.5, np.inf])
+# A small pool makes ties common, -0.0 beside 0.0, repeated inf and NaN among them.
+TIED_KEYS = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.5, np.inf, np.nan])
 
 
 @st.composite
 def sort_cases(draw):
-    """(ids, key) for one ranking: distinct ids in a drawn order, and keys
-    drawn either from the tie-heavy pool or from all floats but NaN."""
+    """(ids, key, tie_keys) for one ranking: distinct ids in a drawn order,
+    keys drawn either from the tie-heavy pool or from all floats, and 0 to
+    2 tie keys, which may hold inf and NaN."""
     ids = draw(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=40, unique=True))
-    keys = draw(st.sampled_from([TIED_KEYS, st.floats(allow_nan=False)]))
-    key = draw(st.lists(keys, min_size=len(ids), max_size=len(ids)))
-    return np.array(ids, dtype=np.int64), np.array(key, dtype=np.float64)
+    n = len(ids)
+    keys = draw(st.sampled_from([TIED_KEYS, st.floats()]))
+    key = draw(st.lists(keys, min_size=n, max_size=n))
+    ties = st.lists(st.sampled_from([0.0, 1.0, np.inf, np.nan]), min_size=n, max_size=n)
+    tie_keys = draw(st.lists(ties, max_size=2))
+    return (
+        np.array(ids, dtype=np.int64),
+        np.array(key, dtype=np.float64),
+        [np.array(tie, dtype=np.float64) for tie in tie_keys],
+    )
 
 
 class TestRankingSort:
-    """``ranking`` sorts one key by ``argsort`` and falls back to
-    ``lexsort`` on ties; either way its bytes are ``lexsort``'s."""
+    """``ranking`` sorts by one ``argsort`` of its key and re-sorts only
+    the runs of equal keys (NaN among them) by the tie keys and id; its
+    rows are ``lexsort``'s."""
 
     @given(case=sort_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_lexsort(self, case):
-        ids, key = case
-        rows = np.lexsort((ids, key))
-        for values, order in ((key, ASCENDING_DISTANCE), (-key, DESCENDING_SCORE)):
-            ranked = ranking(7, ids, values, order, key)
+        ids, key, tie_keys = case
+        rows = np.lexsort((ids, *reversed(tie_keys), key))
+        assert _sort_one_key(ids, key, *tie_keys).tolist() == rows.tolist()
+        # Values that ascend only in that order, so any other is refused.
+        position = np.empty(len(ids))
+        position[rows] = np.arange(len(ids))
+        cases = [(position, ASCENDING_DISTANCE)]
+        if not np.isnan(key).any():
+            cases += [(key, ASCENDING_DISTANCE), (-key, DESCENDING_SCORE)]
+        for values, order in cases:
+            ranked = ranking(7, ids, values, order, key, *tie_keys)
             assert ranked.gallery_ids.tobytes() == ids[rows].tobytes()
             assert ranked.values.tobytes() == values[rows].tobytes()
 
@@ -642,6 +659,20 @@ class TestRankByInn:
         # only the isolated point searches back; it leads despite being far
         assert ranked.gallery_ids.tolist() == [3, 0, 1, 2]
         assert ranked.values[0] < 1.0 <= ranked.values[1]
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_far_samples_keyed_alike_go_by_distance(self, euclidean, k):
+        # d / (1 + d) rounds to 1.0 past about 1e16, so samples 0 and 1 get
+        # the same key; both are non-members at k = 1 and members at k = 5.
+        vectors = [[3e16], [2e16], [0.1], [0.2], [0.3]]
+        gallery = FeatureSet(np.arange(5), vectors)
+        ranked = rank_by_inn(9, [0.0], gallery, euclidean, k)
+        assert ranked.values[-2] == ranked.values[-1]
+        members = brute_inn(9, [0.0], dict(enumerate(vectors)), k)
+        dists = np.array([float_euclid([0.0], v) for v in vectors])
+        outside = [gid not in members for gid in range(5)]
+        assert ranked.gallery_ids.tolist() == np.lexsort((np.arange(5), dists, outside)).tolist()
+        assert ranked.gallery_ids.tolist()[-2:] == [1, 0]
 
 
 class TestOffsetIdRange:
