@@ -224,7 +224,9 @@ def pairwise(metric: DistanceMetric, queries: np.ndarray, refs: np.ndarray) -> n
     Works on plain (q, d) and (r, d) arrays so the neighbor layers can
     build augmented candidate pools.  ``cdist`` squares before it takes
     the root, so a euclidean distance above about 1.34e154 (the root of
-    float64's largest value) comes out as +inf.
+    float64's largest value) comes out as +inf; so does a Mahalanobis
+    distance whose coordinate differences or quadratic form pass float64,
+    where inf·0 or inf − inf would make it NaN.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     refs = np.atleast_2d(np.asarray(refs, dtype=np.float64))
@@ -245,10 +247,12 @@ def pairwise(metric: DistanceMetric, queries: np.ndarray, refs: np.ndarray) -> n
             f"but vectors have dim {queries.shape[1]}"
         )
     out = np.empty((queries.shape[0], refs.shape[0]), dtype=np.float64)
-    for i, q in enumerate(queries):
-        diff = refs - q
-        quad = np.einsum("ij,jk,ik->i", diff, m, diff)
-        out[i] = np.sqrt(np.maximum(quad, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, q in enumerate(queries):
+            diff = refs - q
+            quad = np.einsum("ij,jk,ik->i", diff, m, diff)
+            out[i] = np.sqrt(np.maximum(quad, 0.0))
+    out[np.isnan(out)] = np.inf
     return out
 
 

@@ -780,6 +780,41 @@ class TestExitCodes:
             rows = [row.split(",") for row in out.read_text().splitlines()[-2:]]
             assert [(row[2], row[3]) for row in rows] == list(zip(["2", "3"], tail))
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sigma", "--k-sigma", "1"],
+            ["rerank", "--method", "knn"],
+            ["rerank", "--method", "inn", "--k", "1"],
+            ["rerank", "--method", "rnn", "--k", "1"],
+            ["rerank", "--method", "inv_dakr"],
+            ["rerank", "--method", "bi_dakr"],
+        ],
+        ids=" ".join,
+    )
+    def test_overflowing_mahalanobis_differences(self, tmp_path, capsys, command):
+        # Differences of 2e308 pass float64; under the identity matrix the
+        # commands end as under the euclidean metric, with the same bytes.
+        gpath, ppath = tmp_path / "far.csv", tmp_path / "probes.csv"
+        gpath.write_text("id,f0,f1\n0,1e308,0\n1,-1e308,0\n2,0,0\n3,1,1\n")
+        ppath.write_text("id,f0,f1\n10,-1e308,0.5\n11,0.5,0.5\n")
+        mpath = tmp_path / "identity.csv"
+        mpath.write_text("1,0\n0,1\n")
+        ends = []
+        for metric in (["euclidean"], ["mahalanobis", "--metric-matrix", mpath]):
+            out = tmp_path / f"{metric[0]}.out"
+            argv = [command[0], "--gallery", gpath, *command[1:], "--metric", *metric, "--out", out]
+            if command[0] == "rerank":
+                argv += ["--probes", ppath]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = outcome(capsys, [str(a) for a in argv])
+            assert "internal error" not in err and "Traceback" not in err and "WARNING" not in err
+            ends.append((code, out.read_bytes() if code == 0 else err))
+        assert ends[0] == ends[1]
+        # Bandwidths past float64 are a data error; the neighbor methods run.
+        assert ends[0][0] == (3 if command[0] == "sigma" or "dakr" in command[2] else 0)
+
 
     @pytest.mark.parametrize(
         "fault",

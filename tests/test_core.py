@@ -79,6 +79,14 @@ class TestDistance:
         m = DistanceMetric.mahalanobis(np.diag([4.0, 1.0]))
         assert pairwise(m, (0, 0), (1, 1))[0, 0] == pytest.approx(math.sqrt(5), abs=1e-12)
 
+    def test_mahalanobis_overflow_is_inf_without_a_warning(self):
+        # The difference 2e308 passes float64, and inf * 0 in the quadratic
+        # form would make the distance NaN; cdist's euclidean gives inf.
+        m = DistanceMetric.mahalanobis(np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pairwise(m, [[1e308, 0.0]], [[-1e308, 0.5]]).tolist() == [[math.inf]]
+
     def test_squared_euclidean(self):
         assert pairwise(DistanceMetric.squared_euclidean(), (0, 0), (1, 1))[0, 0] == 2.0
 
