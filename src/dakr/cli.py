@@ -19,6 +19,7 @@ import os
 import sys
 import time
 import warnings
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -48,7 +49,7 @@ from .fileio import (
     write_sigma_sidecar,
     write_truth_csv,
 )
-from .kernels import compute_sigma_table, default_k_sigma
+from .kernels import K_SIGMA_MAX, compute_sigma_table, default_k_sigma
 from .neighbors import GALLERY_ONLY, WITH_PROBES
 from .rerank import (
     DAKR_METHODS, NEIGHBOR_METHODS, offline_phase, parse_method_token, rank_probe, rerank,
@@ -81,8 +82,15 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _positive_int_list(text: str) -> list[int]:
-    values = [_positive_int(part) for part in text.split(",") if part.strip()]
+def _k_sigma(text: str) -> int:
+    value = _positive_int(text)
+    if value > K_SIGMA_MAX:
+        raise argparse.ArgumentTypeError(f"expected at most {K_SIGMA_MAX}, got {text!r}")
+    return value
+
+
+def _positive_int_list(text: str, item=_positive_int) -> list[int]:
+    values = [item(part) for part in text.split(",") if part.strip()]
     if not values:
         raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
     return values
@@ -462,7 +470,7 @@ def _sigma_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gallery", required=True)
     sub.add_argument("--probes")
     sub.add_argument("--with-probes", action="store_true")
-    sub.add_argument("--k-sigma", type=_positive_int)
+    sub.add_argument("--k-sigma", type=_k_sigma)
     _add_compute_flags(sub)
     sub.add_argument("--out", required=True)
 
@@ -472,7 +480,7 @@ def _rerank_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--probes", required=True)
     sub.add_argument("--method", default="knn")
     sub.add_argument("--k", type=_positive_int)
-    sub.add_argument("--k-sigma", type=_positive_int)
+    sub.add_argument("--k-sigma", type=_k_sigma)
     sub.add_argument("--sigma-table")
     _add_compute_flags(sub)
     sub.add_argument("--out", required=True)
@@ -482,14 +490,16 @@ def _eval_flags(sub: argparse.ArgumentParser) -> None:
     _add_report_flags(sub)
     sub.add_argument("--method", default="knn")
     sub.add_argument("--k", type=_positive_int)
-    sub.add_argument("--k-sigma", type=_positive_int)
+    sub.add_argument("--k-sigma", type=_k_sigma)
 
 
 def _sweep_flags(sub: argparse.ArgumentParser) -> None:
     _add_report_flags(sub)
     sub.add_argument("--trials", type=_positive_int, help="scenario trials (default 10)")
     sub.add_argument("--method", default="inv_dakr,bi_dakr")
-    sub.add_argument("--k-values", type=_positive_int_list, default=[1, 2, 5, 10, 20])
+    # Each k is also the kernel methods' k_sigma.
+    k_values = partial(_positive_int_list, item=_k_sigma)
+    sub.add_argument("--k-values", type=k_values, default=[1, 2, 5, 10, 20])
 
 
 def _bench_flags(sub: argparse.ArgumentParser) -> None:
@@ -497,7 +507,7 @@ def _bench_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dim", type=_positive_int, default=64)
     sub.add_argument("--method", default=",".join(_BENCH_METHODS))
     sub.add_argument("--k", type=_positive_int)
-    sub.add_argument("--k-sigma", type=_positive_int)
+    sub.add_argument("--k-sigma", type=_k_sigma)
     sub.add_argument("--bench-probes", type=_positive_int, default=5)
     sub.add_argument("--seed", type=_non_negative_int, default=0)
     sub.add_argument("--out", required=True)

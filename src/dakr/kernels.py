@@ -52,6 +52,8 @@ from .neighbors import (
     reference_set,
 )
 
+# The largest k_sigma: sidecars and table digests store it as a u32.
+K_SIGMA_MAX = 2**32 - 1
 # Relative floor for degenerate (duplicate-point) bandwidths.
 _SIGMA_FLOOR_SCALE = 1e-12
 _OVERFLOW = "distances overflow float64, so the bandwidths are not finite"
@@ -102,8 +104,7 @@ class SigmaTable:
     probe_sigmas: np.ndarray = ()
 
     def __post_init__(self):
-        if self.k_sigma < 1:
-            raise InvalidParams("k_sigma must be >= 1")
+        _check_k_sigma(self.k_sigma)
         if self.policy_mode not in (GALLERY_ONLY, WITH_PROBES):
             raise InvalidParams(f"unknown policy mode {self.policy_mode!r}")
         for side, what in (("gallery", "gallery sample"), ("probe", "probe")):
@@ -121,6 +122,13 @@ class SigmaTable:
         unit = np.ldexp(1.0, np.frexp(_upper_median(self.gallery_sigmas))[1])
         object.__setattr__(self, "_unit", unit)
         object.__setattr__(self, "_unit_sigmas", self.gallery_sigmas / unit)
+
+
+def _check_k_sigma(k_sigma: int) -> None:
+    if k_sigma < 1:
+        raise InvalidParams("k_sigma must be >= 1")
+    if k_sigma > K_SIGMA_MAX:
+        raise InvalidParams(f"k_sigma must be at most {K_SIGMA_MAX}, got {k_sigma}")
 
 
 def compute_sigma_table(
@@ -144,9 +152,7 @@ def compute_sigma_table(
     one buffer pair per scan; ``n_threads`` sizes only the pool of
     exact-row blocks, as under Mahalanobis.
     """
-    if k_sigma < 1:
-        raise InvalidParams("k_sigma must be >= 1")
-
+    _check_k_sigma(k_sigma)
     ref_vectors, ref_ids = reference_set(gallery, policy)
     pool = len(ref_ids) - 1
     if pool < 1:

@@ -503,6 +503,24 @@ class TestExitCodes:
             run(command, *inputs, "--method", method, "--out", tmp_path / "out")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("k_sigma, code", [(2**32, 2), (2**32 - 1, 0)])
+    @pytest.mark.parametrize("command", ["sigma", "rerank", "eval", "bench", "sweep"])
+    def test_k_sigma_is_a_u32(self, line_fixture, tmp_path, capsys, command, k_sigma, code):
+        # Sidecars and table digests store k_sigma as a u32: a larger one is
+        # a usage error, found as the flags are parsed; the largest clamps.
+        _, _, gpath, ppath = line_fixture
+        argv = {
+            "sigma": ["--gallery", gpath, "--k-sigma"],
+            "rerank": ["--gallery", gpath, "--probes", ppath, "--method", "inv_dakr", "--k-sigma"],
+            "eval": [*SCENARIO, "--method", "inv_dakr", "--k-sigma"],
+            "bench": ["--sizes", "10", "--bench-probes", "1", "--method", "inv_dakr", "--k-sigma"],
+            "sweep": [*SCENARIO, "--trials", "1", "--k-values"],
+        }[command]
+        argv = [command, *argv, k_sigma, "--out", tmp_path / "out"]
+        got, _, err = outcome(capsys, [str(a) for a in argv])
+        assert got == code and "Traceback" not in err
+        assert (f"expected at most {2**32 - 1}, got '{2**32}'" in err) == bool(code)
+
     def test_rerank_takes_one_method(self, line_fixture, tmp_path):
         _, _, gpath, ppath = line_fixture
         with pytest.raises(SystemExit) as err:

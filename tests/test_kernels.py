@@ -151,6 +151,23 @@ class TestSigmaTable:
                 gallery_sigmas=np.array([1.0, 0.0, 1.0]),
             )
 
+    def test_k_sigma_past_u32_is_refused_before_the_scan(self, euclidean, line_gallery, monkeypatch):
+        # Sidecars and table digests store k_sigma as a u32.
+        def no_scan(*args, **kwargs):
+            raise AssertionError("k_sigma was not checked before the scan")
+
+        monkeypatch.setattr(dakr.kernels, "scan_self_distances", no_scan)
+        with pytest.raises(InvalidParams, match="at most 4294967295"):
+            compute_sigma_table(line_gallery, euclidean, 2**32)
+        with pytest.raises(InvalidParams, match="at most 4294967295"):
+            SigmaTable(
+                k_sigma=2**32,
+                policy_mode="gallery_only",
+                reference_digest=b"\x00" * 32,
+                gallery_ids=line_gallery.ids.copy(),
+                gallery_sigmas=np.ones(3),
+            )
+
     def test_rejects_an_empty_gallery(self):
         with pytest.raises(InvalidParams, match="gallery samples"):
             SigmaTable(
