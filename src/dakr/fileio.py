@@ -189,8 +189,9 @@ def write_sigma_sidecar(table: SigmaTable, path) -> None:
 
 
 def read_sigma_sidecar(path) -> dict:
-    """Parse the sidecar into a raw record; digest verification happens in
-    :func:`sigma_table_from_sidecar` once the reference data is at hand."""
+    """Parse the sidecar into a raw record, its path included; digest
+    verification happens in :func:`sigma_table_from_sidecar` once the
+    reference data is at hand."""
     path = Path(path)
     blob = path.read_bytes()
     if blob[:4] == b"SGT1":
@@ -217,6 +218,7 @@ def read_sigma_sidecar(path) -> dict:
     if np.any(sigmas <= 0) or not np.all(np.isfinite(sigmas)):
         raise FormatError(f"{path}: bandwidths must be positive and finite")
     return {
+        "path": path,
         "count": count,
         "k_sigma": k_sigma,
         "policy_mode": _BYTE_TO_POLICY[policy_byte],
@@ -232,19 +234,21 @@ def sigma_table_from_sidecar(
     policy: AugmentationPolicy = AugmentationPolicy(),
 ) -> SigmaTable:
     """Rebuild a verified table from a sidecar record and the reference
-    data it claims to describe."""
+    data it claims to describe; each refusal starts with the sidecar's path."""
+    path = record["path"]
     if record["policy_mode"] != policy.mode:
         raise StaleSigmaTable(
-            f"sidecar was built {record['policy_mode']}, requested {policy.mode}"
+            f"{path}: sidecar was built {record['policy_mode']}, requested {policy.mode}"
         )
     expected_count = len(gallery) + (len(policy.probes) if policy.mode == WITH_PROBES else 0)
     if record["count"] != expected_count:
         raise StaleSigmaTable(
-            f"sidecar holds {record['count']} bandwidths, reference data has {expected_count}"
+            f"{path}: sidecar holds {record['count']} bandwidths, "
+            f"reference data has {expected_count}"
         )
     table = bind_sigma_table(gallery, metric, record["k_sigma"], policy, record["sigmas"])
     if table.reference_digest != record["reference_digest"]:
-        raise StaleSigmaTable("sidecar digest does not match the reference data")
+        raise StaleSigmaTable(f"{path}: sidecar digest does not match the reference data")
     return table
 
 

@@ -293,6 +293,34 @@ class TestRerank:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "mismatch, message",
+        [
+            ("digest", "sidecar digest does not match"),
+            ("count", "sidecar holds 4 bandwidths, reference data has 3"),
+            ("policy", "sidecar was built gallery_only, requested with_probes"),
+        ],
+    )
+    def test_stale_sidecar_refusal_names_the_file(
+        self, line_fixture, tmp_path, capsys, mismatch, message
+    ):
+        gallery, _, gpath, _ = line_fixture
+        ppath = tmp_path / "two_probes.csv"  # one probe alone is not augmented
+        write_features_csv(FeatureSet([9, 10], [[2.1], [0.4]]), ppath)
+        built_on = {
+            "digest": FeatureSet([0, 1, 2], [[0.0], [1.0], [9.0]]),
+            "count": FeatureSet([0, 1, 2, 3], [[0.0], [1.0], [3.0], [4.0]]),
+            "policy": gallery,
+        }[mismatch]
+        sidecar = tmp_path / "stale.sgt"
+        write_sigma_sidecar(compute_sigma_table(built_on, DistanceMetric.euclidean(), 1), sidecar)
+        method = "inv_dakr+" if mismatch == "policy" else "inv_dakr"
+        argv = ["rerank", "--gallery", gpath, "--probes", ppath, "--method", method,
+                "--sigma-table", sidecar, "--out", tmp_path / "r.csv"]
+        code, _, err = outcome(capsys, [str(a) for a in argv])
+        assert code == 3
+        assert f"dakr: error: {sidecar}: {message}" in err
+
     def test_sidecar_of_other_k_sigma_fails(self, line_fixture, tmp_path):
         gallery, probes, gpath, ppath = line_fixture
         sidecar = tmp_path / "k2.sgt"

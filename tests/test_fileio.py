@@ -287,7 +287,7 @@ class TestSigmaSidecar:
         path = tmp_path / "table.sgt"
         write_sigma_sidecar(table, path)
         other = FeatureSet([0, 1, 2], [[0.0], [1.0], [9.0]])
-        with pytest.raises(StaleSigmaTable):
+        with pytest.raises(StaleSigmaTable, match="table.sgt: sidecar digest"):
             sigma_table_from_sidecar(read_sigma_sidecar(path), other, metric)
 
     def test_stale_against_wrong_policy(self, tmp_path):
@@ -297,7 +297,7 @@ class TestSigmaSidecar:
         path = tmp_path / "table.sgt"
         write_sigma_sidecar(table, path)
         probes = FeatureSet([9, 10], [[0.5], [2.0]])
-        with pytest.raises(StaleSigmaTable):
+        with pytest.raises(StaleSigmaTable, match="table.sgt: sidecar was built gallery_only"):
             sigma_table_from_sidecar(
                 read_sigma_sidecar(path), gallery, metric,
                 AugmentationPolicy.with_probes(probes),
