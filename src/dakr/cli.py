@@ -83,10 +83,9 @@ def _positive_int(text: str) -> int:
 
 
 def _k_sigma(text: str) -> int:
-    value = _positive_int(text)
-    if value > K_SIGMA_MAX:
+    if _positive_int(text) > K_SIGMA_MAX:
         raise argparse.ArgumentTypeError(f"expected at most {K_SIGMA_MAX}, got {text!r}")
-    return value
+    return int(text)
 
 
 def _positive_int_list(text: str, item=_positive_int) -> list[int]:

@@ -125,10 +125,8 @@ class SigmaTable:
 
 
 def _check_k_sigma(k_sigma: int) -> None:
-    if k_sigma < 1:
-        raise InvalidParams("k_sigma must be >= 1")
-    if k_sigma > K_SIGMA_MAX:
-        raise InvalidParams(f"k_sigma must be at most {K_SIGMA_MAX}, got {k_sigma}")
+    if not 1 <= k_sigma <= K_SIGMA_MAX:
+        raise InvalidParams(f"k_sigma must be from 1 to {K_SIGMA_MAX}, got {k_sigma}")
 
 
 def compute_sigma_table(

@@ -157,9 +157,9 @@ class TestSigmaTable:
             raise AssertionError("k_sigma was not checked before the scan")
 
         monkeypatch.setattr(dakr.kernels, "scan_self_distances", no_scan)
-        with pytest.raises(InvalidParams, match="at most 4294967295"):
+        with pytest.raises(InvalidParams, match="from 1 to 4294967295"):
             compute_sigma_table(line_gallery, euclidean, 2**32)
-        with pytest.raises(InvalidParams, match="at most 4294967295"):
+        with pytest.raises(InvalidParams, match="from 1 to 4294967295"):
             SigmaTable(
                 k_sigma=2**32,
                 policy_mode="gallery_only",
