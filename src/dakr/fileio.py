@@ -219,7 +219,6 @@ def read_sigma_sidecar(path) -> dict:
         raise FormatError(f"{path}: bandwidths must be positive and finite")
     return {
         "path": path,
-        "count": count,
         "k_sigma": k_sigma,
         "policy_mode": _BYTE_TO_POLICY[policy_byte],
         "reference_digest": digest,
@@ -240,10 +239,10 @@ def sigma_table_from_sidecar(
         raise StaleSigmaTable(
             f"{path}: sidecar was built {record['policy_mode']}, requested {policy.mode}"
         )
-    expected_count = len(gallery) + (len(policy.probes) if policy.mode == WITH_PROBES else 0)
-    if record["count"] != expected_count:
+    expected_count = len(gallery) + (0 if policy.probes is None else len(policy.probes))
+    if len(record["sigmas"]) != expected_count:
         raise StaleSigmaTable(
-            f"{path}: sidecar holds {record['count']} bandwidths, "
+            f"{path}: sidecar holds {len(record['sigmas'])} bandwidths, "
             f"reference data has {expected_count}"
         )
     table = bind_sigma_table(gallery, metric, record["k_sigma"], policy, record["sigmas"])

@@ -65,7 +65,6 @@ def reference_digest(
     gallery: FeatureSet,
     metric: DistanceMetric,
     k_sigma: int,
-    policy_mode: str,
     probes_digest: bytes = b"",
 ) -> bytes:
     """Content digest binding a bandwidth table to the data that built it."""
@@ -73,7 +72,7 @@ def reference_digest(
     h.update(gallery.content_digest())
     h.update(metric.content_digest())
     h.update(struct.pack("<I", k_sigma))
-    h.update(b"\x01" if policy_mode == WITH_PROBES else b"\x00")
+    h.update(b"\x01" if probes_digest else b"\x00")
     h.update(probes_digest)
     return h.digest()
 
@@ -85,7 +84,8 @@ class SigmaTable:
     Correctness silently breaks if bandwidths and data drift apart, so
     scoring re-derives the digest and :func:`check_policy` refuses any
     other policy.  The probes' own bandwidths are cached under with_probes
-    (empty under gallery_only), keeping the online phase free of quadratic work.
+    (empty under gallery_only, as is ``probes_digest``), keeping the online
+    phase free of quadratic work.
 
     ``_floor`` floors a probe's own bandwidth: :func:`_sigma_floor` of the
     gallery bandwidths, the floor they were built with unless over half
@@ -95,7 +95,6 @@ class SigmaTable:
     """
 
     k_sigma: int
-    policy_mode: str
     reference_digest: bytes
     gallery_ids: np.ndarray
     gallery_sigmas: np.ndarray
@@ -105,8 +104,6 @@ class SigmaTable:
 
     def __post_init__(self):
         _check_k_sigma(self.k_sigma)
-        if self.policy_mode not in (GALLERY_ONLY, WITH_PROBES):
-            raise InvalidParams(f"unknown policy mode {self.policy_mode!r}")
         for side, what in (("gallery", "gallery sample"), ("probe", "probe")):
             ids = np.asarray(getattr(self, f"{side}_ids"), dtype=np.int64)
             sigmas = np.asarray(getattr(self, f"{side}_sigmas"), dtype=np.float64)
@@ -122,6 +119,10 @@ class SigmaTable:
         unit = np.ldexp(1.0, np.frexp(_upper_median(self.gallery_sigmas))[1])
         object.__setattr__(self, "_unit", unit)
         object.__setattr__(self, "_unit_sigmas", self.gallery_sigmas / unit)
+
+    @property
+    def policy_mode(self) -> str:
+        return WITH_PROBES if self.probes_digest else GALLERY_ONLY
 
 
 def _check_k_sigma(k_sigma: int) -> None:
@@ -184,7 +185,7 @@ def compute_sigma_table(
         rescored,
     )
 
-    if policy.mode == WITH_PROBES:
+    if policy.probes is not None:
         # A probe that is a gallery sample has that sample's bandwidth;
         # the others follow the gallery in the reference set, in order.
         sigma_of = dict(zip(gallery.ids.tolist(), sigmas.tolist()))
@@ -209,10 +210,7 @@ def bind_sigma_table(
     probes_digest = b"" if probes is None else probes.content_digest()
     return SigmaTable(
         k_sigma=k_sigma,
-        policy_mode=policy.mode,
-        reference_digest=reference_digest(
-            gallery, metric, k_sigma, policy.mode, probes_digest
-        ),
+        reference_digest=reference_digest(gallery, metric, k_sigma, probes_digest),
         gallery_ids=gallery.ids.copy(),
         gallery_sigmas=sigmas[:n],
         probes_digest=probes_digest,
@@ -222,9 +220,7 @@ def bind_sigma_table(
 
 
 def _check_table(table: SigmaTable, gallery: FeatureSet, metric: DistanceMetric) -> None:
-    expected = reference_digest(
-        gallery, metric, table.k_sigma, table.policy_mode, table.probes_digest
-    )
+    expected = reference_digest(gallery, metric, table.k_sigma, table.probes_digest)
     if expected != table.reference_digest:
         raise StaleSigmaTable(
             "bandwidth table does not match this gallery/metric; recompute it"

@@ -41,22 +41,17 @@ WITH_PROBES = "with_probes"
 
 @dataclass(frozen=True)
 class AugmentationPolicy:
-    """Whether candidate pools are gallery-only or augmented with probes."""
+    """Candidate pools augmented with ``probes``, or gallery-only if ``None``."""
 
-    mode: str = GALLERY_ONLY
     probes: FeatureSet | None = None
 
-    def __post_init__(self):
-        if self.mode not in (GALLERY_ONLY, WITH_PROBES):
-            raise InvalidParams(f"unknown augmentation mode {self.mode!r}")
-        if self.mode == WITH_PROBES and self.probes is None:
-            raise InvalidParams("with_probes policy requires a probe set")
-        if self.mode == GALLERY_ONLY and self.probes is not None:
-            raise InvalidParams("gallery_only policy takes no probe set")
+    @property
+    def mode(self) -> str:
+        return GALLERY_ONLY if self.probes is None else WITH_PROBES
 
     @classmethod
     def with_probes(cls, probes: FeatureSet) -> "AugmentationPolicy":
-        return cls(WITH_PROBES, probes)
+        return cls(probes)
 
 
 def probe_id_offset(gallery: FeatureSet) -> int:

@@ -58,8 +58,10 @@ def parse_method_token(token: str) -> tuple[str, str]:
 
 
 def resolve_policy(mode: str, probes: FeatureSet) -> AugmentationPolicy:
-    """Build the augmentation policy for a batch, degrading to gallery-only
-    (with a warning) when there are no extra probes to augment with."""
+    """Build a batch's augmentation policy from a mode string, degrading to
+    gallery-only (with a warning) when no extra probes can augment it."""
+    if mode not in (GALLERY_ONLY, WITH_PROBES):
+        raise InvalidParams(f"unknown augmentation mode {mode!r}")
     if mode == WITH_PROBES and len(probes) < 2:
         message = (
             "with_probes requested but the probe set has no extra samples; "
@@ -67,7 +69,7 @@ def resolve_policy(mode: str, probes: FeatureSet) -> AugmentationPolicy:
         )
         warnings.warn(message, RuntimeWarning, stacklevel=2)
         mode = GALLERY_ONLY
-    return AugmentationPolicy(mode, probes if mode == WITH_PROBES else None)
+    return AugmentationPolicy(probes if mode == WITH_PROBES else None)
 
 
 def offline_phase(

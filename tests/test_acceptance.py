@@ -74,8 +74,7 @@ def criterion(num, name):
 def _uniform_table(gallery, sigma_value):
     return SigmaTable(
         k_sigma=1,
-        policy_mode="gallery_only",
-        reference_digest=reference_digest(gallery, EUCLID, 1, "gallery_only"),
+        reference_digest=reference_digest(gallery, EUCLID, 1),
         gallery_ids=gallery.ids.copy(),
         gallery_sigmas=np.full(len(gallery), sigma_value),
     )

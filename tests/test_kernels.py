@@ -56,8 +56,7 @@ def uniform_table(gallery, metric, sigma_value=1.0, k_sigma=1):
     """Table with every bandwidth forced to one constant (valid digest)."""
     return SigmaTable(
         k_sigma=k_sigma,
-        policy_mode="gallery_only",
-        reference_digest=reference_digest(gallery, metric, k_sigma, "gallery_only"),
+        reference_digest=reference_digest(gallery, metric, k_sigma),
         gallery_ids=gallery.ids.copy(),
         gallery_sigmas=np.full(len(gallery), sigma_value),
     )
@@ -145,7 +144,6 @@ class TestSigmaTable:
         with pytest.raises(NonPositiveSigma):
             SigmaTable(
                 k_sigma=1,
-                policy_mode="gallery_only",
                 reference_digest=b"\x00" * 32,
                 gallery_ids=line_gallery.ids.copy(),
                 gallery_sigmas=np.array([1.0, 0.0, 1.0]),
@@ -162,7 +160,6 @@ class TestSigmaTable:
         with pytest.raises(InvalidParams, match="from 1 to 4294967295"):
             SigmaTable(
                 k_sigma=2**32,
-                policy_mode="gallery_only",
                 reference_digest=b"\x00" * 32,
                 gallery_ids=line_gallery.ids.copy(),
                 gallery_sigmas=np.ones(3),
@@ -172,11 +169,47 @@ class TestSigmaTable:
         with pytest.raises(InvalidParams, match="gallery samples"):
             SigmaTable(
                 k_sigma=1,
-                policy_mode="gallery_only",
                 reference_digest=b"\x00" * 32,
                 gallery_ids=[],
                 gallery_sigmas=[],
             )
+
+    def test_reference_digests_keep_their_bytes(self, euclidean):
+        # Every sidecar and table is bound by these bytes: the policy byte
+        # (0 gallery-only, 1 with probes) follows from an empty probe digest.
+        gallery = FeatureSet([0, 1, 2, 3], [[0.0], [1.0], [3.0], [6.0]])
+        probes = FeatureSet([10, 11], [[0.5], [2.0]])
+        gallery_only = compute_sigma_table(gallery, euclidean, 1)
+        with_probes = compute_sigma_table(
+            gallery, euclidean, 1, AugmentationPolicy.with_probes(probes)
+        )
+        assert gallery_only.reference_digest.hex() == (
+            "ba28c196436245e76490b30fdf9f0332b9a33300cb48a0bac5fa7206ba9a22dc"
+        )
+        assert with_probes.reference_digest.hex() == (
+            "81ea44cba0432e0276fd62460684c2823ea6002ddfb7fa8b17aab7e05116a65f"
+        )
+        assert reference_digest(gallery, euclidean, 1) == gallery_only.reference_digest
+        assert (
+            reference_digest(gallery, euclidean, 1, probes.content_digest())
+            == with_probes.reference_digest
+        )
+
+    def test_policy_mode_follows_the_probe_set(self, euclidean, line_gallery):
+        probes = FeatureSet([10, 11], [[0.5], [2.0]])
+        assert AugmentationPolicy().mode == "gallery_only"
+        assert AugmentationPolicy.with_probes(probes).mode == "with_probes"
+        gallery_only = compute_sigma_table(line_gallery, euclidean, 1)
+        with_probes = compute_sigma_table(
+            line_gallery, euclidean, 1, AugmentationPolicy.with_probes(probes)
+        )
+        assert (gallery_only.probes_digest, gallery_only.policy_mode) == (b"", "gallery_only")
+        assert with_probes.probes_digest == probes.content_digest()
+        assert with_probes.policy_mode == "with_probes"
+        fields = dict(k_sigma=1, reference_digest=b"\x00" * 32,
+                      gallery_ids=line_gallery.ids, gallery_sigmas=np.ones(3))
+        assert SigmaTable(**fields).policy_mode == "gallery_only"
+        assert SigmaTable(**fields, probes_digest=b"\x01" * 32).policy_mode == "with_probes"
 
 
 class TestBlockedSigmaTable:

@@ -789,20 +789,6 @@ class TestOverflowingDistances:
             probe_sigma(9, [1e200], gallery, euclidean, table)
 
 
-class TestPolicyValidation:
-    def test_with_probes_requires_probes(self):
-        with pytest.raises(InvalidParams):
-            AugmentationPolicy("with_probes")
-
-    def test_gallery_only_takes_no_probes(self):
-        with pytest.raises(InvalidParams):
-            AugmentationPolicy("gallery_only", FeatureSet([0], [[0.0]]))
-
-    def test_unknown_mode(self):
-        with pytest.raises(InvalidParams):
-            AugmentationPolicy("both")
-
-
 @given(
     a=st.frozensets(st.integers(0, 8), max_size=6),
     b=st.frozensets(st.integers(0, 8), max_size=6),
