@@ -62,9 +62,10 @@ _BENCH_METHODS = ("knn", "inn", "inv_dakr", "bi_dakr")
 
 
 def _configure_logging() -> None:
-    level = os.environ.get("DAKR_LOG", "warning").upper()
+    # Only a level name gives an int; any other name logs at warning.
+    level = getattr(logging, os.environ.get("DAKR_LOG", "warning").upper(), None)
     logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
+        level=level if isinstance(level, int) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
@@ -92,13 +93,17 @@ def _positive_int_list(text: str, item=_positive_int) -> list[int]:
     values = [item(part) for part in text.split(",") if part.strip()]
     if not values:
         raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"expected each value once, got {text!r}")
     return values
 
 
 def _method_tokens(parser: argparse.ArgumentParser, text: str, k: int | None = 1) -> list[str]:
-    """The comma-separated method tokens of ``text``; an unknown or repeated
-    method, or k-INN/k-RNN without a k, is a usage error."""
+    """The comma-separated method tokens of ``text``; none, an unknown or
+    repeated method, or k-INN/k-RNN without a k, is a usage error."""
     tokens = [m.strip() for m in text.split(",") if m.strip()]
+    if not tokens:
+        parser.error(f"--method names no method: {text!r}")
     if len(set(tokens)) != len(tokens):
         parser.error(f"--method lists a method twice: {text!r}")
     for token in tokens:

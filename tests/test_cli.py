@@ -75,6 +75,7 @@ class TestOneCommandParser:
         ["eval", "--help"], ["sigma", "--gallery", "x", "--out", "y", "--bogus"],
         ["eval", "--out", "z", "--method", "nope"], ["sigma"],
         ["rerank", "--gallery", "a", "--probes", "b", "--out", "c", "--threads", "0"],
+        ["bench", "--method", ",", "--out", "b.csv"], ["eval", "--out", "z", "--ranks", "1,1"],
     ], ids=lambda argv: "_".join(argv) or "no-arguments")
     def test_main_prints_what_the_full_parser_prints(self, argv, monkeypatch, capsys, tmp_path):
         monkeypatch.chdir(tmp_path)
@@ -548,6 +549,44 @@ class TestExitCodes:
         got, _, err = outcome(capsys, [str(a) for a in argv])
         assert got == code and "Traceback" not in err
         assert (f"expected at most {2**32 - 1}, got '{2**32}'" in err) == bool(code)
+
+    @pytest.mark.parametrize("method", ["", ","])
+    @pytest.mark.parametrize("command", ["eval", "sweep", "bench"])
+    def test_a_method_list_naming_none_is_usage_error(self, tmp_path, capsys, command, method):
+        # No empty report from eval or sweep, and no bench traceback.
+        inputs = {"eval": SCENARIO, "sweep": [*SCENARIO, "--trials", "1"],
+                  "bench": ["--sizes", "20", "--dim", "3"]}[command]
+        out = tmp_path / "out"
+        code, _, err = outcome(capsys, [command, *map(str, inputs), "--method", method,
+                                        "--out", str(out)])
+        assert code == 2 and "Traceback" not in err
+        assert f"--method names no method: {method!r}" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", *SCENARIO, "--ranks", "1,5,1"],
+        ["sweep", *SCENARIO, "--trials", "1", "--k-values", "2,2"],
+        ["bench", "--sizes", "20,30,20", "--dim", "3"],
+    ], ids=["ranks", "k-values", "sizes"])
+    def test_a_repeated_list_value_is_usage_error(self, tmp_path, capsys, argv):
+        # A repeated value would repeat the work and the rows.
+        code, _, err = outcome(capsys, [*argv, "--out", str(tmp_path / "out")])
+        assert code == 2 and "Traceback" not in err
+        assert "expected each value once, got '" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["basic_format", "_styles"])
+    def test_a_log_name_that_is_no_level_logs_at_warning(self, line_fixture, tmp_path, name):
+        # In a fresh process, so that DAKR_LOG configures the logging.
+        # logging.BASIC_FORMAT and logging._STYLES are no levels.
+        _, _, gpath, _ = line_fixture
+        argv = ["sigma", "--gallery", gpath, "--k-sigma", "5000", "--out", tmp_path / "t.sgt"]
+        env = {**os.environ, "DAKR_LOG": name,
+               "PYTHONPATH": str(Path(dakr.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "dakr.cli", *map(str, argv)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines() == ["WARNING dakr: k_sigma=5000 exceeds pool size 2; clamping"]
 
     def test_rerank_takes_one_method(self, line_fixture, tmp_path):
         _, _, gpath, ppath = line_fixture

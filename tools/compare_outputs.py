@@ -16,7 +16,8 @@ three ``sweep``s per scenario) runs through ``python -m dakr.cli`` under each tr
 ``--threads 1`` wherever the command takes it.  So do the commands that
 only print, once per tree from an empty directory: every help text, the
 version, and parse errors (no arguments, an unknown command or flag, a
-missing required flag, a bad method, thread count or k_sigma).  Every data file
+missing required flag, a bad method, thread count or k_sigma, a method
+list that names none, a repeated rank).  Every data file
 that differs is listed, ``*.timings.json`` skipped (wall-clock figures),
 and so is every command whose exit code, stdout or stderr differs, with
 the wall-clock ``offline_ms=`` figure and the tree's own output directory
@@ -57,7 +58,8 @@ TEXT_ONLY = [[], ["--help"], ["--version"], ["-h", "sigma"], ["bogus"],
              ["sigma", "--gallery", "x", "--out", "y", "--bogus"],
              ["eval", "--out", "z", "--method", "nope"], ["sigma"],
              ["rerank", "--gallery", "a", "--probes", "b", "--out", "c", "--threads", "0"],
-             ["sigma", "--gallery", "x", "--out", "y", "--k-sigma", "4294967296"]]
+             ["sigma", "--gallery", "x", "--out", "y", "--k-sigma", "4294967296"],
+             ["bench", "--method", ",", "--out", "b.csv"], ["eval", "--out", "z", "--ranks", "1,1"]]
 OFFLINE_MS = re.compile(r"offline_ms=[0-9.]+")
 
 
