@@ -246,11 +246,17 @@ def pairwise(metric: DistanceMetric, queries: np.ndarray, refs: np.ndarray) -> n
             f"mahalanobis matrix is {m.shape[0]}x{m.shape[0]} "
             f"but vectors have dim {queries.shape[1]}"
         )
-    out = np.empty((queries.shape[0], refs.shape[0]), dtype=np.float64)
+    n = refs.shape[0]
+    out = np.empty((queries.shape[0], n), dtype=np.float64)
+    # einsum sums the form of one or two 2-d rows in another order than of
+    # three or more, so zero rows pad a call to three: a distance's bytes
+    # do not depend on how many rows share its call.
+    if n < 3:
+        refs = np.vstack([refs, np.zeros((3 - n, refs.shape[1]))])
     with np.errstate(over="ignore", invalid="ignore"):
         for i, q in enumerate(queries):
             diff = refs - q
-            quad = np.einsum("ij,jk,ik->i", diff, m, diff)
+            quad = np.einsum("ij,jk,ik->i", diff, m, diff)[:n]
             out[i] = np.sqrt(np.maximum(quad, 0.0))
     out[np.isnan(out)] = np.inf
     return out

@@ -87,6 +87,20 @@ class TestDistance:
             warnings.simplefilter("error")
             assert pairwise(m, [[1e308, 0.0]], [[-1e308, 0.5]]).tolist() == [[math.inf]]
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6])
+    def test_mahalanobis_bytes_do_not_depend_on_the_row_count(self, dim):
+        # numpy's einsum summed the form of one or two 2-d rows in another
+        # order than of more rows, so re-scored pairs missed full rows' bytes.
+        rng = np.random.default_rng(0)
+        basis = rng.normal(size=(dim, dim))
+        m = DistanceMetric.mahalanobis(basis @ basis.T + np.eye(dim))
+        queries, refs = rng.normal(size=(3, dim)), rng.normal(size=(40, dim))
+        full = pairwise(m, queries, refs)
+        for n in (1, 2, 3, 5):
+            for start in range(0, 40 - n, 7):
+                part = pairwise(m, queries, refs[start:start + n])
+                assert part.tobytes() == full[:, start:start + n].tobytes(), (n, start)
+
     def test_squared_euclidean(self):
         assert pairwise(DistanceMetric.squared_euclidean(), (0, 0), (1, 1))[0, 0] == 2.0
 
