@@ -3,7 +3,7 @@
 All types are immutable after construction and safe to share across
 threads.  Distances are computed and stored as float64 regardless of the
 precision of the input files: re-ranking is sort-sensitive and 32-bit
-accumulation can flip near-ties.
+accumulation can flip near-ties, so no 32-bit value is ever emitted.
 
 Ties are broken by ascending id everywhere.  The self-distance scan
 excludes each sample from its own row; a probe's own copy is dropped by
@@ -12,14 +12,14 @@ by :func:`dakr.neighbors.ranking`.
 
 Every distance the program emits is :func:`pairwise`'s, which for the
 euclidean metrics means scipy ``cdist``'s bytes.  The self-distance scan
-(:func:`scan_self_distances`) takes its euclidean rows from one GEMM per
-row block, ||x||^2 + ||y||^2 - 2 x.y on mean-centred vectors, with a
-rounding bound per row; that approximation only *selects*.
-:class:`SelfBlock` decides each k-th smallest value and count under a
-limit from it where the bound allows, and re-scores the entries
-within twice the bound of the boundary as difference rows, one
-:func:`pairwise` call per chunk, so the values it returns are the ones
-full ``cdist`` rows would give.
+(:func:`scan_self_distances`) takes its euclidean rows from one float32
+GEMM per row block, ||x||^2 + ||y||^2 - 2 x.y on mean-centred vectors
+scaled by a power of two, with a rounding bound per row; that
+approximation only *selects*.  :class:`SelfBlock` decides each k-th
+smallest value and count under a limit from it where the bound allows,
+and re-scores the entries within twice the bound of the boundary as
+difference rows, one :func:`pairwise` call per chunk, so the values it
+returns are the ones full ``cdist`` rows would give.
 """
 
 from __future__ import annotations
@@ -48,19 +48,25 @@ DESCENDING_SCORE = "descending_score"
 # eigenvalues up to this fraction of the matrix's norm are accepted.
 PSD_TOLERANCE = 1e-9
 
-# Row block size cap for quadratic scans: 8 MB of float64 per buffer.
-# Measured on sigma tables of N = 4,000, d = 64 (2 cores), the median
-# was 128 ms at this size, 141 ms at half, 143 ms at double and 193 ms
-# at 4,000,000 entries.
+# Row block size cap for quadratic scans: 4 MB of float32 per buffer.
+# Measured on float32 sigma tables of d = 64 (2 cores, medians of three
+# runs), N = 4,500 at k_sigma 25 took 64 ms at this size, 74 ms at half
+# and 66 ms at double; N = 4,000 at k_sigma 200 took 72, 74 and 77 ms.
 _BLOCK_ELEMENTS = 1 << 20
 
-# The GEMM scan's rounding bound per row is
-# _EPS_FACTOR * (d + 4) * (u * (|x_i|^2 + max_j |x_j|^2) + s) on centred
-# vectors, s the smallest subnormal: summing the worst cases of the
-# centring, the norms, the GEMM and cdist's own sum gives a factor of
-# about 5, so 16 leaves room; s covers rounding below the normal range,
-# which is absolute.
+# The GEMM scan's rounding bound per row is, in scaled units,
+# _EPS_FACTOR * (d + 4) * (u * (|x_i|^2 + max_j |x_j|^2) + t + s * p^2),
+# u = 2^-24 float32's unit roundoff, max_j over the columns that are not
+# far, t float32's smallest normal (a BLAS may flush subnormals), s
+# float64's smallest subnormal and p the power of two the vectors were
+# scaled by: cdist's own rounding below the normal range is absolute in
+# the original units.  Summing the worst cases of the operands' rounding,
+# the GEMM and cdist's own sum gives a factor of about 5, so 16 leaves
+# room.
 _EPS_FACTOR = 16.0
+# Columns whose squared norm passes this multiple of the median are far
+# columns: +inf in every block, so that no row's bound grows with them.
+_FAR_FACTOR = 8.0
 # Entries (pairs times d) per pairwise() call when re-scoring pairs: on
 # far-sample sigma tables 2^14 to 2^17 timed alike, 2^20 24% slower.
 _PAIR_BUDGET = 1 << 16
@@ -177,15 +183,21 @@ class DistanceMetric:
                 raise NonFiniteValue("mahalanobis matrix contains non-finite entries")
             if m.shape[0] != m.shape[1]:
                 raise InvalidMetric(f"mahalanobis matrix must be square, got {m.shape}")
-            if np.max(np.abs(m - m.T)) > PSD_TOLERANCE * np.linalg.norm(m):
+            # Both checks run on m over a power of two at its largest entry,
+            # which is exact, so that no norm or eigenvalue overflows.
+            exp = np.frexp(np.max(np.abs(m)))[1]
+            unit = np.ldexp(m, -exp)
+            if np.max(np.abs(unit - unit.T)) > PSD_TOLERANCE * np.linalg.norm(unit):
                 raise InvalidMetric(
                     f"mahalanobis matrix is not symmetric within {PSD_TOLERANCE:g} * its norm"
                 )
-            eigs = np.linalg.eigvalsh(m)
+            eigs = np.linalg.eigvalsh(unit)
             scale = float(np.max(np.abs(eigs))) if m.size else 0.0
             if scale > 0.0 and float(eigs.min()) < -PSD_TOLERANCE * scale:
+                with np.errstate(over="ignore"):
+                    low, scale = np.ldexp([eigs.min(), scale], exp)
                 raise InvalidMetric(
-                    f"mahalanobis matrix is not PSD: min eigenvalue {eigs.min():.3e} "
+                    f"mahalanobis matrix is not PSD: min eigenvalue {low:.3e} "
                     f"below -{PSD_TOLERANCE:g} * spectral norm {scale:.3e}"
                 )
             _freeze(self, matrix=m)
@@ -289,15 +301,18 @@ class SelfBlock:
     each sample's entry in its own row at +inf.
 
     ``approx`` holds exact :func:`pairwise` rows when ``exact``; otherwise
-    ``approx[i, j]`` is within ``eps[i]`` of the exact distance, or of its
-    square under the euclidean metric.  ``spare``, of ``approx``'s shape,
-    is :meth:`kth_smallest`'s scratch space: it holds ``approx`` clamped at
-    0, partitioned as int64.  A GEMM block runs on the
-    calling thread in the scan's one buffer pair, which the next block
-    overwrites; an exact-row block, on the pool of ``n_threads``, has its
-    own.  The selections below return exact :func:`pairwise` values, never
-    views of either: :func:`_pair_distances` re-scores a GEMM block's
-    pairs, in any order, and ``rescored`` counts them.
+    ``approx[i, j]`` is within ``eps[i]`` of ``scale**2`` times the exact
+    squared distance (the metric's value under squared euclidean, its
+    square under euclidean), or +inf for a column in ``far``, whose scaled
+    squared distance is at least ``reach[i]``.  ``spare``, of ``approx``'s
+    shape and dtype, is :meth:`kth_smallest`'s scratch space: it holds ``approx``
+    clamped at 0, partitioned as integers.  A GEMM block is float32 and
+    runs on the calling thread in the scan's one buffer pair, which the
+    next block overwrites; an exact-row block, on the pool of
+    ``n_threads``, has its own.  The selections below return exact
+    :func:`pairwise` values, never views of either: :func:`_pair_distances`
+    re-scores a GEMM block's pairs, in any order, and ``rescored`` counts
+    them.
     """
 
     metric: DistanceMetric
@@ -307,6 +322,9 @@ class SelfBlock:
     eps: np.ndarray
     exact: bool
     spare: np.ndarray
+    scale: float = 1.0
+    far: np.ndarray | tuple = ()
+    reach: np.ndarray | float = np.inf
     rescored: int = 0
 
     @property
@@ -325,13 +343,30 @@ class SelfBlock:
         self.rescored += len(rows)
         return _pair_distances(self.metric, self.vectors, self.start + rows, cols)
 
-    def _band(self, rows: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """The entries of block rows ``rows`` from ``lo`` to ``hi`` (bounds
-        that broadcast against ``approx[rows]``), own entries left out:
-        their rows, ascending, and their exact distances."""
+    def _edges(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row band edges in ``approx``'s dtype, ``lo`` rounded down and
+        ``hi`` up, so the band holds every entry the float64 edges do, and
+        the rows whose ``hi`` reaches ``reach``: their far columns, +inf in
+        ``approx``, join the band."""
+        reaches = ~(hi < self.reach)
+        dtype = self.approx.dtype.type
+        with np.errstate(over="ignore"):
+            down, up = lo.astype(dtype), hi.astype(dtype)
+        down = np.where(down > lo, np.nextafter(down, dtype(-np.inf)), down)
+        up = np.where(up < hi, np.nextafter(up, dtype(np.inf)), up)
+        return down, up, reaches
+
+    def _band(self, rows: np.ndarray, lo, hi, reaches) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of block rows ``rows`` from ``lo`` to ``hi`` (edges
+        from :meth:`_edges`, broadcast against ``approx[rows]``), and the
+        far columns where ``reaches``, own entries left out: their rows,
+        ascending, and their exact distances."""
         band = self.approx[rows]
+        inside = (band >= lo) & (band <= hi)
+        if len(self.far):
+            inside[np.ix_(reaches, self.far)] = True
         # One flat index: 2-D nonzero costs ~10x more on wide blocks.
-        band_row, cols = np.divmod(np.flatnonzero((band >= lo) & (band <= hi)), band.shape[1])
+        band_row, cols = np.divmod(np.flatnonzero(inside), band.shape[1])
         rows = rows[band_row]
         other = cols != self.start + rows
         return rows[other], self._exact(rows[other], cols[other])
@@ -340,30 +375,36 @@ class SelfBlock:
         """Each row's exact k-th smallest distance, 1 <= k < len(vectors).
 
         ``spare`` takes ``approx`` clamped at 0, which keeps every entry
-        within its bound of the exact distance, and is partitioned as
-        int64: non-negative float64s, +inf included, order as their bit
-        patterns.  Entries more than 2 eps below or above the approximate
-        k-th value are decided by the approximation; the exact k-th is the
-        (k - sure-below)-th smallest of the re-scored band between.
+        within its bound of the exact value, and is partitioned as integers
+        of its width: non-negative floats, +inf included, order as their
+        bit patterns.  Entries more than 2 eps below or above the
+        approximate k-th value are decided by the approximation; the exact
+        k-th is the (k - sure-below)-th smallest of the re-scored band
+        between.  The sure-below count, the lone-row test and the band all
+        read the same edges, rounded outward once.
         """
-        approx, part, eps2 = self.approx, self.spare, 2.0 * self.eps
-        np.maximum(approx, 0.0, out=part)
-        # A -0.0 left by the clamp sorts first as int64, as 0 sorts first.
-        part.view(np.int64).partition(k - 1, axis=1)
+        approx, part = self.approx, self.spare
+        np.maximum(approx, 0, out=part)
+        # A -0.0 left by the clamp sorts first as an integer, as 0 sorts first.
+        part.view(f"i{part.itemsize}").partition(k - 1, axis=1)
         kth = part[:, k - 1].copy()
-        # At or below 0 the clamped copy cannot tell which entries lie
-        # under the band's low edge, so such a band reaches down to -inf.
-        lo = np.where(kth > eps2, kth - eps2, -np.inf)
-        hi = kth + eps2
+        wide_kth, eps2 = kth.astype(np.float64), 2.0 * self.eps
+        # The exact k-th is at least the approximate one less eps, or a far
+        # column's bound.  At or below 0 the clamped copy cannot tell which
+        # entries lie under the band's low edge, so such a band reaches
+        # down to -inf.
+        lo = np.minimum(wide_kth - eps2, self.reach - self.eps)
+        lo[lo <= 0] = -np.inf
+        lo, hi, reaches = self._edges(lo, wide_kth + eps2)
         below = np.count_nonzero(part[:, : k - 1] < lo[:, None], axis=1)
         # Lone rows: the k-th entry is the only one in its band.  A k-th of
         # 0 may be a clamped entry, absent from approx.
-        lone = (below == k - 1) & (part[:, k:].min(axis=1) > hi) & (kth > 0)
+        lone = (below == k - 1) & (part[:, k:].min(axis=1) > hi) & (kth > 0) & ~reaches
         lone_rows, wide = np.flatnonzero(lone), np.flatnonzero(~lone)
         out = np.empty(len(approx), dtype=np.float64)
         lone_cols = np.argmax(approx == kth[:, None], axis=1)[lone_rows]
         out[lone_rows] = self._exact(lone_rows, lone_cols)
-        rows, exact = self._band(wide, lo[wide, None], hi[wide, None])
+        rows, exact = self._band(wide, lo[wide, None], hi[wide, None], reaches[wide])
         # rows ascend, so the stable sort keeps each row's band together.
         band_exact = exact[np.lexsort((exact, rows))]
         out[wide] = band_exact[np.searchsorted(rows, wide) + k - 1 - below[wide]]
@@ -372,22 +413,24 @@ class SelfBlock:
     def count_within(self, limits: np.ndarray) -> np.ndarray:
         """Per row, the exact number of entries at most ``limits[i]``."""
         slack = 2.0 * self.eps
-        if self.squared:
-            # Relative slack, so the decided entries stay decided after
-            # the limit's square and the distances' square roots round.
-            key = limits * limits
-            slack = slack + 4.0 * np.finfo(np.float64).eps * key
-        else:
-            key = limits
-        # A limit with no finite band (it or its square overflows) has its
-        # whole row re-scored, own entry aside.
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            key = limits * self.scale
+            if self.squared:
+                # Relative slack, so the decided entries stay decided after
+                # the key's square and the distances' square roots round.
+                key = key * key
+                slack = slack + 4.0 * np.finfo(np.float64).eps * key
+            else:
+                key = key * self.scale
             lo, hi = key - slack, key + slack
-        whole = ~(np.isfinite(lo) & np.isfinite(hi))
-        lo[whole], hi[whole] = -np.inf, np.inf
+        # A key past float64 with an infinite slack has its whole row
+        # re-scored, own entry aside.
+        lo[np.isnan(lo)] = -np.inf
+        lo, hi, reaches = self._edges(lo, hi)
         counts = np.count_nonzero(self.approx < lo[:, None], axis=1)
-        wide = np.flatnonzero(np.count_nonzero(self.approx <= hi[:, None], axis=1) > counts)
-        rows, exact = self._band(wide, lo[wide, None], hi[wide, None])
+        wide = np.count_nonzero(self.approx <= hi[:, None], axis=1) > counts
+        wide = np.flatnonzero(wide | reaches)
+        rows, exact = self._band(wide, lo[wide, None], hi[wide, None], reaches[wide])
         np.add.at(counts, rows[exact <= limits[rows]], 1)
         return counts
 
@@ -397,12 +440,12 @@ def scan_self_distances(metric: DistanceMetric, vectors, per_block, n_threads=No
     of about ``_BLOCK_ELEMENTS`` entries, each passed to ``per_block`` as
     a :class:`SelfBlock`; the results come back in block order.
 
-    Euclidean and squared euclidean blocks are one GEMM each, of squared
-    distances, on the calling thread in the scan's one buffer pair, so
-    the results must not be views of ``block.approx`` or ``block.spare``.
-    Mahalanobis blocks, and blocks of vectors too large for the GEMM, are
-    exact :func:`pairwise` rows with buffers of their own, on a pool of
-    ``n_threads`` threads if that is above 1.
+    Euclidean and squared euclidean blocks are one float32 GEMM each, of
+    scaled squared distances, on the calling thread in the scan's one
+    buffer pair, so the results must not be views of ``block.approx`` or
+    ``block.spare``.  Mahalanobis blocks, and blocks of vectors too large
+    for the GEMM, are exact :func:`pairwise` rows with buffers of their
+    own, on a pool of ``n_threads`` threads if that is above 1.
     """
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     n, d = vectors.shape
@@ -411,34 +454,60 @@ def scan_self_distances(metric: DistanceMetric, vectors, per_block, n_threads=No
     if not exact:
         centred = vectors - vectors.mean(axis=0)
         norms = np.einsum("ij,ij->i", centred, centred)
-        # The GEMM's partial sums reach 4 max |x|^2; past the float range
-        # the blocks are exact rows, as cdist's may still be finite.
+        far = norms > _FAR_FACTOR * np.median(norms)
+        if far.any():
+            # Far samples pull the mean away from the others, whose norms
+            # and so bounds would grow with it: centre on the others.
+            centred = vectors - vectors[~far].mean(axis=0)
+            norms = np.einsum("ij,ij->i", centred, centred)
+            far = norms > _FAR_FACTOR * np.median(norms)
+        # Squared distances reach 4 max |x|^2; past the float range cdist's
+        # may overflow where the scaled GEMM's do not, so the blocks are
+        # exact rows.
         exact = not norms.max() <= np.finfo(np.float64).max / 4
     if exact:
         def rows_of(start: int, stop: int):
             approx = pairwise(metric, vectors[start:stop], vectors)
             return approx, np.zeros(stop - start), np.empty_like(approx)
 
+        scale, far_cols, reach = 1.0, (), np.full(n, np.inf)
     else:
-        u = np.finfo(np.float64).eps / 2
+        # A power of two puts the largest squared norm in [1/4, 1): exact,
+        # and it keeps every operand and partial sum in float32's range.
+        shift = -((np.frexp(norms.max())[1] + 1) // 2)
+        scale = np.ldexp(1.0, shift)
+        centred *= scale
+        norms = np.ldexp(norms, 2 * shift)
+        rel = _EPS_FACTOR * (d + 4) * 2.0**-24
         tiny = np.finfo(np.float64).smallest_subnormal
-        eps = _EPS_FACTOR * (d + 4) * (u * (norms + norms.max()) + tiny)
+        absolute = _EPS_FACTOR * (d + 4) * (np.finfo(np.float32).tiny + np.ldexp(tiny, 2 * shift))
+        eps = rel * (norms + norms[~far].max()) + absolute
+        # |x_i - x_j| >= |x_j| - |x_i|, so a far column's square is at
+        # least the gap between the nearest far norm and row i's, each
+        # moved by its own rounding; with no gap (a far row) no far column
+        # is sure to lie above the band.
+        nearest = max(np.min(norms[far], initial=np.inf) * (1 - rel) - absolute, 0.0)
+        gap = np.sqrt(nearest) - np.sqrt(norms * (1 + rel) + absolute)
+        reach = np.where(gap > 0, (1 - rel) * gap * gap - absolute, -np.inf)
+        far_cols = np.flatnonzero(far)
         # One GEMM gives ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j: no assembly pass.
         ones = np.ones((n, 1))
-        left = np.hstack([-2.0 * centred, norms[:, None], ones])
-        right = np.hstack([centred, ones, norms[:, None]])
+        left = np.hstack([-2.0 * centred, norms[:, None], ones], dtype=np.float32)
+        right = np.hstack([centred, ones, norms[:, None]], dtype=np.float32)
         # One allocation: numpy asks for huge pages from 4 MiB up.
-        out, spare = np.empty((2, block, n))
+        out, spare = np.empty((2, block, n), dtype=np.float32)
 
         def rows_of(start: int, stop: int):
             approx = np.matmul(left[start:stop], right.T, out=out[: stop - start])
+            approx[:, far_cols] = np.inf
             return approx, eps[start:stop], spare[: stop - start]
 
     def scan(start: int):
         stop = min(start + block, n)
         approx, eps_rows, spare_rows = rows_of(start, stop)
         approx[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        return per_block(SelfBlock(metric, vectors, start, approx, eps_rows, exact, spare_rows))
+        return per_block(SelfBlock(metric, vectors, start, approx, eps_rows, exact, spare_rows,
+                                   scale, far_cols, reach[start:stop]))
 
     # GEMM blocks take no pool: OpenBLAS threads the GEMM itself, and a
     # block pool on top made sigma tables of N = 4,000, d = 64 slower on

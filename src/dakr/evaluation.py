@@ -118,6 +118,13 @@ def mean_average_precision(rankings: list[RankedList], truth: GroundTruth) -> fl
     return float(np.mean(aps))
 
 
+def _check_spread(cluster_spread: float, *vectors: np.ndarray) -> None:
+    """Noise of a finite spread can still pass float64, which is a bad
+    parameter, not bad data."""
+    if not all(np.isfinite(v).all() for v in vectors):
+        raise InvalidParams(f"cluster_spread {cluster_spread:g} puts feature vectors past float64")
+
+
 def generate_scenario(
     kind: str,
     n_identities: int,
@@ -167,6 +174,7 @@ def generate_scenario(
             0.0, cluster_spread, size=(n_identities, dim)
         )
         matches = {total_ids + i: frozenset({i}) for i in range(n_identities)}
+        _check_spread(cluster_spread, gallery_vectors, probe_vectors)
         gallery = FeatureSet(np.arange(total_ids), gallery_vectors)
         probes = FeatureSet(total_ids + np.arange(n_identities), probe_vectors)
         return gallery, probes, GroundTruth(matches)
@@ -179,6 +187,7 @@ def generate_scenario(
         np.repeat(centers[n_identities:], shots_per_id, axis=0),
     ])
     gallery_vectors = expanded + rng.normal(0.0, cluster_spread, size=expanded.shape)
+    _check_spread(cluster_spread, gallery_vectors)
     probe_rows = np.arange(n_identities) * (shots_per_id + 1)
     probes = FeatureSet(probe_rows, gallery_vectors[probe_rows])
     matches = {int(p): frozenset(range(p + 1, p + shots_per_id + 1)) for p in probe_rows}

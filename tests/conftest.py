@@ -45,13 +45,15 @@ def reciprocal_gallery() -> FeatureSet:
 
 
 # Inputs for the GEMM scan's boundary selection: ties, duplicates,
-# an offset from the origin, three scales (at 1e-160 the squared
-# distances are subnormal), two samples too far out for the GEMM, and
-# near-duplicates whose GEMM entries fall below 0.  New kinds go last,
-# so that the others keep their seeds.
+# an offset from the origin, five scales (at 1e-160 the squared
+# distances are subnormal, and at 1e30 and 1e-30 they lie outside
+# float32's range), two samples too far out for the GEMM,
+# near-duplicates whose GEMM entries fall below 0, and one sample or a
+# cluster of ten far out but inside the GEMM's range.  New kinds go
+# last, so that the others keep their seeds.
 SCAN_DATA = [
     "gaussian", "lattice", "duplicates", "offset", "1e-3", "1e3", "1e-160", "far",
-    "near_duplicates",
+    "near_duplicates", "1e30", "1e-30", "far_sample", "far_cluster",
 ]
 
 
@@ -76,6 +78,16 @@ def scan_data(name: str, rng: np.random.Generator) -> np.ndarray:
         # while cdist's distances stay finite
         far = rng.normal(size=(90, 6))
         far[:2, 0] = 1e154
+        return far
+    if name == "far_sample":
+        # a far column in every row, and a far row of its own
+        far = rng.normal(size=(90, 6))
+        far[0] = 1e6
+        return far
+    if name == "far_cluster":
+        # far rows whose nearest entries are far columns
+        far = rng.normal(size=(90, 6))
+        far[:10] += 1e3
         return far
     return float(name) * rng.normal(size=(90, 6))
 

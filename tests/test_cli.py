@@ -658,6 +658,10 @@ class TestExitCodes:
             ["gen", *SCENARIO, "--cluster-spread", "nan"],
             ["eval", *SCENARIO, "--cluster-spread", "nan"],
             ["sweep", *SCENARIO, "--cluster-spread", "inf"],
+            # finite, but the noise passes float64
+            ["gen", *SCENARIO, "--cluster-spread", "1e308"],
+            ["eval", *SCENARIO, "--cluster-spread", "1e308"],
+            ["sweep", *SCENARIO, "--cluster-spread", "1e308"],
         ],
     )
     def test_bad_list_count_or_scenario_is_usage_error(self, tmp_path, argv):

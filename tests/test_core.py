@@ -119,6 +119,18 @@ class TestDistance:
         # rounding noise on entries of order 1e6
         DistanceMetric.mahalanobis([[2e6, 1e6], [1e6 + 1e-5, 3e6]])
 
+    @pytest.mark.parametrize("unit", [1.0, 1e300])
+    def test_asymmetry_past_float64_is_refused(self, unit):
+        # the norm of the 1e300 matrix is past float64; the checks take
+        # it at a power of two and refuse it as they refuse the unit one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidMetric, match="not symmetric"):
+                DistanceMetric.mahalanobis(unit * np.array([[1.0, 0.0], [1.0, 1.0]]))
+            with pytest.raises(InvalidMetric, match="not PSD"):
+                DistanceMetric.mahalanobis(unit * np.array([[1.0, 2.0], [2.0, 1.0]]))
+            DistanceMetric.mahalanobis(unit * np.array([[2.0, 1.0], [1.0, 2.0]]))
+
     def test_slightly_indefinite_matrix_accepted(self):
         # learned metrics are often numerically indefinite; tiny negative
         # eigenvalues relative to the spectral norm must pass
@@ -209,8 +221,9 @@ def _cdist_reference(vectors, name):
 class TestScanSelfDistances:
     def test_blocks_cover_the_matrix_in_order(self, monkeypatch):
         # 600 entries per block over 60 samples: six blocks of ten rows,
-        # each within its rounding bound of the exact (squared) distances,
-        # and every selection made from them equal to cdist's bytes
+        # each within its rounding bound of the exact (squared) distances
+        # in the block's scaled units, and every selection made from them
+        # equal to cdist's bytes
         monkeypatch.setattr(dakr.core, "_BLOCK_ELEMENTS", 600)
         rng = np.random.default_rng(17)
         features = FeatureSet(np.arange(60), rng.normal(size=(60, 3)))
@@ -224,19 +237,22 @@ class TestScanSelfDistances:
                     features.vectors,
                     lambda b: (
                         b.start,
-                        b.approx.copy(),
+                        b.approx.astype(np.float64),
                         b.eps.copy(),
                         b.kth_smallest(5),
                         b.count_within(kth[b.start:b.stop]),
+                        b.scale,
                     ),
                     n_threads,
                 )
                 assert [b[0] for b in blocks] == list(range(0, 60, 10))
                 approx = np.vstack([b[1] for b in blocks])
                 eps = np.concatenate([b[2] for b in blocks])
+                (scale,) = {b[5] for b in blocks}
                 assert np.all(np.isinf(np.diag(approx)))
                 np.fill_diagonal(approx, 0.0)
-                assert np.all(np.abs(approx - np.where(np.isinf(key), 0.0, key)) <= eps[:, None])
+                scaled = np.where(np.isinf(key), 0.0, key) * scale**2
+                assert np.all(np.abs(approx - scaled) <= eps[:, None])
                 assert np.concatenate([b[3] for b in blocks]).tobytes() == kth.tobytes()
                 counts = np.concatenate([b[4] for b in blocks])
                 np.testing.assert_array_equal(counts, np.sum(expected <= kth[:, None], axis=1))
@@ -345,6 +361,32 @@ class TestBoundarySelection:
                 metric, vectors, lambda b: (b.kth_smallest(4), b.rescored)[1]
             )
             assert (rescored > len(vectors)) == wide, data
+
+    def test_sigma_bytes_at_benchmark_scale(self):
+        # uniform centres in the unit cube plus N(0, 0.3) noise, N = 4,000,
+        # d = 64: the k-th distances of so many near-equal rows catch any
+        # entry that the sure-below count and the band both take
+        rng = np.random.default_rng(61)
+        vectors = rng.uniform(size=(4000, 64)) + rng.normal(0.0, 0.3, size=(4000, 64))
+        full = _cdist_reference(vectors, "euclidean")
+        for k in (200, 25):
+            kth = np.partition(full, k - 1, axis=1)[:, k - 1]
+            got = np.concatenate(scan_self_distances(
+                DistanceMetric.euclidean(), vectors, lambda b: b.kth_smallest(k)
+            ))
+            assert got.tobytes() == kth.tobytes(), k
+
+    def test_one_far_sample_widens_no_band(self):
+        # the far sample's own row is re-scored whole; every other row
+        # re-scores one entry, its k-th, which at k = n - 1 is the far column
+        vectors = scan_data("far_sample", np.random.default_rng(5))
+        n = len(vectors)
+        for metric, _ in _GEMM_METRICS:
+            for k in (1, 45, n - 1):
+                rescored = scan_self_distances(
+                    metric, vectors, lambda b: (b.kth_smallest(k), b.rescored)[1]
+                )
+                assert sum(rescored) == 2 * (n - 1), (metric.kind, k)
 
     def test_pair_rescoring_has_the_bytes_of_full_rows(self):
         # under Mahalanobis too, whose full rows are pairwise()'s einsum rows
