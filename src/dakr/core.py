@@ -60,9 +60,9 @@ _BLOCK_ELEMENTS = 1 << 20
 # far, t float32's smallest normal (a BLAS may flush subnormals), s
 # float64's smallest subnormal and p the power of two the vectors were
 # scaled by: cdist's own rounding below the normal range is absolute in
-# the original units.  Summing the worst cases of the operands' rounding,
-# the GEMM and cdist's own sum gives a factor of about 5, so 16 leaves
-# room.
+# the original units.  The operands' rounding (3u) and the GEMM's sum of
+# d + 2 terms (2(d + 2)u) make a factor of about 2; 16 leaves room for
+# the centring and cdist's own float64 sum.
 _EPS_FACTOR = 16.0
 # Columns whose squared norm passes this multiple of the median are far
 # columns: +inf in every block, so that no row's bound grows with them.
@@ -363,8 +363,7 @@ class SelfBlock:
         ascending, and their exact distances."""
         band = self.approx[rows]
         inside = (band >= lo) & (band <= hi)
-        if len(self.far):
-            inside[np.ix_(reaches, self.far)] = True
+        inside[np.ix_(reaches, self.far)] = True
         # One flat index: 2-D nonzero costs ~10x more on wide blocks.
         band_row, cols = np.divmod(np.flatnonzero(inside), band.shape[1])
         rows = rows[band_row]
